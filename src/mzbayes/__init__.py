@@ -12,8 +12,10 @@ from mzbayes.posterior import (
     DegenerateEvidenceError,
     PhaseGrid,
     Posterior,
+    CountLikelihood,
     accumulate,
     credible_interval,
+    ideal_likelihood,
     normalization_constant,
     posterior_mean,
     single_shot_posterior,
@@ -38,7 +40,7 @@ from mzbayes.estimators import (
     ml_estimate,
     noisy_classical_estimate,
     ymk_estimate,
-    ymk_sequence_estimate,
+    ymk_mean_estimate,
 )
 from mzbayes.fisher import crlb, fisher_ideal, fisher_numeric
 from mzbayes.experiment import (
@@ -61,6 +63,8 @@ __all__ = [
     "single_shot_posterior",
     "normalization_constant",
     "accumulate",
+    "CountLikelihood",
+    "ideal_likelihood",
     "posterior_mean",
     "credible_interval",
     "ConfusionModel",
@@ -79,7 +83,7 @@ __all__ = [
     "fit_fringe",
     "noisy_classical_estimate",
     "ymk_estimate",
-    "ymk_sequence_estimate",
+    "ymk_mean_estimate",
     "ml_estimate",
     "fisher_ideal",
     "fisher_numeric",

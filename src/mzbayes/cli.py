@@ -237,33 +237,9 @@ def cmd_scan(cfg: dict, args) -> int:
         result = sensitivity_scan(plan)
 
     csv_path = out_dir / f"{args.kind}_scan.csv"
-    rows = []
-    for rec in result.records:
-        rows.append(
-            [
-                f"{rec.theta / math.pi:.12g}",
-                rec.estimator,
-                f"{rec.mean_est:.12g}",
-                f"{rec.bias:.12g}",
-                f"{rec.mean_dtheta:.12g}",
-                f"{rec.sd_est:.12g}",
-                f"{rec.sd_dtheta:.12g}",
-            ]
-        )
     _emit_files(
         {
-            csv_path: _render_csv(
-                rows,
-                [
-                    "theta",
-                    "estimator",
-                    "mean_est",
-                    "bias",
-                    "mean_dtheta",
-                    "sd_est",
-                    "sd_dtheta",
-                ],
-            ),
+            csv_path: result.to_csv(),
             out_dir / f"{args.kind}_manifest.json": json.dumps(
                 plan.manifest(), indent=2
             )

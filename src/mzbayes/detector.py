@@ -16,14 +16,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.special import gammaln
 
 from mzbayes.photon_model import InterferometerModel, Outcome, _log_poisson_pmf
-from mzbayes.posterior import (
-    PhaseGrid,
-    Posterior,
-    log_shape,
-    normalization_constant,
-)
+from mzbayes.posterior import PhaseGrid, Posterior
 
 _COLUMN_TOL = 1e-12
 
@@ -154,23 +150,45 @@ def apply_noise_counts(
     )
 
 
-def _folded_poisson(mu: float, ideal_n_max: int, n_max: int) -> np.ndarray:
-    """Poisson pmf over true counts 0..ideal_n_max folded into 0..n_max bins."""
-    t = np.arange(ideal_n_max + 1)
-    p = np.exp(_log_poisson_pmf(t, mu))
-    folded = np.zeros(n_max + 1)
-    np.add.at(folded, np.minimum(t, n_max), p)
-    return folded
-
-
 def measured_port_distributions(
-    phi: float, model: ConfusionModel, ideal: InterferometerModel
+    phi, model: ConfusionModel, ideal: InterferometerModel
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Distributions of the reported counts at each port for phase ``phi``."""
+    """Distributions of the reported counts at each port.
+
+    ``phi`` is a phase or an array of G phases; each port's distribution
+    is then ``(n_max+1,)`` or ``(n_max+1, G)``. It is the forward matrix
+    times the matrix folding true counts above ``n_max`` into the ``n_max``
+    bin times the Poisson pmf matrix of the true counts.
+    """
     mu_c, mu_d = ideal.output_means(phi)
-    dist_c = model.forward_c @ _folded_poisson(mu_c, ideal.n_max, model.n_max)
-    dist_d = model.forward_d @ _folded_poisson(mu_d, ideal.n_max, model.n_max)
-    return dist_c, dist_d
+    true = np.arange(ideal.n_max + 1)
+    fold = np.minimum(true, model.n_max)
+    true = true.reshape((-1,) + (1,) * np.ndim(mu_c))
+    return (
+        model.forward_c[:, fold] @ np.exp(_log_poisson_pmf(true, mu_c)),
+        model.forward_d[:, fold] @ np.exp(_log_poisson_pmf(true, mu_d)),
+    )
+
+
+def _check_reportable(n_c: np.ndarray, n_d: np.ndarray, n_max: int) -> None:
+    if np.max(n_c, initial=0) > n_max or np.max(n_d, initial=0) > n_max:
+        raise ValueError(f"measured counts exceed the reportable maximum {n_max}")
+
+
+def pair_histogram(n_c: np.ndarray, n_d: np.ndarray, n_max: int) -> np.ndarray:
+    """Counts of each measured pair, flattened at index ``nc * (n_max+1) + nd``."""
+    _check_reportable(n_c, n_d, n_max)
+    bins = n_max + 1
+    return np.bincount(np.asarray(n_c) * bins + n_d, minlength=bins * bins)
+
+
+def port_histograms(n_c: np.ndarray, n_d: np.ndarray, n_max: int) -> np.ndarray:
+    """Per-port histograms of the reported counts, port c's bins first."""
+    _check_reportable(n_c, n_d, n_max)
+    bins = n_max + 1
+    return np.concatenate(
+        [np.bincount(n_c, minlength=bins), np.bincount(n_d, minlength=bins)]
+    )
 
 
 def noisy_joint_likelihood(
@@ -201,18 +219,18 @@ def noisy_joint_pmf(model: ConfusionModel, ideal: InterferometerModel):
 
 
 def noisy_log_likelihood_grid(model: ConfusionModel, ideal: InterferometerModel):
-    """Callable (phis, outcome) -> log P_fit(outcome | phi) over an array."""
+    """Callable phis -> per-port log P_fit(reported count | phi) rows.
 
-    def log_lik(phis: np.ndarray, outcome: Outcome) -> np.ndarray:
-        phis = np.atleast_1d(np.asarray(phis, dtype=float))
-        out = np.empty_like(phis)
-        for i, phi in enumerate(phis):
-            dist_c, dist_d = measured_port_distributions(phi, model, ideal)
-            out[i] = dist_c[outcome.n_c] * dist_d[outcome.n_d]
+    The joint likelihood factorizes over the ports, so the log likelihood
+    of a pulse sequence is ``port_histograms(...)`` times these
+    ``2 (n_max+1)`` rows (port c's counts 0..n_max, then port d's).
+    """
+
+    def log_rows(phis: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
-            return np.log(out)
+            return np.log(np.concatenate(measured_port_distributions(phis, model, ideal)))
 
-    return log_lik
+    return log_rows
 
 
 @dataclass(frozen=True)
@@ -410,12 +428,11 @@ def fit_confusion_model(
     """
     n_max = calib.n_max
     phases = calib.phases
-    true_c = np.empty((len(phases), n_max + 1))
-    true_d = np.empty((len(phases), n_max + 1))
-    for j, phi in enumerate(phases):
-        mu_c, mu_d = ideal.output_means(phi)
-        true_c[j] = _folded_poisson(mu_c, ideal.n_max, n_max)
-        true_d[j] = _folded_poisson(mu_d, ideal.n_max, n_max)
+    # Folded true-count distributions per phase: the identity channel.
+    dist_c, dist_d = measured_port_distributions(
+        phases, ConfusionModel.identity(n_max), ideal
+    )
+    true_c, true_d = dist_c.T, dist_d.T
     if np.linalg.matrix_rank(true_c) < n_max + 1:
         raise FitError(
             f"too few distinct calibration phases to resolve {n_max + 1} "
@@ -516,18 +533,18 @@ def posterior_fit(
 def log_posterior_fit(
     measured: Outcome, weights: RetrodictiveWeights, nodes: np.ndarray
 ) -> np.ndarray:
-    """Log of the (unnormalized) retrodictive mixture density on ``nodes``."""
-    dist = weights.distribution(measured.n_c, measured.n_d)
-    density = np.zeros_like(nodes)
-    for tc in range(weights.n_max + 1):
-        for td in range(weights.n_max + 1):
-            w = dist[tc, td]
-            if w > 0.0:
-                outcome = Outcome(tc, td)
-                density += (
-                    w
-                    * normalization_constant(outcome)
-                    * np.exp(log_shape(outcome, nodes))
-                )
+    """Log of the (unnormalized) retrodictive mixture density on ``nodes``.
+
+    The mixture weights P(true | measured) multiply the closed-form
+    single-shot posteriors C cos^{2tc}(phi/2) sin^{2td}(phi/2) of every
+    true pair (tc, td).
+    """
+    true = np.arange(weights.n_max + 1)
+    half = gammaln(0.5 + true)
+    log_c = gammaln(1.0 + true[:, None] + true) - half[:, None] - half
+    mixture = weights.distribution(measured.n_c, measured.n_d) * np.exp(log_c)
+    cos_pow = np.cos(nodes / 2.0) ** (2 * true[:, None])
+    sin_pow = np.sin(nodes / 2.0) ** (2 * true[:, None])
+    density = np.sum(cos_pow * (mixture @ sin_pow), axis=0)
     with np.errstate(divide="ignore"):
         return np.log(density)

@@ -3,20 +3,21 @@
 Classical fringe inversion of the mean count difference, its noisy
 generalization with fitted fringe parameters, the per-shot YMK estimator
 arccos[(Nc-Nd)/(Nc+Nd)], and maximum likelihood by grid search with
-golden-section refinement.
+golden-section refinement. Sequence estimators read a run's per-pulse
+counts as two integer arrays ``(n_c, n_d)``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from mzbayes.detector import CalibrationData, FitError
 from mzbayes.photon_model import Outcome
-from mzbayes.posterior import PhaseGrid
+from mzbayes.posterior import CountLikelihood
 
 
 class DivergenceError(ValueError):
@@ -40,13 +41,21 @@ class FringeParams:
             raise ValueError(f"amplitude must be > 0, got {self.amplitude}")
 
 
-def _mean_difference(outcomes: Sequence[Outcome]) -> float:
-    if len(outcomes) < 1:
-        raise ValueError("need at least one outcome")
-    return sum(o.n_c - o.n_d for o in outcomes) / len(outcomes)
+def _counts(n_c, n_d) -> tuple[np.ndarray, np.ndarray]:
+    n_c, n_d = np.asarray(n_c), np.asarray(n_d)
+    if n_c.shape != n_d.shape or n_c.ndim != 1:
+        raise ValueError(f"need two equal 1-D count arrays, got {n_c.shape}, {n_d.shape}")
+    if n_c.size < 1:
+        raise ValueError("need at least one pulse")
+    return n_c, n_d
 
 
-def classical_estimate(outcomes: Sequence[Outcome], nbar: float) -> float:
+def _mean_difference(n_c, n_d) -> float:
+    n_c, n_d = _counts(n_c, n_d)
+    return int(np.sum(n_c) - np.sum(n_d)) / n_c.size
+
+
+def classical_estimate(n_c, n_d, nbar: float) -> float:
     """arccos(M_p / nbar) with the argument clamped to [-1, 1].
 
     Clamping keeps the estimator total: finite-sample noise routinely
@@ -54,7 +63,7 @@ def classical_estimate(outcomes: Sequence[Outcome], nbar: float) -> float:
     """
     if not nbar > 0:
         raise ValueError(f"nbar must be > 0, got {nbar}")
-    arg = _mean_difference(outcomes) / nbar
+    arg = _mean_difference(n_c, n_d) / nbar
     return math.acos(min(1.0, max(-1.0, arg)))
 
 
@@ -88,11 +97,9 @@ def fit_fringe(calib: CalibrationData) -> FringeParams:
     return FringeParams(a=math.atan2(-c2, c1), b=float(b), amplitude=amplitude)
 
 
-def noisy_classical_estimate(
-    outcomes: Sequence[Outcome], params: FringeParams
-) -> float:
+def noisy_classical_estimate(n_c, n_d, params: FringeParams) -> float:
     """Invert the fitted fringe: theta = arccos((M_p - b)/A) - a, folded to [0, pi]."""
-    arg = (_mean_difference(outcomes) - params.b) / params.amplitude
+    arg = (_mean_difference(n_c, n_d) - params.b) / params.amplitude
     theta = math.acos(min(1.0, max(-1.0, arg))) - params.a
     if theta < 0.0:
         theta = -theta
@@ -108,12 +115,14 @@ def ymk_estimate(outcome: Outcome) -> float:
     return math.acos((outcome.n_c - outcome.n_d) / outcome.total)
 
 
-def ymk_sequence_estimate(outcomes: Sequence[Outcome]) -> float:
+def ymk_mean_estimate(n_c, n_d) -> float:
     """Average of per-shot YMK estimates over shots with at least one photon."""
-    vals = [ymk_estimate(o) for o in outcomes if o.total >= 1]
-    if not vals:
+    n_c, n_d = _counts(n_c, n_d)
+    total = n_c + n_d
+    fired = total >= 1
+    if not np.any(fired):
         raise UndefinedEstimateError("no photon-bearing shots in the sequence")
-    return sum(vals) / len(vals)
+    return float(np.mean(np.arccos((n_c[fired] - n_d[fired]) / total[fired])))
 
 
 class MLEstimate(NamedTuple):
@@ -143,45 +152,29 @@ def golden_section_max(
     return (a + b) / 2.0
 
 
-LogLikelihood = Callable[[np.ndarray, Outcome], np.ndarray]
-
 _FLAT_TOL = 1e-12
 
 
-def ml_estimate(
-    outcomes: Sequence[Outcome],
-    log_likelihood: LogLikelihood,
-    grid: PhaseGrid,
-) -> MLEstimate:
+def ml_estimate(n_c, n_d, likelihood: CountLikelihood) -> MLEstimate:
     """Maximum-likelihood phase: grid argmax refined by golden-section search.
 
-    ``log_likelihood(phis, outcome)`` must return the per-shot log
-    likelihood on an array of phases. Ties go to the smaller phase; a flat
-    likelihood returns pi/2 with the flag set.
+    ``likelihood`` tabulates the log likelihood on its grid as a function
+    of the counts' statistics (port totals for the ideal interferometer,
+    per-port histograms behind a misread channel). Ties go to the smaller
+    phase; a flat likelihood returns pi/2 with the flag set.
     """
-    if len(outcomes) < 1:
-        raise ValueError("need at least one outcome")
-    unique: dict[tuple[int, int], int] = {}
-    for o in outcomes:
-        key = (o.n_c, o.n_d)
-        unique[key] = unique.get(key, 0) + 1
-    total = np.zeros(grid.n_points)
-    for (nc, nd), count in unique.items():
-        total = total + count * log_likelihood(grid.nodes, Outcome(nc, nd))
+    stats = likelihood.statistics(*_counts(n_c, n_d))
+    total = likelihood.on_grid(stats)
     finite = total[np.isfinite(total)]
     if finite.size == 0:
         raise ValueError("likelihood vanished at every grid node")
     if finite.max() - finite.min() < _FLAT_TOL:
         return MLEstimate(phase=math.pi / 2.0, flat=True)
+    nodes = likelihood.grid.nodes
     i = int(np.argmax(total))
-    lo = grid.nodes[max(i - 1, 0)]
-    hi = grid.nodes[min(i + 1, grid.n_points - 1)]
-
-    def objective(phi: float) -> float:
-        phis = np.array([phi])
-        val = 0.0
-        for (nc, nd), count in unique.items():
-            val += count * float(log_likelihood(phis, Outcome(nc, nd))[0])
-        return val
-
-    return MLEstimate(phase=golden_section_max(objective, lo, hi), flat=False)
+    lo = nodes[max(i - 1, 0)]
+    hi = nodes[min(i + 1, nodes.size - 1)]
+    return MLEstimate(
+        phase=golden_section_max(lambda phi: likelihood.at(stats, phi), lo, hi),
+        flat=False,
+    )

@@ -5,16 +5,19 @@ pulses, (optionally) push them through the detector confusion channel,
 accumulate the Bayesian posterior (with fitted retrodictive weights when
 noise is configured), and repeat over independent replicas. Each
 (phase, replica) pair gets its own seeded stream derived from the master
-seed, so serial and parallel execution give identical results.
+seed, so a rerun with the same plan draws the same counts. Every
+likelihood a scan needs is tabulated once per plan; a replica's counts
+enter it only through a histogram or the port totals.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -25,19 +28,23 @@ from mzbayes.detector import (
     apply_noise_counts,
     log_posterior_fit,
     noisy_log_likelihood_grid,
+    pair_histogram,
+    port_histograms,
 )
 from mzbayes.estimators import (
     FringeParams,
     classical_estimate,
     ml_estimate,
     noisy_classical_estimate,
-    ymk_sequence_estimate,
+    ymk_mean_estimate,
 )
 from mzbayes.photon_model import InterferometerModel, Outcome
 from mzbayes.posterior import (
+    CountLikelihood,
     PhaseGrid,
     Posterior,
     credible_interval,
+    ideal_likelihood,
     posterior_mean,
 )
 
@@ -85,6 +92,15 @@ class ExperimentPlan:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")
         if self.noise is not None and self.weights is None:
             raise ValueError("a noise model requires fitted retrodictive weights")
+        if (
+            self.noise is not None
+            and self.weights is not None
+            and self.noise.n_max != self.weights.n_max
+        ):
+            raise ValueError(
+                f"noise model n_max {self.noise.n_max} does not match the "
+                f"retrodictive weights' n_max {self.weights.n_max}"
+            )
 
     @property
     def model(self) -> InterferometerModel:
@@ -114,55 +130,47 @@ def replica_rng(seed: int, phase_idx: int, replica_idx: int) -> np.random.Genera
     return np.random.default_rng([seed, phase_idx, replica_idx])
 
 
-class _PosteriorEngine:
-    """Caches per-measured-pair log densities for fast accumulation."""
+class _PlanTables:
+    """The likelihood tables of one plan, each built on first use.
+
+    Bayes reads the port totals (ideal) or the measured-pair histogram
+    through the retrodictive mixture rows; ML reads the port totals
+    (ideal) or the per-port histograms through the misread channel.
+    """
 
     def __init__(self, plan: ExperimentPlan):
         self.plan = plan
         self.grid = plan.phase_grid
-        nodes = self.grid.nodes
-        with np.errstate(divide="ignore"):
-            self._log_cos = np.log(np.cos(nodes / 2.0))
-            self._log_sin = np.log(np.sin(nodes / 2.0))
-        self._pair_cache: dict[tuple[int, int], np.ndarray] = {}
-        if plan.noise is not None:
-            self._ml_loglik = noisy_log_likelihood_grid(plan.noise, plan.model)
-        else:
-            self._ml_loglik = plan.model.log_likelihood_grid
 
-    @property
-    def ml_log_likelihood(self):
-        return self._ml_loglik
+    @cached_property
+    def bayes(self) -> CountLikelihood:
+        weights = self.plan.weights
+        if weights is None:
+            return ideal_likelihood(self.grid)
+        counts = range(weights.n_max + 1)
+        pairs = [Outcome(nc, nd) for nc in counts for nd in counts]
 
-    def _pair_log_density(self, nc: int, nd: int) -> np.ndarray:
-        key = (nc, nd)
-        cached = self._pair_cache.get(key)
-        if cached is None:
-            cached = log_posterior_fit(
-                Outcome(nc, nd), self.plan.weights, self.grid.nodes
-            )
-            self._pair_cache[key] = cached
-        return cached
+        def rows(phis: np.ndarray) -> np.ndarray:
+            return np.stack([log_posterior_fit(pair, weights, phis) for pair in pairs])
+
+        return CountLikelihood(rows, partial(pair_histogram, n_max=weights.n_max), self.grid)
+
+    @cached_property
+    def ml(self) -> CountLikelihood:
+        noise = self.plan.noise
+        if noise is None:
+            return ideal_likelihood(self.grid)
+        return CountLikelihood(
+            noisy_log_likelihood_grid(noise, self.plan.model),
+            partial(port_histograms, n_max=noise.n_max),
+            self.grid,
+        )
 
     def posterior(self, n_c: np.ndarray, n_d: np.ndarray) -> Posterior:
-        if self.plan.weights is None:
-            # Guard zero totals: 0 * (-inf) at the endpoints would poison
-            # the whole density with NaNs.
-            log_density = np.zeros(self.grid.n_points)
-            total_c, total_d = int(n_c.sum()), int(n_d.sum())
-            if total_c:
-                log_density = log_density + 2.0 * total_c * self._log_cos
-            if total_d:
-                log_density = log_density + 2.0 * total_d * self._log_sin
-        else:
-            pairs = np.stack([n_c, n_d], axis=1)
-            unique, counts = np.unique(pairs, axis=0, return_counts=True)
-            log_density = np.zeros(self.grid.n_points)
-            for (nc, nd), count in zip(unique, counts):
-                log_density = log_density + count * self._pair_log_density(
-                    int(nc), int(nd)
-                )
-        return Posterior.from_log_density(self.grid, log_density)
+        bayes = self.bayes
+        return Posterior.from_log_density(
+            self.grid, bayes.on_grid(bayes.statistics(n_c, n_d))
+        )
 
 
 def _sample_measured(
@@ -175,15 +183,11 @@ def _sample_measured(
 
 
 def run_estimation(
-    theta: float,
-    plan: ExperimentPlan,
-    rng: np.random.Generator,
-    _engine: _PosteriorEngine | None = None,
+    theta: float, plan: ExperimentPlan, rng: np.random.Generator
 ) -> tuple[float, float]:
     """One phase estimation: p pulses, accumulated posterior, (mean, dtheta)."""
-    engine = _engine if _engine is not None else _PosteriorEngine(plan)
     n_c, n_d = _sample_measured(theta, plan, rng)
-    post = engine.posterior(n_c, n_d)
+    post = _PlanTables(plan).posterior(n_c, n_d)
     return posterior_mean(post), credible_interval(post)
 
 
@@ -216,33 +220,31 @@ class ScanResult:
                 return rec
         raise KeyError(f"no record for theta={theta}, estimator={estimator}")
 
+    def to_csv(self) -> str:
+        """Records as CSV text (theta in units of pi)."""
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(
+            ["theta", "estimator", "mean_est", "bias", "mean_dtheta", "sd_est", "sd_dtheta"]
+        )
+        for rec in self.records:
+            writer.writerow(
+                [
+                    f"{rec.theta / math.pi:.12g}",
+                    rec.estimator,
+                    f"{rec.mean_est:.12g}",
+                    f"{rec.bias:.12g}",
+                    f"{rec.mean_dtheta:.12g}",
+                    f"{rec.sd_est:.12g}",
+                    f"{rec.sd_dtheta:.12g}",
+                ]
+            )
+        return buf.getvalue()
+
     def write_csv(self, path) -> None:
         """Export records (theta in units of pi)."""
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                [
-                    "theta",
-                    "estimator",
-                    "mean_est",
-                    "bias",
-                    "mean_dtheta",
-                    "sd_est",
-                    "sd_dtheta",
-                ]
-            )
-            for rec in self.records:
-                writer.writerow(
-                    [
-                        f"{rec.theta / math.pi:.12g}",
-                        rec.estimator,
-                        f"{rec.mean_est:.12g}",
-                        f"{rec.bias:.12g}",
-                        f"{rec.mean_dtheta:.12g}",
-                        f"{rec.sd_est:.12g}",
-                        f"{rec.sd_dtheta:.12g}",
-                    ]
-                )
+            fh.write(self.to_csv())
 
     def write_manifest(self, path) -> None:
         with open(path, "w") as fh:
@@ -251,29 +253,24 @@ class ScanResult:
 
 
 def _replica_estimates(
-    theta: float, plan: ExperimentPlan, engine: _PosteriorEngine, rng
+    theta: float, plan: ExperimentPlan, tables: _PlanTables, rng
 ) -> dict[str, tuple[float, float]]:
     """Estimates (value, dtheta-or-NaN) of every requested estimator."""
     n_c, n_d = _sample_measured(theta, plan, rng)
-    outcomes = None
     results: dict[str, tuple[float, float]] = {}
     for name in plan.estimators:
         if name == "bayes":
-            post = engine.posterior(n_c, n_d)
+            post = tables.posterior(n_c, n_d)
             results[name] = (posterior_mean(post), credible_interval(post))
-            continue
-        if outcomes is None:
-            outcomes = [Outcome(int(c), int(d)) for c, d in zip(n_c, n_d)]
-        if name == "ml":
-            est = ml_estimate(outcomes, engine.ml_log_likelihood, engine.grid)
-            results[name] = (est.phase, math.nan)
+        elif name == "ml":
+            results[name] = (ml_estimate(n_c, n_d, tables.ml).phase, math.nan)
         elif name == "classical":
-            results[name] = (classical_estimate(outcomes, plan.nbar), math.nan)
+            results[name] = (classical_estimate(n_c, n_d, plan.nbar), math.nan)
         elif name == "fringe":
             params = plan.fringe or FringeParams(a=0.0, b=0.0, amplitude=plan.nbar)
-            results[name] = (noisy_classical_estimate(outcomes, params), math.nan)
+            results[name] = (noisy_classical_estimate(n_c, n_d, params), math.nan)
         elif name == "ymk":
-            results[name] = (ymk_sequence_estimate(outcomes), math.nan)
+            results[name] = (ymk_mean_estimate(n_c, n_d), math.nan)
     return results
 
 
@@ -297,7 +294,7 @@ def _aggregate(theta: float, estimator: str, values, dthetas) -> ScanRecord:
 
 
 def _run_scan(plan: ExperimentPlan) -> ScanResult:
-    engine = _PosteriorEngine(plan)
+    tables = _PlanTables(plan)
     records: list[ScanRecord] = []
     for phase_idx, theta in enumerate(plan.theta_grid):
         per_estimator: dict[str, tuple[list[float], list[float]]] = {
@@ -306,7 +303,7 @@ def _run_scan(plan: ExperimentPlan) -> ScanResult:
         for replica_idx in range(plan.replicas):
             rng = replica_rng(plan.seed, phase_idx, replica_idx)
             for name, (value, dtheta) in _replica_estimates(
-                theta, plan, engine, rng
+                theta, plan, tables, rng
             ).items():
                 per_estimator[name][0].append(value)
                 per_estimator[name][1].append(dtheta)

@@ -22,11 +22,12 @@ class PhaseDomainError(ValueError):
     """Phase outside the identifiable interval [0, pi]."""
 
 
-def _check_phase(phi: float) -> float:
-    phi = float(phi)
-    if not 0.0 <= phi <= np.pi:
+def _check_phase(phi):
+    """``phi`` as a float (or a float array), each phase checked to lie in [0, pi]."""
+    arr = np.asarray(phi, dtype=float)
+    if not np.all((arr >= 0.0) & (arr <= np.pi)):
         raise PhaseDomainError(f"phase {phi} outside [0, pi]")
-    return phi
+    return float(arr) if arr.ndim == 0 else arr
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,10 @@ class InterferometerModel:
         if self.n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {self.n_max}")
 
-    def output_means(self, phi: float) -> tuple[float, float]:
+    def output_means(self, phi):
         """Mean counts (mu_c, mu_d) at the two ports; mu_c + mu_d == nbar.
+
+        ``phi`` may be a scalar or an array of phases (elementwise means).
 
         mu_d comes from sin^2 directly rather than nbar - mu_c: the
         subtraction loses ~7 digits near phi = 0 (and mirrored at pi).

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -97,6 +97,66 @@ def log_shape(outcome: Outcome, nodes: np.ndarray) -> np.ndarray:
     return terms
 
 
+def ideal_log_rows(nodes: np.ndarray) -> np.ndarray:
+    """Rows ``2 log cos(phi/2)`` and ``2 log sin(phi/2)`` on ``nodes``.
+
+    The ideal log likelihood of a pulse sequence is the port totals
+    (Nc, Nd) times these rows, up to a phase-independent constant.
+    """
+    with np.errstate(divide="ignore"):
+        return 2.0 * np.log(np.stack([np.cos(nodes / 2.0), np.sin(nodes / 2.0)]))
+
+
+def log_count_density(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``weights @ rows`` over the rows with nonzero weight.
+
+    Skipping zero weights keeps 0 * (-inf), a count that never occurred
+    at a phase where it is impossible, from poisoning the sum with NaN.
+    """
+    nonzero = np.flatnonzero(weights)
+    return weights[nonzero] @ rows[nonzero]
+
+
+def port_totals(n_c: np.ndarray, n_d: np.ndarray) -> np.ndarray:
+    """Total counts (Nc, Nd) of a pulse sequence: the ideal sufficient statistic."""
+    return np.array([np.sum(n_c), np.sum(n_d)])
+
+
+class CountLikelihood:
+    """Log likelihood linear in count statistics: ``log L(phi) = s . rows(phi)``.
+
+    ``rows(phis)`` returns one log-likelihood row per statistic over an
+    array of phases, and ``statistics(n_c, n_d)`` reduces per-pulse count
+    arrays to the matching statistics ``s``. The rows are tabulated on
+    ``grid`` once, so each pulse sequence costs one histogram and one
+    matrix-vector product.
+    """
+
+    def __init__(
+        self,
+        rows: Callable[[np.ndarray], np.ndarray],
+        statistics: Callable[[np.ndarray, np.ndarray], np.ndarray],
+        grid: PhaseGrid,
+    ):
+        self.rows = rows
+        self.statistics = statistics
+        self.grid = grid
+        self.table = rows(grid.nodes)
+
+    def on_grid(self, stats: np.ndarray) -> np.ndarray:
+        """Unnormalized log likelihood of statistics ``stats`` at every grid node."""
+        return log_count_density(stats, self.table)
+
+    def at(self, stats: np.ndarray, phi: float) -> float:
+        """Unnormalized log likelihood of statistics ``stats`` at one phase."""
+        return float(log_count_density(stats, self.rows(np.array([phi])))[0])
+
+
+def ideal_likelihood(grid: PhaseGrid) -> CountLikelihood:
+    """Ideal-interferometer log likelihood from the port totals (flat-prior posterior shape)."""
+    return CountLikelihood(ideal_log_rows, port_totals, grid)
+
+
 def single_shot_posterior(outcome: Outcome, grid: PhaseGrid) -> Posterior:
     """Posterior after one pulse; independent of the input intensity."""
     return Posterior.from_log_density(grid, log_shape(outcome, grid.nodes))
@@ -124,16 +184,6 @@ def accumulate(outcomes: Sequence[Outcome], grid: PhaseGrid) -> Posterior:
         sum(o.n_c for o in outcomes), sum(o.n_d for o in outcomes)
     )
     return Posterior.from_log_density(grid, log_shape(total, grid.nodes))
-
-
-def accumulate_log_densities(
-    log_terms: Iterable[np.ndarray], grid: PhaseGrid
-) -> Posterior:
-    """Accumulate arbitrary per-shot log densities (e.g. noisy mixtures)."""
-    total = np.zeros(grid.n_points)
-    for term in log_terms:
-        total = total + term
-    return Posterior.from_log_density(grid, total)
 
 
 def posterior_mean(post: Posterior) -> float:

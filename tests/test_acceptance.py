@@ -99,11 +99,7 @@ def test_criterion_5_classical_divergence(ideal_scan, ideal_model):
         for r in range(replicas):
             rng = replica_rng(MASTER_SEED, 100 + k, r)
             n_c, n_d = ideal_model.sample_counts(theta, PULSES, rng)
-            estimates.append(
-                classical_estimate(
-                    [Outcome(int(a), int(b)) for a, b in zip(n_c, n_d)], NBAR
-                )
-            )
+            estimates.append(classical_estimate(n_c, n_d, NBAR))
         lo, hi = np.quantile(estimates, [0.5 - level / 2, 0.5 + level / 2])
         half_width = (hi - lo) / 2.0
         predicted = classical_uncertainty(theta, NBAR, PULSES)

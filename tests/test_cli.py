@@ -143,6 +143,25 @@ class TestScanCommand:
         )
         assert run("scan", "bias", "--config", cfg, "--quiet") == EXIT_CONFIG
 
+    def test_weights_n_max_mismatch_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        doc = {
+            "noise": {"kind": "paper_regime", "n_max": 3},
+            "calibration": {"pulses_per_phase": 5000},
+            "plan": {"theta_grid_pi": [0.5], "p": 100, "replicas": 2},
+            "output": {"dir": str(out)},
+        }
+        cfg = write_config(tmp_path, doc)
+        assert run("calibrate", "--config", cfg, "--quiet") == EXIT_OK
+        doc["noise"]["n_max"] = 4
+        cfg = write_config(tmp_path, doc, name="scan.json")
+        capsys.readouterr()
+        assert run("scan", "bias", "--config", cfg, "--quiet") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "n_max" in err
+        assert "Traceback" not in err
+        assert not (out / "bias_scan.csv").exists()
+
     def test_ideal_sensitivity_scan(self, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = write_config(

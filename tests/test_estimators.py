@@ -19,49 +19,55 @@ from mzbayes.estimators import (
     ml_estimate,
     noisy_classical_estimate,
     ymk_estimate,
-    ymk_sequence_estimate,
+    ymk_mean_estimate,
 )
 from mzbayes.photon_model import InterferometerModel, Outcome
-from mzbayes.posterior import PhaseGrid
+from mzbayes.posterior import ideal_likelihood
 
 counts = st.integers(min_value=0, max_value=10)
 outcomes = st.builds(Outcome, counts, counts)
 
 
+def pulses(outcomes):
+    """Per-pulse (n_c, n_d) count arrays of a list of outcomes."""
+    return (
+        np.array([o.n_c for o in outcomes], dtype=int),
+        np.array([o.n_d for o in outcomes], dtype=int),
+    )
+
+
 class TestClassical:
     def test_full_fringe_gives_zero(self):
-        assert classical_estimate([Outcome(1, 0)] * 4, nbar=1.0) == 0.0
+        assert classical_estimate(*pulses([Outcome(1, 0)] * 4), nbar=1.0) == 0.0
 
     def test_balanced_gives_center(self):
         assert classical_estimate(
-            [Outcome(1, 1), Outcome(0, 0)], nbar=1.08
+            *pulses([Outcome(1, 1), Outcome(0, 0)]), nbar=1.08
         ) == pytest.approx(math.pi / 2)
 
     def test_clamps_out_of_range_difference(self):
         # M_p = 3 > nbar: still a valid phase, not an exception
-        assert classical_estimate([Outcome(3, 0)], nbar=1.0) == 0.0
-        assert classical_estimate([Outcome(0, 3)], nbar=1.0) == pytest.approx(math.pi)
+        assert classical_estimate(*pulses([Outcome(3, 0)]), nbar=1.0) == 0.0
+        assert classical_estimate(*pulses([Outcome(0, 3)]), nbar=1.0) == pytest.approx(math.pi)
 
     def test_monte_carlo_consistency(self):
         theta, nbar, p = math.pi / 2, 1.08, 1000
         model = InterferometerModel(nbar=nbar)
         rng = np.random.default_rng(21)
         n_c, n_d = model.sample_counts(theta, p, rng)
-        est = classical_estimate(
-            [Outcome(int(a), int(b)) for a, b in zip(n_c, n_d)], nbar
-        )
+        est = classical_estimate(n_c, n_d, nbar)
         assert abs(est - theta) < 3 * classical_uncertainty(theta, nbar, p)
 
     def test_requires_outcomes_and_positive_nbar(self):
         with pytest.raises(ValueError):
-            classical_estimate([], nbar=1.0)
+            classical_estimate(*pulses([]), nbar=1.0)
         with pytest.raises(ValueError):
-            classical_estimate([Outcome(1, 0)], nbar=0.0)
+            classical_estimate(*pulses([Outcome(1, 0)]), nbar=0.0)
 
     @given(data=st.lists(outcomes, min_size=1, max_size=20))
     @settings(max_examples=50)
     def test_totality(self, data):
-        est = classical_estimate(data, nbar=1.08)
+        est = classical_estimate(*pulses(data), nbar=1.08)
         assert 0.0 <= est <= math.pi
 
 
@@ -120,14 +126,14 @@ class TestFringe:
     def test_trivial_params_reduce_to_classical(self):
         data = [Outcome(2, 0), Outcome(0, 1), Outcome(1, 1)]
         params = FringeParams(a=0.0, b=0.0, amplitude=1.08)
-        assert noisy_classical_estimate(data, params) == pytest.approx(
-            classical_estimate(data, nbar=1.08)
+        assert noisy_classical_estimate(*pulses(data), params) == pytest.approx(
+            classical_estimate(*pulses(data), nbar=1.08)
         )
 
     def test_out_of_fringe_range_clamps(self):
         params = FringeParams(a=0.0, b=0.0, amplitude=0.5)
-        assert noisy_classical_estimate([Outcome(4, 0)], params) == 0.0
-        assert noisy_classical_estimate([Outcome(0, 4)], params) == pytest.approx(
+        assert noisy_classical_estimate(*pulses([Outcome(4, 0)]), params) == 0.0
+        assert noisy_classical_estimate(*pulses([Outcome(0, 4)]), params) == pytest.approx(
             math.pi
         )
 
@@ -139,7 +145,9 @@ class TestFringe:
     )
     @settings(max_examples=50)
     def test_totality(self, data, a, b, amplitude):
-        est = noisy_classical_estimate(data, FringeParams(a=a, b=b, amplitude=amplitude))
+        est = noisy_classical_estimate(
+            *pulses(data), FringeParams(a=a, b=b, amplitude=amplitude)
+        )
         assert 0.0 <= est <= math.pi
 
 
@@ -156,12 +164,12 @@ class TestYMK:
             ymk_estimate(Outcome(0, 0))
 
     def test_sequence_skips_empty_shots(self):
-        est = ymk_sequence_estimate([Outcome(0, 0), Outcome(1, 1), Outcome(0, 0)])
+        est = ymk_mean_estimate(*pulses([Outcome(0, 0), Outcome(1, 1), Outcome(0, 0)]))
         assert est == pytest.approx(math.pi / 2)
 
     def test_sequence_all_empty_undefined(self):
         with pytest.raises(UndefinedEstimateError):
-            ymk_sequence_estimate([Outcome(0, 0)] * 3)
+            ymk_mean_estimate(*pulses([Outcome(0, 0)] * 3))
 
 
 class TestGoldenSection:
@@ -175,32 +183,32 @@ class TestGoldenSection:
 
 
 @pytest.fixture(scope="module")
-def loglik(ideal_model):
-    return ideal_model.log_likelihood_grid
+def loglik(grid):
+    return ideal_likelihood(grid)
 
 
 class TestML:
-    def test_analytic_single_shot_maximum(self, loglik, grid):
+    def test_analytic_single_shot_maximum(self, loglik):
         # argmax of cos^{2Nc}(phi/2) sin^{2Nd}(phi/2) is 2*arctan(sqrt(Nd/Nc))
         for nc, nd in [(1, 0), (1, 1), (3, 2), (2, 5)]:
-            est = ml_estimate([Outcome(nc, nd)], loglik, grid)
+            est = ml_estimate([nc], [nd], loglik)
             assert not est.flat
             assert est.phase == pytest.approx(
                 2 * math.atan(math.sqrt(nd / nc)), abs=1e-6
             )
 
-    def test_only_sine_port_pushes_to_pi(self, loglik, grid):
-        est = ml_estimate([Outcome(0, 3)], loglik, grid)
+    def test_only_sine_port_pushes_to_pi(self, loglik):
+        est = ml_estimate([0], [3], loglik)
         assert est.phase == pytest.approx(math.pi, abs=1e-6)
 
-    def test_flat_likelihood_flagged(self, loglik, grid):
-        est = ml_estimate([Outcome(0, 0)], loglik, grid)
+    def test_flat_likelihood_flagged(self, loglik):
+        est = ml_estimate([0], [0], loglik)
         assert est.flat
         assert est.phase == math.pi / 2
 
-    def test_requires_outcomes(self, loglik, grid):
+    def test_requires_outcomes(self, loglik):
         with pytest.raises(ValueError):
-            ml_estimate([], loglik, grid)
+            ml_estimate([], [], loglik)
 
     def test_asymptotic_agreement_with_bayes(self, loglik, ideal_model, grid):
         from mzbayes.posterior import accumulate, credible_interval, posterior_mean
@@ -209,7 +217,7 @@ class TestML:
         rng = np.random.default_rng(25)
         n_c, n_d = ideal_model.sample_counts(theta, 1000, rng)
         data = [Outcome(int(a), int(b)) for a, b in zip(n_c, n_d)]
-        est = ml_estimate(data, loglik, grid)
+        est = ml_estimate(n_c, n_d, loglik)
         post = accumulate(data, grid)
         assert abs(est.phase - posterior_mean(post)) < credible_interval(post) / 3
 
@@ -218,6 +226,6 @@ class TestML:
         for nc in range(9):
             for nd in range(9):
                 if 1 <= nc + nd <= 8:
-                    ml = ml_estimate([Outcome(nc, nd)], loglik, grid).phase
+                    ml = ml_estimate([nc], [nd], loglik).phase
                     ymk = ymk_estimate(Outcome(nc, nd))
                     assert abs(ml - ymk) < 2 * grid.spacing

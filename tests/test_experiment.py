@@ -47,6 +47,11 @@ class TestPlan:
             small_plan(theta_grid=np.array([4.0]))
         with pytest.raises(ValueError):
             small_plan(estimators=("bayes", "psychic"))
+        with pytest.raises(ValueError):
+            small_plan(
+                noise=ConfusionModel.paper_regime(n_max=4),
+                weights=RetrodictiveWeights.identity(n_max=3),
+            )
 
     def test_noise_requires_weights(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,286 @@
+"""Per-plan likelihood tables and count-array estimators against oracles.
+
+A scan reduces each replica's per-pulse counts to a histogram (or the
+port totals) and reads every likelihood from a table built once per plan.
+Each test compares one table or array path with the closed form or the
+per-pulse loop it replaces.
+"""
+
+import math
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mzbayes.detector import (
+    ConfusionModel,
+    apply_noise_counts,
+    exact_retrodictive_weights,
+    log_posterior_fit,
+    measured_port_distributions,
+    noisy_joint_likelihood,
+    pair_histogram,
+    port_histograms,
+)
+from mzbayes.estimators import (
+    FringeParams,
+    UndefinedEstimateError,
+    classical_estimate,
+    golden_section_max,
+    ml_estimate,
+    noisy_classical_estimate,
+    ymk_estimate,
+    ymk_mean_estimate,
+)
+from mzbayes.experiment import ExperimentPlan, _PlanTables
+from mzbayes.photon_model import InterferometerModel, Outcome
+from mzbayes.posterior import accumulate, log_shape, normalization_constant
+
+N_MAX = 4
+IDEAL = InterferometerModel(nbar=1.08)
+REGIME = ConfusionModel.paper_regime(N_MAX)
+WEIGHTS = exact_retrodictive_weights(REGIME, IDEAL)
+GRID_POINTS = 1024
+
+IDEAL_TABLES = _PlanTables(
+    ExperimentPlan(grid_points=GRID_POINTS, estimators=("bayes", "ml"))
+)
+NOISY_TABLES = _PlanTables(
+    ExperimentPlan(
+        grid_points=GRID_POINTS,
+        noise=REGIME,
+        weights=WEIGHTS,
+        estimators=("bayes", "ml"),
+    )
+)
+NODES = IDEAL_TABLES.grid.nodes
+
+# Golden-section refinement stops at 1e-10 rad, and the log likelihood's
+# maximum is flat at float precision over ~1e-8 rad; 1e-6 rad is the
+# tolerance for ML estimates whose arithmetic order changed.
+ML_TOL = 1e-6
+
+
+@st.composite
+def pulse_counts(draw, noise):
+    """Per-pulse (n_c, n_d): arbitrary, all zero, all at the maximum
+    reportable count, or sampled at theta in {0, pi/2, pi}; p in {1, ..}."""
+    max_count = N_MAX if noise is not None else 10
+    kind = draw(st.sampled_from(("arbitrary", "zeros", "at_max", "sampled")))
+    p = draw(st.sampled_from((1, 2, 13, 200)))
+    if kind == "arbitrary":
+        pair = st.tuples(st.integers(0, max_count), st.integers(0, max_count))
+        pairs = draw(st.lists(pair, min_size=1, max_size=40))
+        n_c, n_d = (np.array(col, dtype=np.int64) for col in zip(*pairs))
+        return n_c, n_d
+    if kind == "zeros":
+        return np.zeros(p, dtype=np.int64), np.zeros(p, dtype=np.int64)
+    if kind == "at_max":
+        n_d = np.array(draw(st.lists(st.integers(0, max_count), min_size=p, max_size=p)))
+        return np.full(p, max_count, dtype=np.int64), n_d
+    theta = draw(st.sampled_from((0.0, math.pi / 2, math.pi)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_c, n_d = IDEAL.sample_counts(theta, p, rng)
+    if noise is not None:
+        n_c, n_d = apply_noise_counts(n_c, n_d, noise, rng)
+    return n_c, n_d
+
+
+def outcomes(n_c, n_d):
+    return [Outcome(int(c), int(d)) for c, d in zip(n_c, n_d)]
+
+
+def assert_same_log_density(got, want):
+    """-inf at the same nodes, finite values equal to 1e-10.
+
+    Log densities of long runs reach |value| ~ 1e5 near the domain edges,
+    where float64 resolves only ~1e-11 and a sum of p terms carries p
+    roundings; there the bound is 1e-12 relative instead.
+    """
+    np.testing.assert_array_equal(np.isneginf(got), np.isneginf(want))
+    finite = np.isfinite(want)
+    np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12, atol=1e-10)
+
+
+# -- Bayes tables -------------------------------------------------------------
+
+
+@given(counts=pulse_counts(noise=None))
+@settings(max_examples=60, deadline=None)
+def test_ideal_bayes_table_matches_accumulate(counts):
+    got = IDEAL_TABLES.posterior(*counts)
+    want = accumulate(outcomes(*counts), IDEAL_TABLES.grid)
+    assert_same_log_density(got.log_density, want.log_density)
+
+
+@given(counts=pulse_counts(noise=REGIME))
+@settings(max_examples=60, deadline=None)
+def test_noisy_bayes_table_matches_summed_log_posterior_fit(counts):
+    bayes = NOISY_TABLES.bayes
+    got = bayes.on_grid(bayes.statistics(*counts))
+    want = np.zeros(NODES.size)
+    for outcome in outcomes(*counts):
+        want = want + log_posterior_fit(outcome, WEIGHTS, NODES)
+    assert_same_log_density(got, want)
+
+
+def test_log_posterior_fit_matches_closed_form_mixture():
+    # oracle: the weights mix the normalized closed-form single-shot posteriors
+    for nc in range(N_MAX + 1):
+        for nd in range(N_MAX + 1):
+            dist = WEIGHTS.distribution(nc, nd)
+            want = np.zeros(NODES.size)
+            for tc in range(N_MAX + 1):
+                for td in range(N_MAX + 1):
+                    true = Outcome(tc, td)
+                    want += (
+                        dist[tc, td]
+                        * normalization_constant(true)
+                        * np.exp(log_shape(true, NODES))
+                    )
+            got = np.exp(log_posterior_fit(Outcome(nc, nd), WEIGHTS, NODES))
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+
+# -- ML tables ----------------------------------------------------------------
+
+
+def random_channel(seed):
+    rng = np.random.default_rng(seed)
+    return ConfusionModel(
+        forward_c=rng.dirichlet(np.ones(N_MAX + 1), size=N_MAX + 1).T,
+        forward_d=rng.dirichlet(np.ones(N_MAX + 1), size=N_MAX + 1).T,
+        n_max=N_MAX,
+    )
+
+
+@given(
+    phi=st.one_of(st.sampled_from((0.0, math.pi)), st.floats(0.0, math.pi)),
+    seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+)
+@settings(max_examples=60, deadline=None)
+def test_ml_rows_match_noisy_joint_likelihood(phi, seed):
+    channel = REGIME if seed is None else random_channel(seed)
+    rows = _PlanTables(
+        ExperimentPlan(
+            grid_points=GRID_POINTS,
+            noise=channel,
+            weights=WEIGHTS,
+            estimators=("ml",),
+        )
+    ).ml.rows(np.array([phi]))[:, 0]
+    for nc in range(N_MAX + 1):
+        for nd in range(N_MAX + 1):
+            want = noisy_joint_likelihood(phi, Outcome(nc, nd), channel, IDEAL)
+            got = math.exp(rows[nc] + rows[N_MAX + 1 + nd])
+            assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)
+
+
+def test_ml_grid_rows_match_pointwise_rows():
+    ml = NOISY_TABLES.ml
+    for j in (0, 1, 300, GRID_POINTS - 2, GRID_POINTS - 1):
+        np.testing.assert_allclose(
+            ml.table[:, j], ml.rows(NODES[j : j + 1])[:, 0], rtol=1e-12, atol=0.0
+        )
+
+
+def test_histograms_reject_unreportable_counts():
+    for stats in (pair_histogram, port_histograms):
+        with pytest.raises(ValueError):
+            stats(np.array([N_MAX + 1]), np.array([0]), n_max=N_MAX)
+        with pytest.raises(ValueError):
+            stats(np.array([0]), np.array([N_MAX + 1]), n_max=N_MAX)
+
+
+# -- estimators against the per-pulse Outcome loops -----------------------------
+
+
+def classical_reference(data, nbar):
+    arg = sum(o.n_c - o.n_d for o in data) / len(data) / nbar
+    return math.acos(min(1.0, max(-1.0, arg)))
+
+
+def fringe_reference(data, params):
+    m = sum(o.n_c - o.n_d for o in data) / len(data)
+    arg = (m - params.b) / params.amplitude
+    theta = math.acos(min(1.0, max(-1.0, arg))) - params.a
+    if theta < 0.0:
+        theta = -theta
+    if theta > math.pi:
+        theta = 2.0 * math.pi - theta
+    return min(max(theta, 0.0), math.pi)
+
+
+def ymk_reference(data):
+    vals = [ymk_estimate(o) for o in data if o.total >= 1]
+    if not vals:
+        raise UndefinedEstimateError("no photon-bearing shots")
+    return sum(vals) / len(vals)
+
+
+def ml_reference(data, pair_log_likelihood, nodes):
+    """Per-pair loop: grid argmax of summed per-pulse log likelihoods, refined."""
+    unique = Counter((o.n_c, o.n_d) for o in data)
+
+    def total(phis):
+        out = np.zeros(phis.size)
+        for (nc, nd), count in unique.items():
+            out = out + count * pair_log_likelihood(phis, nc, nd)
+        return out
+
+    grid_total = total(nodes)
+    finite = grid_total[np.isfinite(grid_total)]
+    if finite.max() - finite.min() < 1e-12:
+        return math.pi / 2.0, True
+    i = int(np.argmax(grid_total))
+    lo, hi = nodes[max(i - 1, 0)], nodes[min(i + 1, nodes.size - 1)]
+    return golden_section_max(lambda phi: float(total(np.array([phi]))[0]), lo, hi), False
+
+
+def ideal_pair_log_likelihood(phis, nc, nd):
+    return IDEAL.log_likelihood_grid(phis, Outcome(nc, nd))
+
+
+def noisy_pair_log_likelihood(phis, nc, nd):
+    dist_c, dist_d = measured_port_distributions(phis, REGIME, IDEAL)
+    with np.errstate(divide="ignore"):
+        return np.log(dist_c[nc] * dist_d[nd])
+
+
+@given(
+    counts=pulse_counts(noise=None),
+    a=st.floats(-math.pi, math.pi),
+    b=st.floats(-2.0, 2.0),
+    amplitude=st.floats(0.1, 5.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_moment_estimators_match_outcome_loops(counts, a, b, amplitude):
+    data = outcomes(*counts)
+    params = FringeParams(a=a, b=b, amplitude=amplitude)
+    assert classical_estimate(*counts, 1.08) == classical_reference(data, 1.08)
+    assert noisy_classical_estimate(*counts, params) == fringe_reference(data, params)
+    if any(o.total for o in data):
+        assert ymk_mean_estimate(*counts) == pytest.approx(ymk_reference(data), rel=1e-12)
+    else:
+        with pytest.raises(UndefinedEstimateError):
+            ymk_mean_estimate(*counts)
+
+
+@given(counts=pulse_counts(noise=None))
+@settings(max_examples=30, deadline=None)
+def test_ideal_ml_matches_outcome_loop(counts):
+    est = ml_estimate(*counts, IDEAL_TABLES.ml)
+    phase, flat = ml_reference(outcomes(*counts), ideal_pair_log_likelihood, NODES)
+    assert est.flat == flat
+    assert est.phase == pytest.approx(phase, abs=ML_TOL)
+
+
+@given(counts=pulse_counts(noise=REGIME))
+@settings(max_examples=30, deadline=None)
+def test_noisy_ml_matches_outcome_loop(counts):
+    est = ml_estimate(*counts, NOISY_TABLES.ml)
+    phase, flat = ml_reference(outcomes(*counts), noisy_pair_log_likelihood, NODES)
+    assert est.flat == flat
+    assert est.phase == pytest.approx(phase, abs=ML_TOL)
