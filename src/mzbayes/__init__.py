@@ -47,10 +47,9 @@ from mzbayes.experiment import (
     ExperimentPlan,
     ScanRecord,
     ScanResult,
-    bias_scan,
     default_theta_grid,
     run_estimation,
-    sensitivity_scan,
+    scan,
 )
 
 __all__ = [
@@ -92,7 +91,6 @@ __all__ = [
     "ScanRecord",
     "ScanResult",
     "run_estimation",
-    "bias_scan",
-    "sensitivity_scan",
+    "scan",
     "default_theta_grid",
 ]

@@ -19,11 +19,13 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from mzbayes.detector import (
+    CalibrationError,
     ConfusionModel,
     FitError,
     RetrodictiveWeights,
@@ -32,8 +34,8 @@ from mzbayes.detector import (
     simulate_calibration,
 )
 from mzbayes.estimators import FringeParams, fit_fringe
-from mzbayes.experiment import ExperimentPlan, bias_scan, sensitivity_scan
-from mzbayes.fisher import DEFAULT_D_THETA, crlb_curve
+from mzbayes.experiment import ExperimentPlan, scan
+from mzbayes.fisher import DEFAULT_D_THETA, crlb_csv, crlb_curve
 from mzbayes.photon_model import InterferometerModel
 from mzbayes.posterior import DegenerateEvidenceError
 
@@ -46,77 +48,91 @@ class ConfigError(ValueError):
     """Bad or missing configuration."""
 
 
+def _pi_array(values) -> np.ndarray:
+    thetas = np.pi * np.asarray([float(v) for v in values])
+    if thetas.size == 0:
+        raise ValueError("need at least one angle")
+    return thetas
+
+
+# Every config key with its converter; a key missing here is rejected.
+# An absent key keeps the default of the code that reads it.
+_SCHEMA = {
+    "model": {"nbar": float, "n_max": int},
+    "noise": {"kind": str, "n_max": int, "forward_c": np.array, "forward_d": np.array},
+    "calibration": {"phases_pi": _pi_array, "pulses_per_phase": int, "weights_file": Path},
+    "plan": {
+        "theta_grid_pi": _pi_array,
+        "p": int,
+        "replicas": int,
+        "seed": int,
+        "grid_points": int,
+        "estimators": tuple,
+    },
+    "fisher": {"theta_grid_pi": _pi_array, "d_theta": float},
+    "output": {"dir": Path},
+}
+
+
 def load_config(path: str) -> dict:
+    """The config at ``path``, each present value converted by ``_SCHEMA``."""
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
         with open(p) as fh:
-            cfg = json.load(fh)
+            raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
+    if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    cfg = {}
+    for name, section in raw.items():
+        if name not in _SCHEMA:
+            raise ConfigError(f"unknown config section {name!r}")
+        if not isinstance(section, dict):
+            raise ConfigError(f"config section {name!r} must be a JSON object")
+        cfg[name] = {}
+        for key, value in section.items():
+            if key not in _SCHEMA[name]:
+                raise ConfigError(f"unknown config key {name}.{key}")
+            try:
+                cfg[name][key] = _SCHEMA[name][key](value)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad {name}.{key}: {exc}") from exc
     return cfg
 
 
 def _model_from_config(cfg: dict) -> InterferometerModel:
-    section = cfg.get("model", {})
+    fields = {"nbar": ExperimentPlan.nbar, **cfg.get("model", {})}
     try:
-        return InterferometerModel(
-            nbar=float(section.get("nbar", 1.08)),
-            n_max=int(section.get("n_max", 25)),
-        )
+        return InterferometerModel(**fields)
     except ValueError as exc:
         raise ConfigError(f"bad model section: {exc}") from exc
 
 
 def _noise_from_config(cfg: dict) -> ConfusionModel | None:
-    section = cfg.get("noise")
-    if section is None:
+    if "noise" not in cfg:
         return None
-    kind = section.get("kind", "matrix")
+    section = dict(cfg["noise"])
+    kind = section.pop("kind", "matrix")
+    factories = {
+        "identity": ConfusionModel.identity,
+        "paper_regime": ConfusionModel.paper_regime,
+        "matrix": ConfusionModel,
+    }
+    if kind not in factories:
+        raise ConfigError(f"unknown noise kind: {kind!r}")
     try:
-        if kind == "identity":
-            return ConfusionModel.identity(int(section.get("n_max", 4)))
-        if kind == "paper_regime":
-            return ConfusionModel.paper_regime(int(section.get("n_max", 4)))
-        if kind == "matrix":
-            return ConfusionModel(
-                forward_c=np.array(section["forward_c"]),
-                forward_d=np.array(section["forward_d"]),
-                n_max=int(section.get("n_max", 4)),
-            )
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad noise section: {exc}") from exc
-    raise ConfigError(f"unknown noise kind: {kind!r}")
-
-
-def _thetas_pi(section: dict, key: str, default: list[float]) -> np.ndarray:
-    values = section.get(key, default)
-    try:
-        return np.pi * np.asarray([float(v) for v in values])
+        return factories[kind](**section)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {key}: {exc}") from exc
+        raise ConfigError(f"bad noise section: {exc}") from exc
 
 
-def _calibration_phases(cfg: dict) -> np.ndarray:
-    section = cfg.get("calibration", {})
-    default = list(np.linspace(0.02, 0.98, 33))
-    return _thetas_pi(section, "phases_pi", default)
-
-
-def _out_dir(cfg: dict, args) -> Path:
-    out = args.out_dir or cfg.get("output", {}).get("dir", ".")
-    path = Path(out)
+def _out_dir(cfg: dict) -> Path:
+    path = cfg.get("output", {}).get("dir", Path("."))
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _seed(cfg: dict, args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(cfg.get("plan", {}).get("seed", 0))
 
 
 def _write_atomic(path: Path, content: str) -> None:
@@ -133,48 +149,30 @@ def _emit_files(files: dict[Path, str]) -> None:
         _write_atomic(path, content)
 
 
-def _render_csv(rows: list[list], header: list[str]) -> str:
-    import csv
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def cmd_calibrate(cfg: dict, args) -> int:
     model = _model_from_config(cfg)
     noise = _noise_from_config(cfg) or ConfusionModel.identity()
     section = cfg.get("calibration", {})
-    phases = _calibration_phases(cfg)
-    pulses = int(section.get("pulses_per_phase", 200_000))
-    out_dir = _out_dir(cfg, args)
-    rng = np.random.default_rng([_seed(cfg, args), 0xCA11])
-    calib = simulate_calibration(phases, pulses, noise, model, rng)
+    out_dir = _out_dir(cfg)
+    seed = cfg.get("plan", {}).get("seed", ExperimentPlan.seed)
+    rng = np.random.default_rng([seed, 0xCA11])
+    try:
+        calib = simulate_calibration(
+            section.get("phases_pi", np.pi * np.linspace(0.02, 0.98, 33)),
+            section.get("pulses_per_phase", 200_000),
+            noise,
+            model,
+            rng,
+        )
+    except CalibrationError as exc:
+        raise ConfigError(f"bad calibration section: {exc}") from exc
     weights = fit_retrodictive_weights(calib, model)
     fringe = fit_fringe(calib)
-
-    hist_rows = []
-    for j, phi in enumerate(calib.phases):
-        for nc in range(calib.n_max + 1):
-            for nd in range(calib.n_max + 1):
-                hist_rows.append(
-                    [f"{phi / math.pi:.12g}", nc, nd, int(calib.counts[j, nc, nd])]
-                )
-    fringe_doc = {
-        "a": fringe.a,
-        "b": fringe.b,
-        "amplitude": fringe.amplitude,
-    }
     _emit_files(
         {
             out_dir / "weights.json": weights.to_json() + "\n",
-            out_dir / "calibration.csv": _render_csv(
-                hist_rows, ["phi", "nc", "nd", "count"]
-            ),
-            out_dir / "fringe.json": json.dumps(fringe_doc, indent=2) + "\n",
+            out_dir / "calibration.csv": calib.to_csv(),
+            out_dir / "fringe.json": json.dumps(asdict(fringe), indent=2) + "\n",
         }
     )
     worst, pair = weights.worst_diagonal()
@@ -184,57 +182,57 @@ def cmd_calibrate(cfg: dict, args) -> int:
     return EXIT_OK
 
 
-def _plan_from_config(cfg: dict, args) -> ExperimentPlan:
-    section = cfg.get("plan", {})
-    noise = _noise_from_config(cfg)
-    weights = None
-    fringe = None
-    if noise is not None and not noise.is_identity():
-        out_dir = _out_dir(cfg, args)
-        weights_file = Path(
-            cfg.get("calibration", {}).get("weights_file", out_dir / "weights.json")
+def _load_calibration(cfg: dict) -> tuple[RetrodictiveWeights, FringeParams | None]:
+    """The weights (and fringe, if present) that ``calibrate`` wrote."""
+    weights_file = cfg.get("calibration", {}).get(
+        "weights_file", _out_dir(cfg) / "weights.json"
+    )
+    if not weights_file.is_file():
+        raise ConfigError(
+            f"noise configured but weights file {weights_file} is missing; "
+            "run the calibrate command first"
         )
-        if not weights_file.is_file():
-            raise ConfigError(
-                f"noise configured but weights file {weights_file} is missing; "
-                "run the calibrate command first"
-            )
+    fringe_file = weights_file.with_name("fringe.json")
+    try:
         weights = RetrodictiveWeights.from_json(weights_file.read_text())
-        fringe_file = weights_file.with_name("fringe.json")
-        if fringe_file.is_file():
-            doc = json.loads(fringe_file.read_text())
-            fringe = FringeParams(
-                a=doc["a"], b=doc["b"], amplitude=doc["amplitude"]
-            )
+        if not fringe_file.is_file():
+            return weights, None
+        return weights, FringeParams(**json.loads(fringe_file.read_text()))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"unreadable {weights_file} or its {fringe_file.name}: {exc!r}"
+        ) from exc
+
+
+def _plan_from_config(cfg: dict) -> ExperimentPlan:
+    noise = _noise_from_config(cfg)
+    weights = fringe = None
+    if noise is not None and not noise.is_identity():
+        weights, fringe = _load_calibration(cfg)
     elif noise is not None:
         weights = RetrodictiveWeights.identity(noise.n_max)
     model = _model_from_config(cfg)
-    default_grid = list(np.linspace(0.05, 0.95, 19))
+    fields = {
+        "theta_grid" if key == "theta_grid_pi" else key: value
+        for key, value in cfg.get("plan", {}).items()
+    }
     try:
         return ExperimentPlan(
-            theta_grid=_thetas_pi(section, "theta_grid_pi", default_grid),
-            p=int(section.get("p", 1000)),
-            replicas=int(section.get("replicas", 150)),
-            seed=_seed(cfg, args),
             nbar=model.nbar,
             ideal_n_max=model.n_max,
-            grid_points=int(section.get("grid_points", 4096)),
             noise=noise,
             weights=weights,
             fringe=fringe,
-            estimators=tuple(section.get("estimators", ["bayes"])),
+            **fields,
         )
     except ValueError as exc:
         raise ConfigError(f"bad plan section: {exc}") from exc
 
 
 def cmd_scan(cfg: dict, args) -> int:
-    plan = _plan_from_config(cfg, args)
-    out_dir = _out_dir(cfg, args)
-    if args.kind == "bias":
-        result = bias_scan(plan)
-    else:
-        result = sensitivity_scan(plan)
+    plan = _plan_from_config(cfg)
+    out_dir = _out_dir(cfg)
+    result = scan(plan)
 
     csv_path = out_dir / f"{args.kind}_scan.csv"
     _emit_files(
@@ -275,25 +273,19 @@ def cmd_fisher(cfg: dict, args) -> int:
     model = _model_from_config(cfg)
     noise = _noise_from_config(cfg)
     section = cfg.get("fisher", {})
-    d_theta = float(section.get("d_theta", DEFAULT_D_THETA))
-    if not d_theta > 0:
-        raise ConfigError(f"d_theta must be > 0, got {d_theta}")
-    default_grid = list(np.linspace(0.02, 0.98, 49))
-    thetas = _thetas_pi(section, "theta_grid_pi", default_grid)
-    p = int(cfg.get("plan", {}).get("p", 1000))
-    if noise is not None:
-        pmf = noisy_joint_pmf(noise, model)
-    else:
-        pmf = model.joint_pmf
-    fishers, bounds = crlb_curve(pmf, thetas, p, d_theta)
-    rows = [
-        [f"{t / math.pi:.12g}", f"{f:.12g}", f"{b:.12g}"]
-        for t, f, b in zip(thetas, fishers, bounds)
-    ]
-    out_dir = _out_dir(cfg, args)
-    _emit_files(
-        {out_dir / "crlb.csv": _render_csv(rows, ["theta", "fisher", "crlb"])}
-    )
+    thetas = section.get("theta_grid_pi", np.pi * np.linspace(0.02, 0.98, 49))
+    pmf = model.joint_pmf if noise is None else noisy_joint_pmf(noise, model)
+    try:
+        fishers, bounds = crlb_curve(
+            pmf,
+            thetas,
+            cfg.get("plan", {}).get("p", ExperimentPlan.p),
+            section.get("d_theta", DEFAULT_D_THETA),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"bad fisher inputs: {exc}") from exc
+    out_dir = _out_dir(cfg)
+    _emit_files({out_dir / "crlb.csv": crlb_csv(thetas, fishers, bounds)})
     if not args.quiet:
         print(
             f"fisher range [{fishers.min():.6g}, {fishers.max():.6g}], "
@@ -332,6 +324,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
+        if args.seed is not None:
+            cfg.setdefault("plan", {})["seed"] = args.seed
+        if args.out_dir:
+            cfg.setdefault("output", {})["dir"] = Path(args.out_dir)
         if args.command == "calibrate":
             return cmd_calibrate(cfg, args)
         if args.command == "scan":

@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaln
 
+from mzbayes._csv import csv_text
 from mzbayes.photon_model import InterferometerModel, Outcome, _log_poisson_pmf
 from mzbayes.posterior import PhaseGrid, Posterior
 
@@ -89,25 +90,6 @@ class ConfusionModel:
         eye = np.eye(self.n_max + 1)
         return bool(
             np.array_equal(self.forward_c, eye) and np.array_equal(self.forward_d, eye)
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n_max": self.n_max,
-                "forward_c": self.forward_c.tolist(),
-                "forward_d": self.forward_d.tolist(),
-            },
-            indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ConfusionModel":
-        obj = json.loads(text)
-        return cls(
-            forward_c=np.array(obj["forward_c"]),
-            forward_d=np.array(obj["forward_d"]),
-            n_max=int(obj["n_max"]),
         )
 
 
@@ -263,19 +245,15 @@ class CalibrationData:
             raise FitError(f"pair ({n_c},{n_d}) never observed in calibration")
         return y / norm
 
-    def write_csv(self, path) -> None:
-        """Export histograms as ``phi,nc,nd,count`` rows (phi in units of pi)."""
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["phi", "nc", "nd", "count"])
-            for j, phi in enumerate(self.phases):
-                for nc in range(self.n_max + 1):
-                    for nd in range(self.n_max + 1):
-                        writer.writerow(
-                            [f"{phi / np.pi:.12g}", nc, nd, int(self.counts[j, nc, nd])]
-                        )
+    def to_csv(self) -> str:
+        """Histograms as ``phi,nc,nd,count`` CSV text (phi in units of pi)."""
+        return csv_text(
+            ["phi", "nc", "nd", "count"],
+            (
+                (self.phases[j] / np.pi, nc, nd, count)
+                for (j, nc, nd), count in np.ndenumerate(self.counts)
+            ),
+        )
 
 
 def simulate_calibration(

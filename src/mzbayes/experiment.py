@@ -1,4 +1,4 @@
-"""Monte Carlo harness: calibration-style scans of bias and sensitivity.
+"""Monte Carlo harness: one replica scan for estimator bias and sensitivity.
 
 Reproduces the measurement protocol: at each true phase, draw ``p``
 pulses, (optionally) push them through the detector confusion channel,
@@ -12,15 +12,13 @@ enter it only through a histogram or the port totals.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from functools import cached_property, partial
 
 import numpy as np
 
+from mzbayes._csv import csv_text
 from mzbayes._version import __version__ as _code_version
 from mzbayes.detector import (
     ConfusionModel,
@@ -222,34 +220,10 @@ class ScanResult:
 
     def to_csv(self) -> str:
         """Records as CSV text (theta in units of pi)."""
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(
-            ["theta", "estimator", "mean_est", "bias", "mean_dtheta", "sd_est", "sd_dtheta"]
+        return csv_text(
+            [f.name for f in fields(ScanRecord)],
+            ((rec.theta / math.pi, *astuple(rec)[1:]) for rec in self.records),
         )
-        for rec in self.records:
-            writer.writerow(
-                [
-                    f"{rec.theta / math.pi:.12g}",
-                    rec.estimator,
-                    f"{rec.mean_est:.12g}",
-                    f"{rec.bias:.12g}",
-                    f"{rec.mean_dtheta:.12g}",
-                    f"{rec.sd_est:.12g}",
-                    f"{rec.sd_dtheta:.12g}",
-                ]
-            )
-        return buf.getvalue()
-
-    def write_csv(self, path) -> None:
-        """Export records (theta in units of pi)."""
-        with open(path, "w", newline="") as fh:
-            fh.write(self.to_csv())
-
-    def write_manifest(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.plan.manifest(), fh, indent=2)
-            fh.write("\n")
 
 
 def _replica_estimates(
@@ -293,7 +267,8 @@ def _aggregate(theta: float, estimator: str, values, dthetas) -> ScanRecord:
     )
 
 
-def _run_scan(plan: ExperimentPlan) -> ScanResult:
+def scan(plan: ExperimentPlan) -> ScanResult:
+    """Every estimator of the plan over its replicas at each true phase."""
     tables = _PlanTables(plan)
     records: list[ScanRecord] = []
     for phase_idx, theta in enumerate(plan.theta_grid):
@@ -311,27 +286,3 @@ def _run_scan(plan: ExperimentPlan) -> ScanResult:
             values, dthetas = per_estimator[name]
             records.append(_aggregate(float(theta), name, values, dthetas))
     return ScanResult(records=tuple(records), plan=plan)
-
-
-def bias_scan(plan: ExperimentPlan) -> ScanResult:
-    """Replica scan emphasizing |mean estimate - theta| against scatter."""
-    return _run_scan(plan)
-
-
-def sensitivity_scan(plan: ExperimentPlan) -> ScanResult:
-    """Replica scan emphasizing sqrt(p) * dtheta against the CRLB."""
-    return _run_scan(plan)
-
-
-def load_outcomes_csv(path) -> list[Outcome]:
-    """Read recorded pulses from a ``pulse_index,nc,nd`` CSV file."""
-    outcomes = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["pulse_index", "nc", "nd"]:
-            raise ValueError(
-                f"expected header pulse_index,nc,nd in {path}, got {reader.fieldnames}"
-            )
-        for row in reader:
-            outcomes.append(Outcome(int(row["nc"]), int(row["nd"])))
-    return outcomes

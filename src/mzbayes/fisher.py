@@ -8,11 +8,12 @@ the pmf by central differences.
 
 from __future__ import annotations
 
-import csv
 import math
 from typing import Callable, Sequence
 
 import numpy as np
+
+from mzbayes._csv import csv_text
 
 
 class EndpointError(ValueError):
@@ -78,10 +79,9 @@ def crlb_curve(
     return fishers, bounds
 
 
-def write_crlb_csv(path, thetas: Sequence[float], fishers, bounds) -> None:
-    """Export ``theta,fisher,crlb`` rows (theta in units of pi)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta", "fisher", "crlb"])
-        for theta, f, b in zip(thetas, fishers, bounds):
-            writer.writerow([f"{theta / math.pi:.12g}", f"{f:.12g}", f"{b:.12g}"])
+def crlb_csv(thetas: Sequence[float], fishers, bounds) -> str:
+    """``theta,fisher,crlb`` CSV text (theta in units of pi)."""
+    return csv_text(
+        ["theta", "fisher", "crlb"],
+        ((theta / math.pi, f, b) for theta, f, b in zip(thetas, fishers, bounds)),
+    )

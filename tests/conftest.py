@@ -13,7 +13,7 @@ from mzbayes.detector import (
     fit_retrodictive_weights,
     simulate_calibration,
 )
-from mzbayes.experiment import ExperimentPlan, bias_scan, sensitivity_scan
+from mzbayes.experiment import ExperimentPlan, scan
 from mzbayes.photon_model import InterferometerModel
 from mzbayes.posterior import PhaseGrid
 
@@ -49,7 +49,7 @@ def ideal_scan(ideal_model):
         nbar=ideal_model.nbar,
         estimators=("bayes", "classical"),
     )
-    return sensitivity_scan(plan)
+    return scan(plan)
 
 
 @pytest.fixture(scope="session")
@@ -78,4 +78,4 @@ def noisy_scan(regime, fitted_weights, ideal_model):
         weights=fitted_weights,
         estimators=("bayes", "ymk"),
     )
-    return bias_scan(plan)
+    return scan(plan)

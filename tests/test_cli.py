@@ -43,6 +43,62 @@ class TestConfigErrors:
             run("scan", "wiggle", "--config", cfg)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            pytest.param("calibrate", {"calibration": {"pulses_per_phase": 0}},
+                         id="zero-pulses"),
+            pytest.param("calibrate", {"calibration": {"phases_pi": [0.1, 1.5]}},
+                         id="phase-out-of-range"),
+            pytest.param("calibrate", {"calibration": {"pulses_per_phase": "many"}},
+                         id="pulses-not-a-number"),
+            pytest.param("fisher", {"fisher": {"d_theta": "abc"}}, id="step-not-a-number"),
+            pytest.param("fisher", {"fisher": {"theta_grid_pi": [0.0, 0.5]}},
+                         id="theta-at-endpoint"),
+            pytest.param("fisher", {"fisher": {"theta_grid_pi": []}}, id="empty-theta-grid"),
+            pytest.param("fisher", {"plan": {"p": 0}}, id="zero-p"),
+            pytest.param("fisher", {"plan": {"replica": 3}}, id="unknown-plan-key"),
+            pytest.param("fisher", {"plan": 3}, id="plan-not-an-object"),
+            pytest.param("fisher", {"plans": {}}, id="unknown-section"),
+            pytest.param("fisher", {"noise": {"kind": "identity", "forward_c": [[1.0]]}},
+                         id="key-unused-by-noise-kind"),
+            pytest.param("scan", {"plan": {"replica": 3}}, id="scan-unknown-plan-key"),
+            pytest.param("scan", {"plan": 3}, id="scan-plan-not-an-object"),
+        ],
+    )
+    def test_bad_input_is_config_error(self, tmp_path, capsys, command, doc):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {**doc, "output": {"dir": str(out)}})
+        argv = [command, "bias"] if command == "scan" else [command]
+        assert run(*argv, "--config", cfg, "--quiet") == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_unknown_key_is_named(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"plan": {"replica": 3}})
+        assert run("scan", "bias", "--config", cfg, "--quiet") == EXIT_CONFIG
+        assert "plan.replica" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "weights_text",
+        ['{"n_max": 4}', "{not json"],
+        ids=["no-weights-key", "not-json"],
+    )
+    def test_bad_weights_file_is_config_error(self, tmp_path, capsys, weights_text):
+        weights = tmp_path / "weights.json"
+        weights.write_text(weights_text)
+        cfg = write_config(
+            tmp_path,
+            {
+                "noise": {"kind": "paper_regime"},
+                "calibration": {"weights_file": str(weights)},
+                "plan": {"theta_grid_pi": [0.5], "p": 10, "replicas": 2},
+                "output": {"dir": str(tmp_path / "out")},
+            },
+        )
+        assert run("scan", "bias", "--config", cfg, "--quiet") == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_no_partial_outputs_on_failure(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(

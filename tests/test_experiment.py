@@ -9,14 +9,11 @@ import pytest
 from mzbayes.detector import ConfusionModel, RetrodictiveWeights
 from mzbayes.experiment import (
     ExperimentPlan,
-    bias_scan,
     default_theta_grid,
-    load_outcomes_csv,
     replica_rng,
     run_estimation,
-    sensitivity_scan,
+    scan,
 )
-from mzbayes.photon_model import Outcome
 
 
 def small_plan(**kwargs):
@@ -113,7 +110,7 @@ class TestRunEstimation:
 class TestScans:
     def test_record_shape_and_lookup(self):
         plan = small_plan(estimators=("bayes", "ml", "classical", "fringe", "ymk"))
-        result = bias_scan(plan)
+        result = scan(plan)
         assert len(result.records) == 2 * 5
         rec = result.record(0.3 * math.pi, "ymk")
         assert rec.estimator == "ymk"
@@ -121,17 +118,17 @@ class TestScans:
             result.record(0.5 * math.pi, "bayes")
 
     def test_degenerate_single_replica(self):
-        result = bias_scan(small_plan(replicas=1))
+        result = scan(small_plan(replicas=1))
         rec = result.records[0]
         assert math.isnan(rec.sd_est)
 
     def test_non_bayes_estimators_have_no_dtheta(self):
-        result = bias_scan(small_plan(estimators=("classical",)))
+        result = scan(small_plan(estimators=("classical",)))
         assert all(math.isnan(r.mean_dtheta) for r in result.records)
 
     def test_scan_determinism(self):
-        a = sensitivity_scan(small_plan())
-        b = sensitivity_scan(small_plan())
+        a = scan(small_plan())
+        b = scan(small_plan())
         assert a.records == b.records
 
     def test_bayesian_efficiency(self, ideal_scan):
@@ -143,30 +140,12 @@ class TestScans:
                 continue
             assert rec.sd_est == pytest.approx(rec.mean_dtheta, rel=0.20)
 
-    def test_csv_and_manifest_export(self, tmp_path):
-        result = bias_scan(small_plan())
-        csv_path = tmp_path / "scan.csv"
-        manifest_path = tmp_path / "manifest.json"
-        result.write_csv(csv_path)
-        result.write_manifest(manifest_path)
-        rows = csv_path.read_text().strip().splitlines()
+    def test_csv_and_manifest_export(self):
+        result = scan(small_plan())
+        rows = result.to_csv().strip().splitlines()
         assert rows[0] == "theta,estimator,mean_est,bias,mean_dtheta,sd_est,sd_dtheta"
         assert len(rows) == 1 + len(result.records)
         first = rows[1].split(",")
         assert float(first[0]) == pytest.approx(0.3)  # theta in units of pi
-        doc = json.loads(manifest_path.read_text())
+        doc = json.loads(json.dumps(result.plan.manifest()))
         assert doc["seed"] == 7 and doc["p"] == 50
-
-
-class TestIngestion:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "pulses.csv"
-        path.write_text("pulse_index,nc,nd\n0,1,0\n1,0,2\n")
-        outcomes = load_outcomes_csv(path)
-        assert outcomes == [Outcome(1, 0), Outcome(0, 2)]
-
-    def test_header_enforced(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ValueError):
-            load_outcomes_csv(path)

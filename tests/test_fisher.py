@@ -1,5 +1,6 @@
 """Fisher information: analytic identity, numerics, CRLB."""
 
+import io
 import math
 
 import numpy as np
@@ -9,10 +10,10 @@ from mzbayes.detector import noisy_joint_pmf
 from mzbayes.fisher import (
     EndpointError,
     crlb,
+    crlb_csv,
     crlb_curve,
     fisher_ideal,
     fisher_numeric,
-    write_crlb_csv,
 )
 from mzbayes.photon_model import InterferometerModel
 
@@ -91,13 +92,12 @@ class TestCRLB:
 
 
 class TestCurveExport:
-    def test_curve_and_csv(self, ideal_model, tmp_path):
+    def test_curve_and_csv(self, ideal_model):
         thetas = np.pi * np.array([0.25, 0.5, 0.75])
         fishers, bounds = crlb_curve(ideal_model.joint_pmf, thetas, 1000)
         np.testing.assert_allclose(fishers, ideal_model.nbar, atol=1e-6)
         np.testing.assert_allclose(bounds, 1 / math.sqrt(1080), atol=1e-6)
-        path = tmp_path / "crlb.csv"
-        write_crlb_csv(path, thetas, fishers, bounds)
-        data = np.genfromtxt(path, delimiter=",", names=True)
+        text = crlb_csv(thetas, fishers, bounds)
+        data = np.genfromtxt(io.StringIO(text), delimiter=",", names=True)
         np.testing.assert_allclose(data["theta"], [0.25, 0.5, 0.75], atol=1e-12)
         np.testing.assert_allclose(data["fisher"], fishers, rtol=1e-9)
