@@ -48,7 +48,7 @@ def main(argv=None) -> int:
         mean = posterior_mean(post)
         dtheta = credible_interval(post)
         path = out_dir / f"posterior_p{p}.csv"
-        post.write_csv(path)
+        path.write_text(post.to_csv(), newline="")
         print(f"p={p:>6d}  mean={mean:.5f} rad  dtheta={dtheta:.5f} rad  "
               f"sqrt(p)*dtheta={math.sqrt(p) * dtheta:.4f}  -> {path}")
     print(f"true phase {theta:.5f} rad; CRLB level 1/sqrt(nbar) = "

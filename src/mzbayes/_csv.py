@@ -1,4 +1,4 @@
-"""CSV text for the artifacts the command line writes."""
+"""CSV text for the artifacts the package writes."""
 
 from __future__ import annotations
 

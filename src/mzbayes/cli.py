@@ -153,8 +153,10 @@ def cmd_calibrate(cfg: dict, args) -> int:
     model = _model_from_config(cfg)
     noise = _noise_from_config(cfg) or ConfusionModel.identity()
     section = cfg.get("calibration", {})
-    out_dir = _out_dir(cfg)
     seed = cfg.get("plan", {}).get("seed", ExperimentPlan.seed)
+    if seed < 0:
+        raise ConfigError(f"bad plan.seed: need seed >= 0, got {seed}")
+    out_dir = _out_dir(cfg)
     rng = np.random.default_rng([seed, 0xCA11])
     try:
         calib = simulate_calibration(
@@ -182,8 +184,10 @@ def cmd_calibrate(cfg: dict, args) -> int:
     return EXIT_OK
 
 
-def _load_calibration(cfg: dict) -> tuple[RetrodictiveWeights, FringeParams | None]:
-    """The weights (and fringe, if present) that ``calibrate`` wrote."""
+def _load_calibration(
+    cfg: dict, nbar: float
+) -> tuple[RetrodictiveWeights, FringeParams | None]:
+    """The weights (and fringe, if present) that ``calibrate`` wrote at ``nbar``."""
     weights_file = cfg.get("calibration", {}).get(
         "weights_file", _out_dir(cfg) / "weights.json"
     )
@@ -195,23 +199,34 @@ def _load_calibration(cfg: dict) -> tuple[RetrodictiveWeights, FringeParams | No
     fringe_file = weights_file.with_name("fringe.json")
     try:
         weights = RetrodictiveWeights.from_json(weights_file.read_text())
-        if not fringe_file.is_file():
-            return weights, None
-        return weights, FringeParams(**json.loads(fringe_file.read_text()))
+        fringe = None
+        if fringe_file.is_file():
+            fringe = FringeParams(**json.loads(fringe_file.read_text()))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(
             f"unreadable {weights_file} or its {fringe_file.name}: {exc!r}"
         ) from exc
+    if weights.nbar is None:
+        raise ConfigError(
+            f"{weights_file} does not record the nbar it was calibrated at; "
+            "re-run the calibrate command"
+        )
+    if weights.nbar != nbar:
+        raise ConfigError(
+            f"{weights_file} was calibrated at nbar {weights.nbar}, "
+            f"but the model has nbar {nbar}"
+        )
+    return weights, fringe
 
 
 def _plan_from_config(cfg: dict) -> ExperimentPlan:
     noise = _noise_from_config(cfg)
+    model = _model_from_config(cfg)
     weights = fringe = None
     if noise is not None and not noise.is_identity():
-        weights, fringe = _load_calibration(cfg)
+        weights, fringe = _load_calibration(cfg, model.nbar)
     elif noise is not None:
         weights = RetrodictiveWeights.identity(noise.n_max)
-    model = _model_from_config(cfg)
     fields = {
         "theta_grid" if key == "theta_grid_pi" else key: value
         for key, value in cfg.get("plan", {}).items()

@@ -23,6 +23,8 @@ from mzbayes.photon_model import InterferometerModel, Outcome, _log_poisson_pmf
 from mzbayes.posterior import PhaseGrid, Posterior
 
 _COLUMN_TOL = 1e-12
+# Phase nodes of the trapezoid that averages true-pair probabilities over [0, pi].
+_N_QUAD = 2001
 
 # Per-count report fidelity for the default noisy regime: each true count t
 # is reported correctly with probability _REGIME_FIDELITY[t], otherwise read
@@ -279,9 +281,7 @@ def simulate_calibration(
     for j, (phi, stream) in enumerate(zip(phases, streams)):
         n_c, n_d = ideal.sample_counts(phi, pulses_per_phase, stream)
         n_c, n_d = apply_noise_counts(n_c, n_d, model, stream)
-        hist = np.zeros((n_bins, n_bins), dtype=np.int64)
-        np.add.at(hist, (n_c, n_d), 1)
-        counts[j] = hist
+        counts[j] = pair_histogram(n_c, n_d, model.n_max).reshape(n_bins, n_bins)
     return CalibrationData(
         phases=phases, pulses_per_phase=pulses_per_phase, counts=counts
     )
@@ -292,11 +292,14 @@ class RetrodictiveWeights:
     """P(true pair | measured pair), one distribution per measured pair.
 
     ``table[nc, nd]`` is the (n_max+1, n_max+1) distribution over true
-    pairs given measured counts (nc, nd).
+    pairs given measured counts (nc, nd). ``nbar`` is the mean photon
+    number the weights were derived at, or None when they do not depend
+    on it (the identity weights).
     """
 
     table: np.ndarray  # (n_max+1, n_max+1, n_max+1, n_max+1)
     n_max: int = 4
+    nbar: float | None = None
 
     def __post_init__(self) -> None:
         shape = (self.n_max + 1,) * 4
@@ -314,11 +317,8 @@ class RetrodictiveWeights:
 
     @classmethod
     def identity(cls, n_max: int = 4) -> "RetrodictiveWeights":
-        table = np.zeros((n_max + 1,) * 4)
-        for nc in range(n_max + 1):
-            for nd in range(n_max + 1):
-                table[nc, nd, nc, nd] = 1.0
-        return cls(table=table, n_max=n_max)
+        bins = n_max + 1
+        return cls(table=np.eye(bins * bins).reshape((bins,) * 4), n_max=n_max)
 
     def distribution(self, n_c: int, n_d: int) -> np.ndarray:
         return self.table[n_c, n_d]
@@ -328,26 +328,18 @@ class RetrodictiveWeights:
         return float(self.table[n_c, n_d, n_c, n_d])
 
     def worst_diagonal(self) -> tuple[float, tuple[int, int]]:
-        worst, arg = np.inf, (0, 0)
-        for nc in range(self.n_max + 1):
-            for nd in range(self.n_max + 1):
-                d = self.diagonal(nc, nd)
-                if d < worst:
-                    worst, arg = d, (nc, nd)
-        return worst, arg
+        """Smallest P(true == measured) and its measured pair (the first on ties)."""
+        diagonals = np.einsum("ijij->ij", self.table)
+        nc, nd = np.unravel_index(np.argmin(diagonals), diagonals.shape)
+        return float(diagonals[nc, nd]), (int(nc), int(nd))
 
     def to_json(self) -> str:
-        weights = {}
-        for nc in range(self.n_max + 1):
-            for nd in range(self.n_max + 1):
-                dist = {}
-                for tc in range(self.n_max + 1):
-                    for td in range(self.n_max + 1):
-                        w = self.table[nc, nd, tc, td]
-                        if w > 0.0:
-                            dist[f"({tc},{td})"] = w
-                weights[f"({nc},{nd})"] = dist
-        return json.dumps({"n_max": self.n_max, "weights": weights}, indent=2)
+        weights: dict[str, dict[str, float]] = {}
+        nonzero = np.nonzero(self.table)
+        for (nc, nd, tc, td), w in zip(zip(*nonzero), self.table[nonzero]):
+            weights.setdefault(f"({nc},{nd})", {})[f"({tc},{td})"] = w
+        doc = {"n_max": self.n_max, "nbar": self.nbar, "weights": weights}
+        return json.dumps(doc, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "RetrodictiveWeights":
@@ -359,7 +351,8 @@ class RetrodictiveWeights:
             for true, w in dist.items():
                 tc, td = (int(s) for s in true.strip("()").split(","))
                 table[nc, nd, tc, td] = float(w)
-        return cls(table=table, n_max=n_max)
+        nbar = obj.get("nbar")
+        return cls(table=table, n_max=n_max, nbar=None if nbar is None else float(nbar))
 
 
 def _em_port_confusion(
@@ -435,68 +428,39 @@ def fit_retrodictive_weights(
     cos^2(phi/2), so distinct weight tables produce identical curves. The
     per-detector channel structure restores identifiability, so the fit
     estimates each port's confusion matrix by EM on the per-port count
-    histograms and Bayes-inverts it under the flat phase prior. Measured pairs with (near) zero probability under
-    the fitted channel get uniform fallback weights with a warning.
+    histograms and Bayes-inverts it under the flat phase prior.
     """
-    model = fit_confusion_model(calib, ideal)
-    return _retrodictive_from_channel(model, ideal, warn_unidentified=True)
+    return exact_retrodictive_weights(fit_confusion_model(calib, ideal), ideal)
 
 
 def exact_retrodictive_weights(
-    model: ConfusionModel, ideal: InterferometerModel, n_quad: int = 2001
+    model: ConfusionModel, ideal: InterferometerModel
 ) -> RetrodictiveWeights:
-    """Analytic retrodictive weights for a known channel under a flat prior.
+    """Retrodictive weights of a known channel under a flat phase prior.
 
-    P(true | measured) = K(measured | true) * q(true) / normalization, with
-    q the phase-averaged true-pair probability (folded at n_max). Serves as
-    the oracle for the fit round-trip.
+    P(true | measured) = K_c(nc | tc) K_d(nd | td) q(tc, td) / normalization,
+    with q the phase-averaged true-pair probability (folded at n_max).
+    Measured pairs with (near) zero probability under the channel get
+    uniform weights with a warning.
     """
-    return _retrodictive_from_channel(model, ideal, n_quad=n_quad)
-
-
-def _retrodictive_from_channel(
-    model: ConfusionModel,
-    ideal: InterferometerModel,
-    n_quad: int = 2001,
-    warn_unidentified: bool = False,
-) -> RetrodictiveWeights:
     n_max = model.n_max
-    q = _true_pair_marginals(ideal, n_max, n_quad)
-    table = np.zeros((n_max + 1,) * 4)
-    uniform = np.full((n_max + 1, n_max + 1), 1.0 / (n_max + 1) ** 2)
-    for nc in range(n_max + 1):
-        for nd in range(n_max + 1):
-            joint = (
-                model.forward_c[nc, :][:, None] * model.forward_d[nd, :][None, :] * q
-            )
-            total = joint.sum()
-            if total < 1e-300:
-                if warn_unidentified:
-                    warnings.warn(
-                        f"measured pair ({nc},{nd}) has no support under the "
-                        "fitted channel; using uniform retrodictive weights",
-                        stacklevel=3,
-                    )
-                table[nc, nd] = uniform
-            else:
-                table[nc, nd] = joint / total
-    return RetrodictiveWeights(table=table, n_max=n_max)
-
-
-def _true_pair_marginals(
-    ideal: InterferometerModel, n_max: int, n_quad: int
-) -> np.ndarray:
-    """Phase-averaged true-pair probabilities q(tc, td), folded at n_max."""
-    phis = np.linspace(0.0, np.pi, n_quad)
-    q = np.zeros((n_max + 1, n_max + 1))
-    mu_c = ideal.nbar * np.cos(phis / 2.0) ** 2
-    mu_d = ideal.nbar * np.sin(phis / 2.0) ** 2
-    for tc in range(ideal.n_max + 1):
-        p_c = np.exp(_log_poisson_pmf(tc, mu_c))
-        for td in range(ideal.n_max + 1):
-            p_d = np.exp(_log_poisson_pmf(td, mu_d))
-            q[min(tc, n_max), min(td, n_max)] += np.trapezoid(p_c * p_d / np.pi, phis)
-    return q
+    phis = np.linspace(0.0, np.pi, _N_QUAD)
+    true_c, true_d = measured_port_distributions(
+        phis, ConfusionModel.identity(n_max), ideal
+    )
+    q = np.trapezoid(true_c[:, None, :] * true_d[None, :, :] / np.pi, phis)
+    joint = model.forward_c[:, None, :, None] * model.forward_d[None, :, None, :] * q
+    total = joint.sum(axis=(2, 3), keepdims=True)
+    unsupported = total < 1e-300
+    for nc, nd in np.argwhere(unsupported[:, :, 0, 0]):
+        warnings.warn(
+            f"measured pair ({nc},{nd}) has no support under the "
+            "channel; using uniform retrodictive weights",
+            stacklevel=2,
+        )
+    with np.errstate(invalid="ignore", divide="ignore"):
+        table = np.where(unsupported, 1.0 / (n_max + 1) ** 2, joint / total)
+    return RetrodictiveWeights(table=table, n_max=n_max, nbar=ideal.nbar)
 
 
 def posterior_fit(

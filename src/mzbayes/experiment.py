@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass, field, fields
 from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
@@ -83,6 +84,10 @@ class ExperimentPlan:
             raise ValueError(f"need p >= 1, got {self.p}")
         if self.replicas < 1:
             raise ValueError(f"need replicas >= 1, got {self.replicas}")
+        if self.seed < 0:
+            raise ValueError(f"need seed >= 0, got {self.seed}")
+        if self.grid_points < 2:
+            raise ValueError(f"need grid_points >= 2, got {self.grid_points}")
         if not self.nbar > 0:
             raise ValueError(f"nbar must be > 0, got {self.nbar}")
         unknown = set(self.estimators) - set(ESTIMATOR_NAMES)
@@ -180,13 +185,35 @@ def _sample_measured(
     return n_c, n_d
 
 
+def _estimators(
+    plan: ExperimentPlan, tables: _PlanTables
+) -> dict[str, Callable[[np.ndarray, np.ndarray], tuple[float, float]]]:
+    """Every estimator by name: counts -> (value, dtheta-or-NaN).
+
+    Each entry looks its estimator up as a module global when called, so
+    a wrapper installed on that name sees every call.
+    """
+    fringe = plan.fringe or FringeParams(a=0.0, b=0.0, amplitude=plan.nbar)
+
+    def bayes(n_c, n_d):
+        post = tables.posterior(n_c, n_d)
+        return posterior_mean(post), credible_interval(post)
+
+    return {
+        "bayes": bayes,
+        "ml": lambda n_c, n_d: (ml_estimate(n_c, n_d, tables.ml).phase, math.nan),
+        "classical": lambda n_c, n_d: (classical_estimate(n_c, n_d, plan.nbar), math.nan),
+        "fringe": lambda n_c, n_d: (noisy_classical_estimate(n_c, n_d, fringe), math.nan),
+        "ymk": lambda n_c, n_d: (ymk_mean_estimate(n_c, n_d), math.nan),
+    }
+
+
 def run_estimation(
     theta: float, plan: ExperimentPlan, rng: np.random.Generator
 ) -> tuple[float, float]:
     """One phase estimation: p pulses, accumulated posterior, (mean, dtheta)."""
-    n_c, n_d = _sample_measured(theta, plan, rng)
-    post = _PlanTables(plan).posterior(n_c, n_d)
-    return posterior_mean(post), credible_interval(post)
+    bayes = _estimators(plan, _PlanTables(plan))["bayes"]
+    return bayes(*_sample_measured(theta, plan, rng))
 
 
 @dataclass(frozen=True)
@@ -226,31 +253,9 @@ class ScanResult:
         )
 
 
-def _replica_estimates(
-    theta: float, plan: ExperimentPlan, tables: _PlanTables, rng
-) -> dict[str, tuple[float, float]]:
-    """Estimates (value, dtheta-or-NaN) of every requested estimator."""
-    n_c, n_d = _sample_measured(theta, plan, rng)
-    results: dict[str, tuple[float, float]] = {}
-    for name in plan.estimators:
-        if name == "bayes":
-            post = tables.posterior(n_c, n_d)
-            results[name] = (posterior_mean(post), credible_interval(post))
-        elif name == "ml":
-            results[name] = (ml_estimate(n_c, n_d, tables.ml).phase, math.nan)
-        elif name == "classical":
-            results[name] = (classical_estimate(n_c, n_d, plan.nbar), math.nan)
-        elif name == "fringe":
-            params = plan.fringe or FringeParams(a=0.0, b=0.0, amplitude=plan.nbar)
-            results[name] = (noisy_classical_estimate(n_c, n_d, params), math.nan)
-        elif name == "ymk":
-            results[name] = (ymk_mean_estimate(n_c, n_d), math.nan)
-    return results
-
-
-def _aggregate(theta: float, estimator: str, values, dthetas) -> ScanRecord:
-    values = np.asarray(values)
-    dthetas = np.asarray(dthetas)
+def _aggregate(
+    theta: float, estimator: str, values: np.ndarray, dthetas: np.ndarray
+) -> ScanRecord:
     sd_est = float(np.std(values, ddof=1)) if values.size > 1 else math.nan
     finite_dt = dthetas[np.isfinite(dthetas)]
     mean_dt = float(np.mean(finite_dt)) if finite_dt.size else math.nan
@@ -269,20 +274,17 @@ def _aggregate(theta: float, estimator: str, values, dthetas) -> ScanRecord:
 
 def scan(plan: ExperimentPlan) -> ScanResult:
     """Every estimator of the plan over its replicas at each true phase."""
-    tables = _PlanTables(plan)
+    table = _estimators(plan, _PlanTables(plan))
+    chosen = [table[name] for name in plan.estimators]
     records: list[ScanRecord] = []
     for phase_idx, theta in enumerate(plan.theta_grid):
-        per_estimator: dict[str, tuple[list[float], list[float]]] = {
-            name: ([], []) for name in plan.estimators
-        }
+        estimates = np.empty((plan.replicas, len(chosen), 2))
         for replica_idx in range(plan.replicas):
             rng = replica_rng(plan.seed, phase_idx, replica_idx)
-            for name, (value, dtheta) in _replica_estimates(
-                theta, plan, tables, rng
-            ).items():
-                per_estimator[name][0].append(value)
-                per_estimator[name][1].append(dtheta)
-        for name in plan.estimators:
-            values, dthetas = per_estimator[name]
-            records.append(_aggregate(float(theta), name, values, dthetas))
+            n_c, n_d = _sample_measured(theta, plan, rng)
+            estimates[replica_idx] = [estimate(n_c, n_d) for estimate in chosen]
+        records.extend(
+            _aggregate(float(theta), name, estimates[:, k, 0], estimates[:, k, 1])
+            for k, name in enumerate(plan.estimators)
+        )
     return ScanResult(records=tuple(records), plan=plan)

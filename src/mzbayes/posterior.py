@@ -8,7 +8,6 @@ renormalized once, which stays stable for tens of thousands of shots.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -17,6 +16,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.special import gammaln
 
+from mzbayes._csv import csv_text
 from mzbayes.photon_model import Outcome
 
 
@@ -75,13 +75,9 @@ class Posterior:
         d.flags.writeable = False
         return d
 
-    def write_csv(self, path) -> None:
-        """Export as ``phi,density`` rows (phi in radians)."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["phi", "density"])
-            for phi, dens in zip(self.grid.nodes, self.density):
-                writer.writerow([f"{phi:.12g}", f"{dens:.12g}"])
+    def to_csv(self) -> str:
+        """The density as ``phi,density`` CSV text (phi in radians)."""
+        return csv_text(["phi", "density"], zip(self.grid.nodes, self.density))
 
 
 def log_shape(outcome: Outcome, nodes: np.ndarray) -> np.ndarray:

@@ -6,6 +6,13 @@ import numpy as np
 import pytest
 
 from mzbayes.cli import EXIT_CONFIG, EXIT_OK, main
+from mzbayes.detector import RetrodictiveWeights
+
+
+# A weights file as written before weights.json recorded its nbar.
+_WEIGHTS_WITHOUT_NBAR = json.dumps(
+    {"n_max": 4, "weights": json.loads(RetrodictiveWeights.identity().to_json())["weights"]}
+)
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -64,6 +71,9 @@ class TestConfigErrors:
                          id="key-unused-by-noise-kind"),
             pytest.param("scan", {"plan": {"replica": 3}}, id="scan-unknown-plan-key"),
             pytest.param("scan", {"plan": 3}, id="scan-plan-not-an-object"),
+            pytest.param("scan", {"plan": {"seed": -1}}, id="scan-negative-seed"),
+            pytest.param("calibrate", {"plan": {"seed": -1}}, id="calibrate-negative-seed"),
+            pytest.param("scan", {"plan": {"grid_points": 1}}, id="one-grid-point"),
         ],
     )
     def test_bad_input_is_config_error(self, tmp_path, capsys, command, doc):
@@ -80,11 +90,17 @@ class TestConfigErrors:
         assert "plan.replica" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "weights_text",
-        ['{"n_max": 4}', "{not json"],
-        ids=["no-weights-key", "not-json"],
+        "weights_text, named",
+        [
+            ('{"n_max": 4}', "weights.json"),
+            ("{not json", "weights.json"),
+            (_WEIGHTS_WITHOUT_NBAR, "re-run the calibrate command"),
+        ],
+        ids=["no-weights-key", "not-json", "no-nbar"],
     )
-    def test_bad_weights_file_is_config_error(self, tmp_path, capsys, weights_text):
+    def test_bad_weights_file_is_config_error(
+        self, tmp_path, capsys, weights_text, named
+    ):
         weights = tmp_path / "weights.json"
         weights.write_text(weights_text)
         cfg = write_config(
@@ -97,7 +113,8 @@ class TestConfigErrors:
             },
         )
         assert run("scan", "bias", "--config", cfg, "--quiet") == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("config error:")
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
 
     def test_no_partial_outputs_on_failure(self, tmp_path):
         out = tmp_path / "out"
@@ -216,6 +233,26 @@ class TestScanCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "n_max" in err
         assert "Traceback" not in err
+        assert not (out / "bias_scan.csv").exists()
+
+    def test_weights_nbar_mismatch_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        doc = {
+            "model": {"nbar": 3.0},
+            "noise": {"kind": "paper_regime"},
+            "calibration": {"pulses_per_phase": 5000},
+            "plan": {"theta_grid_pi": [0.5], "p": 100, "replicas": 2},
+            "output": {"dir": str(out)},
+        }
+        cfg = write_config(tmp_path, doc)
+        assert run("calibrate", "--config", cfg, "--quiet") == EXIT_OK
+        assert json.loads((out / "weights.json").read_text())["nbar"] == 3.0
+        doc["model"]["nbar"] = 1.08
+        cfg = write_config(tmp_path, doc, name="scan.json")
+        capsys.readouterr()
+        assert run("scan", "bias", "--config", cfg, "--quiet") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "3.0" in err and "1.08" in err
         assert not (out / "bias_scan.csv").exists()
 
     def test_ideal_sensitivity_scan(self, tmp_path, capsys):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import poisson
 
 from mzbayes.detector import (
     CalibrationError,
@@ -214,6 +215,13 @@ class TestRetrodictiveWeights:
     def test_json_roundtrip(self, fitted_weights):
         back = RetrodictiveWeights.from_json(fitted_weights.to_json())
         np.testing.assert_allclose(back.table, fitted_weights.table, atol=1e-12)
+        assert back.nbar == fitted_weights.nbar == 1.08
+
+    def test_worst_diagonal_takes_first_minimum_on_ties(self):
+        table = RetrodictiveWeights.identity().table.copy()
+        for nc, nd in [(3, 0), (1, 2)]:
+            table[nc, nd, nc, nd] = table[nc, nd, 0, 4] = 0.5
+        assert RetrodictiveWeights(table=table).worst_diagonal() == (0.5, (1, 2))
 
     def test_exact_weights_identity_channel(self, ideal_model):
         w = exact_retrodictive_weights(ConfusionModel.identity(), ideal_model)
@@ -279,8 +287,51 @@ class TestFit:
         K[4, 4] = 0.0
         K[3, 4] = 1.0
         model = ConfusionModel(forward_c=K, forward_d=K)
-        w = exact_retrodictive_weights(model, ideal_model)
-        np.testing.assert_allclose(w.distribution(4, 4), 1.0 / 25.0, atol=1e-12)
+        with pytest.warns(UserWarning, match="uniform retrodictive weights") as caught:
+            w = exact_retrodictive_weights(model, ideal_model)
+        unsupported = [(nc, nd) for nc in range(5) for nd in range(5) if 4 in (nc, nd)]
+        assert len(caught) == len(unsupported) == 9
+        for record, (nc, nd) in zip(caught, unsupported):
+            assert f"measured pair ({nc},{nd})" in str(record.message)
+            np.testing.assert_allclose(w.distribution(nc, nd), 1.0 / 25.0, atol=1e-12)
+
+
+def _scalar_retrodictive_table(model, ideal, n_quad=2001):
+    """The per-(tc, td) trapezoid and per-pair inversion loop, as an oracle."""
+    n_max = model.n_max
+    phis = np.linspace(0.0, np.pi, n_quad)
+    mu_c = ideal.nbar * np.cos(phis / 2.0) ** 2
+    mu_d = ideal.nbar * np.sin(phis / 2.0) ** 2
+    q = np.zeros((n_max + 1, n_max + 1))
+    for tc in range(ideal.n_max + 1):
+        for td in range(ideal.n_max + 1):
+            p = poisson.pmf(tc, mu_c) * poisson.pmf(td, mu_d)
+            q[min(tc, n_max), min(td, n_max)] += np.trapezoid(p / np.pi, phis)
+    table = np.empty((n_max + 1,) * 4)
+    for nc in range(n_max + 1):
+        for nd in range(n_max + 1):
+            joint = np.outer(model.forward_c[nc], model.forward_d[nd]) * q
+            table[nc, nd] = joint / joint.sum()
+    return table
+
+
+def _random_channel(seed):
+    rng = np.random.default_rng(seed)
+    K_c, K_d = rng.random((2, 5, 5))
+    return ConfusionModel(forward_c=K_c / K_c.sum(axis=0), forward_d=K_d / K_d.sum(axis=0))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [ConfusionModel.paper_regime(), _random_channel(11)],
+    ids=["paper-regime", "random-channel"],
+)
+def test_array_inversion_matches_scalar_oracle(model, ideal_model):
+    w = exact_retrodictive_weights(model, ideal_model)
+    np.testing.assert_allclose(
+        w.table, _scalar_retrodictive_table(model, ideal_model), rtol=1e-12
+    )
+    assert w.nbar == ideal_model.nbar
 
 
 class TestPosteriorFit:

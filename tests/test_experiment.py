@@ -8,7 +8,10 @@ import pytest
 
 from mzbayes.detector import ConfusionModel, RetrodictiveWeights
 from mzbayes.experiment import (
+    ESTIMATOR_NAMES,
     ExperimentPlan,
+    _estimators,
+    _PlanTables,
     default_theta_grid,
     replica_rng,
     run_estimation,
@@ -44,6 +47,10 @@ class TestPlan:
             small_plan(theta_grid=np.array([4.0]))
         with pytest.raises(ValueError):
             small_plan(estimators=("bayes", "psychic"))
+        with pytest.raises(ValueError):
+            small_plan(seed=-1)
+        with pytest.raises(ValueError):
+            small_plan(grid_points=1)
         with pytest.raises(ValueError):
             small_plan(
                 noise=ConfusionModel.paper_regime(n_max=4),
@@ -116,6 +123,16 @@ class TestScans:
         assert rec.estimator == "ymk"
         with pytest.raises(KeyError):
             result.record(0.5 * math.pi, "bayes")
+
+    def test_estimator_table_serves_every_name(self):
+        plan = small_plan()
+        table = _estimators(plan, _PlanTables(plan))
+        assert set(table) == set(ESTIMATOR_NAMES)
+        n_c, n_d = plan.model.sample_counts(0.3 * math.pi, plan.p, np.random.default_rng(0))
+        for name in ESTIMATOR_NAMES:
+            value, dtheta = table[name](n_c, n_d)
+            assert 0.0 <= value <= math.pi
+            assert math.isnan(dtheta) == (name != "bayes")
 
     def test_degenerate_single_replica(self):
         result = scan(small_plan(replicas=1))

@@ -184,7 +184,7 @@ class TestExport:
     def test_write_csv_roundtrip(self, grid, tmp_path):
         post = single_shot_posterior(Outcome(1, 2), grid)
         path = tmp_path / "posterior.csv"
-        post.write_csv(path)
+        path.write_text(post.to_csv(), newline="")
         data = np.genfromtxt(path, delimiter=",", names=True)
         assert len(data) == grid.n_points
         np.testing.assert_allclose(data["phi"], grid.nodes, atol=1e-10)
