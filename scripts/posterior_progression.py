@@ -40,11 +40,12 @@ def main(argv=None) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    outcomes: list[Outcome] = []
+    # One draw for the longest run: port c then port d, pulse after pulse.
+    max_p = max(args.checkpoints)
+    counts = rng.poisson(np.tile(model.output_means(theta), max_p)).reshape(max_p, 2)
     for p in sorted(args.checkpoints):
-        while len(outcomes) < p:
-            outcomes.append(model.sample_outcome(theta, rng))
-        post = accumulate(outcomes, grid)
+        n_c, n_d = counts[:p].sum(axis=0)
+        post = accumulate([Outcome(int(n_c), int(n_d))], grid)
         mean = posterior_mean(post)
         dtheta = credible_interval(post)
         path = out_dir / f"posterior_p{p}.csv"

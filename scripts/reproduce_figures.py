@@ -31,17 +31,14 @@ def build_configs(out_dir: Path, p: int, replicas: int) -> dict[str, Path]:
         "plan": {"theta_grid_pi": IDEAL_GRID, "p": p, "replicas": replicas,
                  "estimators": ["bayes", "classical"]},
         "fisher": {"theta_grid_pi": IDEAL_GRID},
-        "output": {"dir": str(out_dir / "ideal")},
     }
     noisy = {
         "model": {"nbar": 1.08},
         "noise": {"kind": "paper_regime"},
-        "calibration": {"pulses_per_phase": 200_000,
-                        "weights_file": str(out_dir / "noisy" / "weights.json")},
+        "calibration": {"pulses_per_phase": 200_000},
         "plan": {"theta_grid_pi": NOISY_GRID, "p": p, "replicas": replicas,
                  "estimators": ["bayes", "ymk"]},
         "fisher": {"theta_grid_pi": NOISY_GRID},
-        "output": {"dir": str(out_dir / "noisy")},
     }
     paths = {}
     for name, doc in [("ideal", ideal), ("noisy", noisy)]:
@@ -70,18 +67,19 @@ def main(argv=None) -> int:
 
     common = ["--seed", str(args.seed)] + (["--quiet"] if args.quiet else [])
     steps = [
-        ("calibrate", ["calibrate", "--config", str(configs["noisy"])]),
-        ("ideal sensitivity", ["scan", "sensitivity", "--config", str(configs["ideal"])]),
-        ("ideal bias", ["scan", "bias", "--config", str(configs["ideal"])]),
-        ("noisy sensitivity", ["scan", "sensitivity", "--config", str(configs["noisy"])]),
-        ("noisy bias", ["scan", "bias", "--config", str(configs["noisy"])]),
-        ("ideal CRLB", ["fisher", "--config", str(configs["ideal"])]),
-        ("noisy CRLB", ["fisher", "--config", str(configs["noisy"])]),
+        ("calibrate", ["calibrate"], "noisy"),
+        ("ideal sensitivity", ["scan", "sensitivity"], "ideal"),
+        ("ideal bias", ["scan", "bias"], "ideal"),
+        ("noisy sensitivity", ["scan", "sensitivity"], "noisy"),
+        ("noisy bias", ["scan", "bias"], "noisy"),
+        ("ideal CRLB", ["fisher"], "ideal"),
+        ("noisy CRLB", ["fisher"], "noisy"),
     ]
-    for label, argv_step in steps:
+    for label, command, name in steps:
         if not args.quiet:
             print(f"--- {label} ---")
-        code = cli_main(argv_step + common)
+        paths = ["--config", str(configs[name]), "--out-dir", str(out_dir / name)]
+        code = cli_main(command + paths + common)
         if code != 0:
             print(f"step '{label}' failed with exit code {code}", file=sys.stderr)
             return code

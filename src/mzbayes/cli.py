@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,11 +33,11 @@ from mzbayes.detector import (
     noisy_joint_pmf,
     simulate_calibration,
 )
-from mzbayes.estimators import FringeParams, fit_fringe
+from mzbayes.estimators import FringeParams, UndefinedEstimateError, fit_fringe
 from mzbayes.experiment import ExperimentPlan, scan
 from mzbayes.fisher import DEFAULT_D_THETA, crlb_csv, crlb_curve
 from mzbayes.photon_model import InterferometerModel
-from mzbayes.posterior import DegenerateEvidenceError
+from mzbayes.posterior import DegenerateEvidenceError, PhaseGrid
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -55,6 +55,12 @@ def _pi_array(values) -> np.ndarray:
     return thetas
 
 
+def _names(values) -> tuple[str, ...]:
+    if isinstance(values, str):
+        raise ValueError(f"need a list of names, got the string {values!r}")
+    return tuple(values)
+
+
 # Every config key with its converter; a key missing here is rejected.
 # An absent key keeps the default of the code that reads it.
 _SCHEMA = {
@@ -66,8 +72,8 @@ _SCHEMA = {
         "p": int,
         "replicas": int,
         "seed": int,
-        "grid_points": int,
-        "estimators": tuple,
+        "grid_points": lambda n: PhaseGrid(int(n)),
+        "estimators": _names,
     },
     "fisher": {"theta_grid_pi": _pi_array, "d_theta": float},
     "output": {"dir": Path},
@@ -104,9 +110,8 @@ def load_config(path: str) -> dict:
 
 
 def _model_from_config(cfg: dict) -> InterferometerModel:
-    fields = {"nbar": ExperimentPlan.nbar, **cfg.get("model", {})}
     try:
-        return InterferometerModel(**fields)
+        return replace(ExperimentPlan.model, **cfg.get("model", {}))
     except ValueError as exc:
         raise ConfigError(f"bad model section: {exc}") from exc
 
@@ -227,14 +232,11 @@ def _plan_from_config(cfg: dict) -> ExperimentPlan:
         weights, fringe = _load_calibration(cfg, model.nbar)
     elif noise is not None:
         weights = RetrodictiveWeights.identity(noise.n_max)
-    fields = {
-        "theta_grid" if key == "theta_grid_pi" else key: value
-        for key, value in cfg.get("plan", {}).items()
-    }
+    renamed = {"theta_grid_pi": "theta_grid", "grid_points": "grid"}
+    fields = {renamed.get(key, key): value for key, value in cfg.get("plan", {}).items()}
     try:
         return ExperimentPlan(
-            nbar=model.nbar,
-            ideal_n_max=model.n_max,
+            model=model,
             noise=noise,
             weights=weights,
             fringe=fringe,
@@ -351,7 +353,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FitError, DegenerateEvidenceError, FloatingPointError) as exc:
+    except (
+        FitError,
+        DegenerateEvidenceError,
+        UndefinedEstimateError,
+        FloatingPointError,
+    ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

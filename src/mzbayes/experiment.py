@@ -37,7 +37,7 @@ from mzbayes.estimators import (
     noisy_classical_estimate,
     ymk_mean_estimate,
 )
-from mzbayes.photon_model import InterferometerModel, Outcome
+from mzbayes.photon_model import InterferometerModel
 from mzbayes.posterior import (
     CountLikelihood,
     PhaseGrid,
@@ -57,15 +57,18 @@ def default_theta_grid() -> np.ndarray:
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """One scan: true phases, shots per estimation, replicas, and seeding."""
+    """One scan: true phases, shots per estimation, replicas, and seeding.
+
+    The plan holds the model and grid a scan reads, and builds each of its
+    likelihood tables once, on first use.
+    """
 
     theta_grid: np.ndarray = field(default_factory=default_theta_grid)
     p: int = 1000
     replicas: int = 150
     seed: int = 0
-    nbar: float = 1.08
-    ideal_n_max: int = 25
-    grid_points: int = 4096
+    model: InterferometerModel = InterferometerModel(nbar=1.08)
+    grid: PhaseGrid = PhaseGrid()
     noise: ConfusionModel | None = None
     weights: RetrodictiveWeights | None = None
     fringe: FringeParams | None = None
@@ -86,10 +89,10 @@ class ExperimentPlan:
             raise ValueError(f"need replicas >= 1, got {self.replicas}")
         if self.seed < 0:
             raise ValueError(f"need seed >= 0, got {self.seed}")
-        if self.grid_points < 2:
-            raise ValueError(f"need grid_points >= 2, got {self.grid_points}")
-        if not self.nbar > 0:
-            raise ValueError(f"nbar must be > 0, got {self.nbar}")
+        if not self.estimators or len(set(self.estimators)) < len(self.estimators):
+            raise ValueError(
+                f"need distinct estimators, at least one, got {list(self.estimators)}"
+            )
         unknown = set(self.estimators) - set(ESTIMATOR_NAMES)
         if unknown:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")
@@ -105,13 +108,32 @@ class ExperimentPlan:
                 f"retrodictive weights' n_max {self.weights.n_max}"
             )
 
-    @property
-    def model(self) -> InterferometerModel:
-        return InterferometerModel(nbar=self.nbar, n_max=self.ideal_n_max)
+    @cached_property
+    def bayes_table(self) -> CountLikelihood:
+        """Bayes: the port totals, or the measured pairs through the retrodictive mixture."""
+        if self.weights is None:
+            return ideal_likelihood(self.grid)
+        return CountLikelihood(
+            partial(log_posterior_fit, self.weights),
+            partial(pair_histogram, n_max=self.weights.n_max),
+            self.grid,
+        )
 
-    @property
-    def phase_grid(self) -> PhaseGrid:
-        return PhaseGrid(self.grid_points)
+    @cached_property
+    def ml_table(self) -> CountLikelihood:
+        """ML: the port totals, or the per-port histograms through the misread channel."""
+        if self.noise is None:
+            return ideal_likelihood(self.grid)
+        return CountLikelihood(
+            noisy_log_likelihood_grid(self.noise, self.model),
+            partial(port_histograms, n_max=self.noise.n_max),
+            self.grid,
+        )
+
+    def posterior(self, n_c: np.ndarray, n_d: np.ndarray) -> Posterior:
+        """The Bayesian posterior of one replica's measured counts."""
+        stats = self.bayes_table.statistics(n_c, n_d)
+        return Posterior.from_log_density(self.grid, self.bayes_table.on_grid(stats))
 
     def manifest(self) -> dict:
         return {
@@ -120,9 +142,9 @@ class ExperimentPlan:
             "p": self.p,
             "replicas": self.replicas,
             "seed": self.seed,
-            "nbar": self.nbar,
-            "ideal_n_max": self.ideal_n_max,
-            "grid_points": self.grid_points,
+            "nbar": self.model.nbar,
+            "ideal_n_max": self.model.n_max,
+            "grid_points": self.grid.n_points,
             "noise": self.noise is not None,
             "estimators": list(self.estimators),
         }
@@ -131,49 +153,6 @@ class ExperimentPlan:
 def replica_rng(seed: int, phase_idx: int, replica_idx: int) -> np.random.Generator:
     """Independent stream for one (phase, replica) cell of a scan."""
     return np.random.default_rng([seed, phase_idx, replica_idx])
-
-
-class _PlanTables:
-    """The likelihood tables of one plan, each built on first use.
-
-    Bayes reads the port totals (ideal) or the measured-pair histogram
-    through the retrodictive mixture rows; ML reads the port totals
-    (ideal) or the per-port histograms through the misread channel.
-    """
-
-    def __init__(self, plan: ExperimentPlan):
-        self.plan = plan
-        self.grid = plan.phase_grid
-
-    @cached_property
-    def bayes(self) -> CountLikelihood:
-        weights = self.plan.weights
-        if weights is None:
-            return ideal_likelihood(self.grid)
-        counts = range(weights.n_max + 1)
-        pairs = [Outcome(nc, nd) for nc in counts for nd in counts]
-
-        def rows(phis: np.ndarray) -> np.ndarray:
-            return np.stack([log_posterior_fit(pair, weights, phis) for pair in pairs])
-
-        return CountLikelihood(rows, partial(pair_histogram, n_max=weights.n_max), self.grid)
-
-    @cached_property
-    def ml(self) -> CountLikelihood:
-        noise = self.plan.noise
-        if noise is None:
-            return ideal_likelihood(self.grid)
-        return CountLikelihood(
-            noisy_log_likelihood_grid(noise, self.plan.model),
-            partial(port_histograms, n_max=noise.n_max),
-            self.grid,
-        )
-
-    def posterior(self, n_c: np.ndarray, n_d: np.ndarray) -> Posterior:
-        bayes = self.bayes
-        return Posterior.from_log_density(
-            self.grid, bayes.on_grid(bayes.statistics(n_c, n_d))
-        )
 
 
 def _sample_measured(
@@ -186,23 +165,23 @@ def _sample_measured(
 
 
 def _estimators(
-    plan: ExperimentPlan, tables: _PlanTables
+    plan: ExperimentPlan,
 ) -> dict[str, Callable[[np.ndarray, np.ndarray], tuple[float, float]]]:
     """Every estimator by name: counts -> (value, dtheta-or-NaN).
 
     Each entry looks its estimator up as a module global when called, so
     a wrapper installed on that name sees every call.
     """
-    fringe = plan.fringe or FringeParams(a=0.0, b=0.0, amplitude=plan.nbar)
+    fringe = plan.fringe or FringeParams(a=0.0, b=0.0, amplitude=plan.model.nbar)
 
     def bayes(n_c, n_d):
-        post = tables.posterior(n_c, n_d)
+        post = plan.posterior(n_c, n_d)
         return posterior_mean(post), credible_interval(post)
 
     return {
         "bayes": bayes,
-        "ml": lambda n_c, n_d: (ml_estimate(n_c, n_d, tables.ml).phase, math.nan),
-        "classical": lambda n_c, n_d: (classical_estimate(n_c, n_d, plan.nbar), math.nan),
+        "ml": lambda n_c, n_d: (ml_estimate(n_c, n_d, plan.ml_table).phase, math.nan),
+        "classical": lambda n_c, n_d: (classical_estimate(n_c, n_d, plan.model.nbar), math.nan),
         "fringe": lambda n_c, n_d: (noisy_classical_estimate(n_c, n_d, fringe), math.nan),
         "ymk": lambda n_c, n_d: (ymk_mean_estimate(n_c, n_d), math.nan),
     }
@@ -212,7 +191,7 @@ def run_estimation(
     theta: float, plan: ExperimentPlan, rng: np.random.Generator
 ) -> tuple[float, float]:
     """One phase estimation: p pulses, accumulated posterior, (mean, dtheta)."""
-    bayes = _estimators(plan, _PlanTables(plan))["bayes"]
+    bayes = _estimators(plan)["bayes"]
     return bayes(*_sample_measured(theta, plan, rng))
 
 
@@ -274,7 +253,7 @@ def _aggregate(
 
 def scan(plan: ExperimentPlan) -> ScanResult:
     """Every estimator of the plan over its replicas at each true phase."""
-    table = _estimators(plan, _PlanTables(plan))
+    table = _estimators(plan)
     chosen = [table[name] for name in plan.estimators]
     records: list[ScanRecord] = []
     for phase_idx, theta in enumerate(plan.theta_grid):

@@ -115,11 +115,6 @@ class InterferometerModel:
         p_d = np.exp(_log_poisson_pmf(k, mu_d))
         return np.outer(p_c, p_d)
 
-    def sample_outcome(self, phi: float, rng: np.random.Generator) -> Outcome:
-        """Draw one pulse's counts. The rng must be exclusive to the caller."""
-        mu_c, mu_d = self.output_means(phi)
-        return Outcome(int(rng.poisson(mu_c)), int(rng.poisson(mu_d)))
-
     def sample_counts(
         self, phi: float, p: int, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:

@@ -46,7 +46,7 @@ def ideal_scan(ideal_model):
         p=PULSES,
         replicas=REPLICAS,
         seed=MASTER_SEED,
-        nbar=ideal_model.nbar,
+        model=ideal_model,
         estimators=("bayes", "classical"),
     )
     return scan(plan)
@@ -73,7 +73,7 @@ def noisy_scan(regime, fitted_weights, ideal_model):
         p=PULSES,
         replicas=REPLICAS,
         seed=MASTER_SEED,
-        nbar=ideal_model.nbar,
+        model=ideal_model,
         noise=regime,
         weights=fitted_weights,
         estimators=("bayes", "ymk"),

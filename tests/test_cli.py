@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from mzbayes.cli import EXIT_CONFIG, EXIT_OK, main
+from mzbayes.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from mzbayes.detector import RetrodictiveWeights
 
 
@@ -74,6 +74,10 @@ class TestConfigErrors:
             pytest.param("scan", {"plan": {"seed": -1}}, id="scan-negative-seed"),
             pytest.param("calibrate", {"plan": {"seed": -1}}, id="calibrate-negative-seed"),
             pytest.param("scan", {"plan": {"grid_points": 1}}, id="one-grid-point"),
+            pytest.param("scan", {"plan": {"estimators": []}}, id="no-estimators"),
+            pytest.param("scan", {"plan": {"estimators": ["bayes", "bayes"]}},
+                         id="repeated-estimator"),
+            pytest.param("scan", {"plan": {"estimators": "bayes"}}, id="estimators-string"),
         ],
     )
     def test_bad_input_is_config_error(self, tmp_path, capsys, command, doc):
@@ -88,6 +92,11 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, {"plan": {"replica": 3}})
         assert run("scan", "bias", "--config", cfg, "--quiet") == EXIT_CONFIG
         assert "plan.replica" in capsys.readouterr().err
+
+    def test_estimators_string_is_named(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"plan": {"estimators": "bayes"}})
+        assert run("scan", "bias", "--config", cfg, "--quiet") == EXIT_CONFIG
+        assert "plan.estimators" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "weights_text, named",
@@ -115,6 +124,15 @@ class TestConfigErrors:
         assert run("scan", "bias", "--config", cfg, "--quiet") == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and named in err
+
+    def test_ymk_without_photons_is_numerical_failure(self, tmp_path, capsys):
+        # at theta = pi/2 one pulse per estimation often detects nothing
+        out = tmp_path / "out"
+        plan = {"theta_grid_pi": [0.5], "p": 1, "replicas": 3, "estimators": ["ymk"], "seed": 3}
+        cfg = write_config(tmp_path, {"plan": plan, "output": {"dir": str(out)}})
+        assert run("scan", "bias", "--config", cfg, "--quiet") == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("numerical failure:")
+        assert not out.exists() or not any(out.iterdir())
 
     def test_no_partial_outputs_on_failure(self, tmp_path):
         out = tmp_path / "out"

@@ -11,12 +11,12 @@ from mzbayes.experiment import (
     ESTIMATOR_NAMES,
     ExperimentPlan,
     _estimators,
-    _PlanTables,
     default_theta_grid,
     replica_rng,
     run_estimation,
     scan,
 )
+from mzbayes.posterior import PhaseGrid
 
 
 def small_plan(**kwargs):
@@ -25,7 +25,7 @@ def small_plan(**kwargs):
         p=50,
         replicas=5,
         seed=7,
-        grid_points=512,
+        grid=PhaseGrid(512),
     )
     defaults.update(kwargs)
     return ExperimentPlan(**defaults)
@@ -50,7 +50,11 @@ class TestPlan:
         with pytest.raises(ValueError):
             small_plan(seed=-1)
         with pytest.raises(ValueError):
-            small_plan(grid_points=1)
+            small_plan(grid=PhaseGrid(1))
+        with pytest.raises(ValueError):
+            small_plan(estimators=())
+        with pytest.raises(ValueError):
+            small_plan(estimators=("bayes", "bayes"))
         with pytest.raises(ValueError):
             small_plan(
                 noise=ConfusionModel.paper_regime(n_max=4),
@@ -126,7 +130,7 @@ class TestScans:
 
     def test_estimator_table_serves_every_name(self):
         plan = small_plan()
-        table = _estimators(plan, _PlanTables(plan))
+        table = _estimators(plan)
         assert set(table) == set(ESTIMATOR_NAMES)
         n_c, n_d = plan.model.sample_counts(0.3 * math.pi, plan.p, np.random.default_rng(0))
         for name in ESTIMATOR_NAMES:
@@ -166,3 +170,5 @@ class TestScans:
         assert float(first[0]) == pytest.approx(0.3)  # theta in units of pi
         doc = json.loads(json.dumps(result.plan.manifest()))
         assert doc["seed"] == 7 and doc["p"] == 50
+        assert doc["nbar"] == 1.08 and doc["ideal_n_max"] == 25
+        assert doc["grid_points"] == 512

@@ -34,9 +34,9 @@ from mzbayes.estimators import (
     ymk_estimate,
     ymk_mean_estimate,
 )
-from mzbayes.experiment import ExperimentPlan, _PlanTables
+from mzbayes.experiment import ExperimentPlan
 from mzbayes.photon_model import InterferometerModel, Outcome
-from mzbayes.posterior import accumulate, log_shape, normalization_constant
+from mzbayes.posterior import PhaseGrid, accumulate, log_shape, normalization_constant
 
 N_MAX = 4
 IDEAL = InterferometerModel(nbar=1.08)
@@ -44,18 +44,14 @@ REGIME = ConfusionModel.paper_regime(N_MAX)
 WEIGHTS = exact_retrodictive_weights(REGIME, IDEAL)
 GRID_POINTS = 1024
 
-IDEAL_TABLES = _PlanTables(
-    ExperimentPlan(grid_points=GRID_POINTS, estimators=("bayes", "ml"))
+IDEAL_PLAN = ExperimentPlan(grid=PhaseGrid(GRID_POINTS), estimators=("bayes", "ml"))
+NOISY_PLAN = ExperimentPlan(
+    grid=PhaseGrid(GRID_POINTS),
+    noise=REGIME,
+    weights=WEIGHTS,
+    estimators=("bayes", "ml"),
 )
-NOISY_TABLES = _PlanTables(
-    ExperimentPlan(
-        grid_points=GRID_POINTS,
-        noise=REGIME,
-        weights=WEIGHTS,
-        estimators=("bayes", "ml"),
-    )
-)
-NODES = IDEAL_TABLES.grid.nodes
+NODES = IDEAL_PLAN.grid.nodes
 
 # Golden-section refinement stops at 1e-10 rad, and the log likelihood's
 # maximum is flat at float precision over ~1e-8 rad; 1e-6 rad is the
@@ -110,24 +106,26 @@ def assert_same_log_density(got, want):
 @given(counts=pulse_counts(noise=None))
 @settings(max_examples=60, deadline=None)
 def test_ideal_bayes_table_matches_accumulate(counts):
-    got = IDEAL_TABLES.posterior(*counts)
-    want = accumulate(outcomes(*counts), IDEAL_TABLES.grid)
+    got = IDEAL_PLAN.posterior(*counts)
+    want = accumulate(outcomes(*counts), IDEAL_PLAN.grid)
     assert_same_log_density(got.log_density, want.log_density)
 
 
 @given(counts=pulse_counts(noise=REGIME))
 @settings(max_examples=60, deadline=None)
 def test_noisy_bayes_table_matches_summed_log_posterior_fit(counts):
-    bayes = NOISY_TABLES.bayes
+    bayes = NOISY_PLAN.bayes_table
     got = bayes.on_grid(bayes.statistics(*counts))
+    rows = log_posterior_fit(WEIGHTS, NODES)
     want = np.zeros(NODES.size)
     for outcome in outcomes(*counts):
-        want = want + log_posterior_fit(outcome, WEIGHTS, NODES)
+        want = want + rows[outcome.n_c * (N_MAX + 1) + outcome.n_d]
     assert_same_log_density(got, want)
 
 
 def test_log_posterior_fit_matches_closed_form_mixture():
     # oracle: the weights mix the normalized closed-form single-shot posteriors
+    rows = log_posterior_fit(WEIGHTS, NODES)
     for nc in range(N_MAX + 1):
         for nd in range(N_MAX + 1):
             dist = WEIGHTS.distribution(nc, nd)
@@ -140,7 +138,7 @@ def test_log_posterior_fit_matches_closed_form_mixture():
                         * normalization_constant(true)
                         * np.exp(log_shape(true, NODES))
                     )
-            got = np.exp(log_posterior_fit(Outcome(nc, nd), WEIGHTS, NODES))
+            got = np.exp(rows[nc * (N_MAX + 1) + nd])
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
 
@@ -163,14 +161,12 @@ def random_channel(seed):
 @settings(max_examples=60, deadline=None)
 def test_ml_rows_match_noisy_joint_likelihood(phi, seed):
     channel = REGIME if seed is None else random_channel(seed)
-    rows = _PlanTables(
-        ExperimentPlan(
-            grid_points=GRID_POINTS,
-            noise=channel,
-            weights=WEIGHTS,
-            estimators=("ml",),
-        )
-    ).ml.rows(np.array([phi]))[:, 0]
+    rows = ExperimentPlan(
+        grid=PhaseGrid(GRID_POINTS),
+        noise=channel,
+        weights=WEIGHTS,
+        estimators=("ml",),
+    ).ml_table.rows(np.array([phi]))[:, 0]
     for nc in range(N_MAX + 1):
         for nd in range(N_MAX + 1):
             want = noisy_joint_likelihood(phi, Outcome(nc, nd), channel, IDEAL)
@@ -179,7 +175,7 @@ def test_ml_rows_match_noisy_joint_likelihood(phi, seed):
 
 
 def test_ml_grid_rows_match_pointwise_rows():
-    ml = NOISY_TABLES.ml
+    ml = NOISY_PLAN.ml_table
     for j in (0, 1, 300, GRID_POINTS - 2, GRID_POINTS - 1):
         np.testing.assert_allclose(
             ml.table[:, j], ml.rows(NODES[j : j + 1])[:, 0], rtol=1e-12, atol=0.0
@@ -271,7 +267,7 @@ def test_moment_estimators_match_outcome_loops(counts, a, b, amplitude):
 @given(counts=pulse_counts(noise=None))
 @settings(max_examples=30, deadline=None)
 def test_ideal_ml_matches_outcome_loop(counts):
-    est = ml_estimate(*counts, IDEAL_TABLES.ml)
+    est = ml_estimate(*counts, IDEAL_PLAN.ml_table)
     phase, flat = ml_reference(outcomes(*counts), ideal_pair_log_likelihood, NODES)
     assert est.flat == flat
     assert est.phase == pytest.approx(phase, abs=ML_TOL)
@@ -280,7 +276,7 @@ def test_ideal_ml_matches_outcome_loop(counts):
 @given(counts=pulse_counts(noise=REGIME))
 @settings(max_examples=30, deadline=None)
 def test_noisy_ml_matches_outcome_loop(counts):
-    est = ml_estimate(*counts, NOISY_TABLES.ml)
+    est = ml_estimate(*counts, NOISY_PLAN.ml_table)
     phase, flat = ml_reference(outcomes(*counts), noisy_pair_log_likelihood, NODES)
     assert est.flat == flat
     assert est.phase == pytest.approx(phase, abs=ML_TOL)
