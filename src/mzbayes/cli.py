@@ -55,6 +55,15 @@ def _pi_array(values) -> np.ndarray:
     return thetas
 
 
+def _integer(value) -> int:
+    """A JSON integer; an integral float such as ``1e3`` counts, a bool or fraction does not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"need an integer, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"need an integer, got {value!r}")
+    return int(value)
+
+
 def _names(values) -> tuple[str, ...]:
     if isinstance(values, str):
         raise ValueError(f"need a list of names, got the string {values!r}")
@@ -64,15 +73,15 @@ def _names(values) -> tuple[str, ...]:
 # Every config key with its converter; a key missing here is rejected.
 # An absent key keeps the default of the code that reads it.
 _SCHEMA = {
-    "model": {"nbar": float, "n_max": int},
-    "noise": {"kind": str, "n_max": int, "forward_c": np.array, "forward_d": np.array},
-    "calibration": {"phases_pi": _pi_array, "pulses_per_phase": int, "weights_file": Path},
+    "model": {"nbar": float, "n_max": _integer},
+    "noise": {"kind": str, "n_max": _integer, "forward_c": np.array, "forward_d": np.array},
+    "calibration": {"phases_pi": _pi_array, "pulses_per_phase": _integer, "weights_file": Path},
     "plan": {
         "theta_grid_pi": _pi_array,
-        "p": int,
-        "replicas": int,
-        "seed": int,
-        "grid_points": lambda n: PhaseGrid(int(n)),
+        "p": _integer,
+        "replicas": _integer,
+        "seed": _integer,
+        "grid_points": lambda n: PhaseGrid(_integer(n)),
         "estimators": _names,
     },
     "fisher": {"theta_grid_pi": _pi_array, "d_theta": float},

@@ -8,16 +8,20 @@ renormalized once, which stays stable for tens of thousands of shots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.special import gammaln
 
 from mzbayes._csv import csv_text
 from mzbayes.photon_model import Outcome
+
+
+# Nodes whose log density is more than this below the peak carry relative
+# weight < e^-40 ~ 4e-18, below what float64 sums of O(1) terms resolve.
+_SUPPORT_CUT = 40.0
 
 
 class DegenerateEvidenceError(ValueError):
@@ -45,15 +49,33 @@ class PhaseGrid:
         return np.pi / (self.n_points - 1)
 
 
+def _trapezoids(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Trapezoid areas between consecutive nodes; their sum is ``np.trapezoid(y, x)``."""
+    return (x[1:] - x[:-1]) * (y[1:] + y[:-1]) / 2.0
+
+
 @dataclass(frozen=True)
 class Posterior:
-    """Normalized phase density on a grid; trapezoidal integral is 1."""
+    """Normalized phase density on a grid; trapezoidal integral is 1.
+
+    The mean and the credible interval integrate over the support window
+    ``_support`` only: the contiguous node range where the log density is
+    above ``peak - _SUPPORT_CUT``, widened by one node on each side.
+    Outside it the density is below e^-40 of its peak and adds nothing a
+    float64 sum resolves. ``density`` and ``to_csv`` stay full-grid.
+    """
 
     grid: PhaseGrid
     log_density: np.ndarray  # log of the normalized density (-inf allowed)
+    _support: slice = field(default_factory=lambda: slice(None), repr=False, compare=False)
 
     @classmethod
     def from_log_density(cls, grid: PhaseGrid, log_density: np.ndarray) -> "Posterior":
+        """The posterior proportional to ``exp(log_density)``, normalized on its support window.
+
+        Taking the first and last node above the cut keeps every mode of a
+        multimodal posterior inside the window.
+        """
         log_density = np.asarray(log_density, dtype=float)
         if log_density.shape != grid.nodes.shape:
             raise ValueError("log_density shape does not match grid")
@@ -62,18 +84,27 @@ class Posterior:
             raise DegenerateEvidenceError(
                 "posterior is zero (or undefined) at every grid node"
             )
-        shifted = np.exp(log_density - peak)
-        norm = np.trapezoid(shifted, grid.nodes)
-        with np.errstate(divide="ignore"):
-            out = log_density - peak - np.log(norm)
+        above = np.flatnonzero(log_density > peak - _SUPPORT_CUT)
+        support = slice(max(above[0] - 1, 0), above[-1] + 2)
+        norm = _trapezoids(np.exp(log_density[support] - peak), grid.nodes[support]).sum()
+        out = log_density - peak - np.log(norm)
         out.flags.writeable = False
-        return cls(grid=grid, log_density=out)
+        return cls(grid=grid, log_density=out, _support=support)
 
     @cached_property
     def density(self) -> np.ndarray:
         d = np.exp(self.log_density)
         d.flags.writeable = False
         return d
+
+    @cached_property
+    def _support_density(self) -> np.ndarray:
+        return np.exp(self.log_density[self._support])
+
+    @cached_property
+    def _mean(self) -> float:
+        nodes = self.grid.nodes[self._support]
+        return float(_trapezoids(nodes * self._support_density, nodes).sum())
 
     def to_csv(self) -> str:
         """The density as ``phi,density`` CSV text (phi in radians)."""
@@ -183,32 +214,35 @@ def accumulate(outcomes: Sequence[Outcome], grid: PhaseGrid) -> Posterior:
 
 
 def posterior_mean(post: Posterior) -> float:
-    """Mean phase under the posterior, by trapezoidal quadrature."""
-    return float(np.trapezoid(post.grid.nodes * post.density, post.grid.nodes))
+    """Mean phase under the posterior, by trapezoidal quadrature on its support window.
+
+    Computed once per posterior; ``credible_interval`` reuses it.
+    """
+    return post._mean
 
 
 def credible_interval(post: Posterior, level: float = 0.6827) -> float:
     """Half-width of the equal-tail-mass interval of ``level`` around the mean.
 
-    When the interval would overflow a domain edge the missing mass is
-    reassigned to the interior side, so the width stays finite and
-    well-defined even for posteriors peaked at 0 or pi.
+    The cdf is the trapezoidal integral over the support window. When the
+    interval would overflow a domain edge it ends at that edge (``nodes[0]``
+    or ``nodes[-1]``) and the missing mass is taken from the interior side,
+    so the width stays finite and well-defined even for posteriors peaked
+    at 0 or pi.
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
-    nodes = post.grid.nodes
-    cdf = cumulative_trapezoid(post.density, nodes, initial=0.0)
+    nodes = post.grid.nodes[post._support]
+    cdf = np.zeros_like(nodes)
+    np.cumsum(_trapezoids(post._support_density, nodes), out=cdf[1:])
     cdf /= cdf[-1]
-    mass_at_mean = float(np.interp(posterior_mean(post), nodes, cdf))
+    mass_at_mean = float(np.interp(post._mean, nodes, cdf))
     lo = mass_at_mean - level / 2.0
     hi = mass_at_mean + level / 2.0
-    if lo < 0.0:
-        hi -= lo  # push the underflow to the upper side
-        lo = 0.0
-    if hi > 1.0:
-        lo -= hi - 1.0
-        hi = 1.0
-        lo = max(lo, 0.0)
-    a = float(np.interp(lo, cdf, nodes))
-    b = float(np.interp(hi, cdf, nodes))
-    return (b - a) / 2.0
+    if lo <= 0.0:
+        a, b = post.grid.nodes[0], np.interp(level, cdf, nodes)
+    elif hi >= 1.0:
+        a, b = np.interp(1.0 - level, cdf, nodes), post.grid.nodes[-1]
+    else:
+        a, b = np.interp(lo, cdf, nodes), np.interp(hi, cdf, nodes)
+    return float(b - a) / 2.0

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from mzbayes.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from mzbayes.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, load_config, main
 from mzbayes.detector import RetrodictiveWeights
 
 
@@ -78,6 +78,18 @@ class TestConfigErrors:
             pytest.param("scan", {"plan": {"estimators": ["bayes", "bayes"]}},
                          id="repeated-estimator"),
             pytest.param("scan", {"plan": {"estimators": "bayes"}}, id="estimators-string"),
+            pytest.param("scan", {"plan": {"p": 2.7}}, id="fractional-p"),
+            pytest.param("scan", {"plan": {"p": True}}, id="bool-p"),
+            pytest.param("scan", {"plan": {"replicas": 2.9}}, id="fractional-replicas"),
+            pytest.param("scan", {"plan": {"seed": 7.5}}, id="fractional-seed"),
+            pytest.param("scan", {"plan": {"grid_points": 64.5}}, id="fractional-grid-points"),
+            pytest.param("scan", {"model": {"n_max": False}}, id="bool-model-n-max"),
+            pytest.param("fisher", {"noise": {"kind": "identity", "n_max": 4.5}},
+                         id="fractional-noise-n-max"),
+            pytest.param("calibrate", {"calibration": {"pulses_per_phase": 1e3 + 0.5}},
+                         id="fractional-pulses"),
+            pytest.param("calibrate", {"calibration": {"pulses_per_phase": "1000"}},
+                         id="string-pulses"),
         ],
     )
     def test_bad_input_is_config_error(self, tmp_path, capsys, command, doc):
@@ -87,6 +99,11 @@ class TestConfigErrors:
         assert run(*argv, "--config", cfg, "--quiet") == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists() or not any(out.iterdir())
+
+    def test_integral_floats_are_integers(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, {"plan": {"p": 1e3, "seed": 7.0}}))
+        assert cfg["plan"] == {"p": 1000, "seed": 7}
+        assert all(type(v) is int for v in cfg["plan"].values())
 
     def test_unknown_key_is_named(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"plan": {"replica": 3}})

@@ -6,15 +6,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import cumulative_trapezoid, quad
+from scipy.stats import norm
 
-from mzbayes.photon_model import Outcome
+from mzbayes.detector import ConfusionModel, exact_retrodictive_weights, log_posterior_fit
+from mzbayes.photon_model import InterferometerModel, Outcome
 from mzbayes.posterior import (
     DegenerateEvidenceError,
     PhaseGrid,
     Posterior,
     accumulate,
     credible_interval,
+    ideal_likelihood,
+    log_count_density,
+    log_shape,
     normalization_constant,
     posterior_mean,
     single_shot_posterior,
@@ -22,6 +27,43 @@ from mzbayes.posterior import (
 
 counts = st.integers(min_value=0, max_value=12)
 outcomes = st.builds(Outcome, counts, counts)
+
+
+def full_grid_mean(post):
+    """Reference: the full-grid posterior mean."""
+    return float(np.trapezoid(post.grid.nodes * post.density, post.grid.nodes))
+
+
+def full_grid_interval(post, level=0.6827):
+    """Reference: the full-grid credible half-width, with the clamped-end rule."""
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must be in (0, 1), got {level}")
+    nodes = post.grid.nodes
+    cdf = cumulative_trapezoid(post.density, nodes, initial=0.0)
+    cdf /= cdf[-1]
+    mass_at_mean = float(np.interp(full_grid_mean(post), nodes, cdf))
+    lo = mass_at_mean - level / 2.0
+    hi = mass_at_mean + level / 2.0
+    if lo < 0.0:
+        hi -= lo  # push the underflow to the upper side
+        lo = 0.0
+    if hi > 1.0:
+        lo -= hi - 1.0
+        hi = 1.0
+        lo = max(lo, 0.0)
+    # A clamped end is the domain edge, wherever the cdf first leaves 0 or reaches 1.
+    a = float(nodes[0]) if lo == 0.0 else float(np.interp(lo, cdf, nodes))
+    b = float(nodes[-1]) if hi == 1.0 else float(np.interp(hi, cdf, nodes))
+    return (b - a) / 2.0
+
+
+def bimodal_posterior(grid, sigma, left_mass=0.3, left=1.0, right=2.5):
+    """Two Gaussian modes; the mass between them underflows to exact zeros."""
+    log_modes = [
+        math.log(mass) - 0.5 * ((grid.nodes - mu) / sigma) ** 2
+        for mass, mu in ((left_mass, left), (1.0 - left_mass, right))
+    ]
+    return Posterior.from_log_density(grid, np.logaddexp(*log_modes))
 
 
 class TestPhaseGrid:
@@ -178,6 +220,91 @@ class TestCredibleInterval:
         grid = PhaseGrid(1024)
         dt = credible_interval(single_shot_posterior(outcome, grid), level=level)
         assert 0.0 <= dt <= math.pi / 2 + 1e-12
+
+
+class TestClampedEnds:
+    @pytest.mark.parametrize("sigma", [0.02, 0.03])
+    def test_clamped_lower_end_is_the_domain_edge(self, grid, sigma):
+        # Mean 2.05 rad has 0.3 of the mass below it, so the lower end is
+        # clamped to 0 and the upper end sits where the cdf reaches the level.
+        post = bimodal_posterior(grid, sigma)
+        upper = 2.5 + sigma * norm.ppf((0.6827 - 0.3) / 0.7)
+        assert credible_interval(post) == pytest.approx(upper / 2.0, abs=1e-4)
+
+    def test_clamped_upper_end_is_the_domain_edge(self, grid):
+        post = bimodal_posterior(grid, 0.02, left_mass=0.7, left=0.6, right=2.1)
+        lower = 0.6 + 0.02 * norm.ppf((1.0 - 0.6827) / 0.7)
+        assert credible_interval(post) == pytest.approx((math.pi - lower) / 2.0, abs=1e-4)
+
+
+# The windowed moments drop only mass below e^-40 of the peak, so they
+# agree with the full grid to float rounding.
+WINDOW_TOL = 1e-12
+WEIGHTS = exact_retrodictive_weights(
+    ConfusionModel.paper_regime(), InterferometerModel(nbar=1.08)
+)
+grids = st.sampled_from([PhaseGrid(n) for n in (2, 3, 64, 1024, 4096)])
+levels = st.sampled_from([0.6827]) | st.floats(min_value=0.05, max_value=0.95)
+large_counts = st.integers(min_value=1, max_value=5000)
+
+
+def assert_matches_full_grid(post, level=0.6827):
+    assert abs(posterior_mean(post) - full_grid_mean(post)) <= WINDOW_TOL
+    assert abs(credible_interval(post, level) - full_grid_interval(post, level)) <= WINDOW_TOL
+
+
+class TestSupportWindow:
+    @given(
+        grid=grids,
+        totals=st.one_of(
+            st.tuples(large_counts, st.just(0)),  # peaked at 0
+            st.tuples(st.just(0), large_counts),  # peaked at pi
+            st.tuples(st.integers(0, 1), st.integers(0, 1)),  # p <= 1: nearly flat
+            st.tuples(st.integers(0, 5000), st.integers(0, 5000)),
+        ),
+        level=levels,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_ideal_posteriors_match_full_grid(self, grid, totals, level):
+        log_density = ideal_likelihood(grid).on_grid(np.array(totals))
+        assert_matches_full_grid(Posterior.from_log_density(grid, log_density), level)
+
+    @given(
+        grid=grids,
+        histogram=st.lists(st.integers(0, 400), min_size=25, max_size=25),
+        level=levels,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_noisy_mixture_posteriors_match_full_grid(self, grid, histogram, level):
+        rows = log_posterior_fit(WEIGHTS, grid.nodes)
+        log_density = log_count_density(np.array(histogram), rows)
+        assert_matches_full_grid(Posterior.from_log_density(grid, log_density), level)
+
+    @given(
+        sigma=st.floats(min_value=0.005, max_value=0.1),
+        left_mass=st.floats(min_value=0.05, max_value=0.3),
+        left=st.floats(min_value=0.6, max_value=1.2),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_clamped_bimodal_posteriors_match_full_grid(self, grid, sigma, left_mass, left):
+        assert_matches_full_grid(bimodal_posterior(grid, sigma, left_mass, left))
+
+    def test_flat_prior_window_is_the_whole_grid(self, grid):
+        post = Posterior.from_log_density(grid, np.zeros(grid.n_points))
+        assert grid.nodes[post._support].size == grid.n_points
+        assert_matches_full_grid(post)
+
+    # normalization_constant overflows float64 past about 1000 total counts.
+    @given(outcome=st.builds(Outcome, st.integers(0, 400), st.integers(0, 400)))
+    @settings(max_examples=50, deadline=None)
+    def test_normalization_matches_closed_form(self, grid, outcome):
+        log_density = log_shape(outcome, grid.nodes)
+        post = Posterior.from_log_density(grid, log_density)
+        finite = np.isfinite(log_density)
+        log_c = post.log_density[finite] - log_density[finite]
+        np.testing.assert_allclose(
+            log_c, math.log(normalization_constant(outcome)), rtol=0, atol=1e-10
+        )
 
 
 class TestExport:
