@@ -98,13 +98,19 @@ class ConfusionModel:
 def _apply_port(
     counts: np.ndarray, K: np.ndarray, n_max: int, rng: np.random.Generator
 ) -> np.ndarray:
+    """Misread each count: one uniform per pulse against its column's cdf.
+
+    The same arithmetic as ``rng.choice(n_max + 1, p=K[:, t])`` on the same
+    uniforms, drawn group by group in ascending true count ``t``, so the
+    reported counts and the generator's final state are those of ``choice``.
+    """
     folded = np.minimum(counts, n_max)
+    cdf = np.cumsum(K.T, axis=1)
+    cdf /= cdf[:, -1:]
     out = np.empty_like(folded)
-    for t in range(n_max + 1):
-        mask = folded == t
-        n = int(mask.sum())
-        if n:
-            out[mask] = rng.choice(n_max + 1, size=n, p=K[:, t])
+    sizes = np.bincount(folded.ravel(), minlength=n_max + 1)
+    for t in np.flatnonzero(sizes):
+        out[folded == t] = cdf[t].searchsorted(rng.random(sizes[t]), side="right")
     return out
 
 
@@ -355,36 +361,57 @@ class RetrodictiveWeights:
         return cls(table=table, n_max=n_max, nbar=None if nbar is None else float(nbar))
 
 
-def _em_port_confusion(
+def _em_step(
+    K: np.ndarray, observed_counts: np.ndarray, true_dists: np.ndarray
+) -> np.ndarray:
+    """One EM update of forward matrices ``K[..., m, t]``, leading axes stacked.
+
+    The E-step responsibility of true count t for reported m at phase j is
+    ``K[m, t] true_dists[j, t] / p_m[j, m]``; summed against the observed
+    counts it factors into ``K * (ratio.T @ true_dists)`` with
+    ``ratio = observed / p_m`` (0 where ``p_m`` is 0). Call it under
+    ``np.errstate(divide="ignore", invalid="ignore")``.
+    """
+    p_m = true_dists @ K.swapaxes(-1, -2)
+    ratio = np.where(p_m > 0.0, observed_counts / p_m, 0.0)
+    K_new = K * (ratio.swapaxes(-1, -2) @ true_dists)
+    col_sums = K_new.sum(axis=-2, keepdims=True)
+    if np.any(col_sums <= 0.0):
+        raise FitError("degenerate confusion fit: unpopulated true count")
+    K_new /= col_sums
+    return K_new
+
+
+def _em_confusion(
     observed_counts: np.ndarray,
     true_dists: np.ndarray,
     max_iter: int = 5000,
     tol: float = 1e-13,
 ) -> np.ndarray:
-    """Maximum-likelihood K for one port by EM over the latent true counts.
+    """Maximum-likelihood K of each port by EM over the latent true counts.
 
-    ``observed_counts[j, m]`` are per-phase histogram counts of the
-    reported value; ``true_dists[j, t]`` the known (folded Poisson)
-    distribution of the true count at phase j. Column stochasticity is
-    preserved by the M-step.
+    ``observed_counts[port, j, m]`` are per-phase histogram counts of the
+    reported value; ``true_dists[port, j, t]`` the known (folded Poisson)
+    distribution of the true count at phase j. The ports iterate together,
+    and each stops at its own first step below ``tol``. Column
+    stochasticity is preserved by the M-step.
     """
-    n_bins = observed_counts.shape[1]
+    ports, _, n_bins = observed_counts.shape
     K = 0.5 * np.eye(n_bins) + 0.5 / n_bins
-    K /= K.sum(axis=0)
-    for _ in range(max_iter):
-        joint = K[None, :, :] * true_dists[:, None, :]  # [phase, m, t]
-        p_m = joint.sum(axis=2, keepdims=True)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            resp = np.nan_to_num(joint / p_m)
-        K_new = (observed_counts[:, :, None] * resp).sum(axis=0)
-        col_sums = K_new.sum(axis=0)
-        if np.any(col_sums <= 0.0):
-            raise FitError("degenerate confusion fit: unpopulated true count")
-        K_new /= col_sums
-        if np.abs(K_new - K).max() < tol:
-            return K_new
-        K = K_new
-    return K
+    K = np.repeat((K / K.sum(axis=0))[None], ports, axis=0)
+    fitted = np.empty_like(K)
+    done = np.zeros(ports, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            K_new = _em_step(K, observed_counts, true_dists)
+            stopped = ~done & (np.abs(K_new - K).max(axis=(1, 2)) < tol)
+            fitted[stopped] = K_new[stopped]
+            done |= stopped
+            if done.all():
+                return fitted
+            K = K_new
+    fitted[~done] = K[~done]
+    return fitted
 
 
 def fit_confusion_model(
@@ -409,13 +436,9 @@ def fit_confusion_model(
             f"too few distinct calibration phases to resolve {n_max + 1} "
             "true-count levels"
         )
-    obs_c = calib.counts.sum(axis=2).astype(float)
-    obs_d = calib.counts.sum(axis=1).astype(float)
-    return ConfusionModel(
-        forward_c=_em_port_confusion(obs_c, true_c),
-        forward_d=_em_port_confusion(obs_d, true_d),
-        n_max=n_max,
-    )
+    observed = np.stack([calib.counts.sum(axis=2), calib.counts.sum(axis=1)])
+    K_c, K_d = _em_confusion(observed.astype(float), np.stack([true_c, true_d]))
+    return ConfusionModel(forward_c=K_c, forward_d=K_d, n_max=n_max)
 
 
 def fit_retrodictive_weights(

@@ -193,12 +193,18 @@ def normalization_constant(outcome: Outcome) -> float:
     """Constant C with integral_0^pi C cos^{2Nc}(phi/2) sin^{2Nd}(phi/2) dphi = 1.
 
     Evaluated as Gamma(1+Nc+Nd) / (Gamma(1/2+Nc) * Gamma(1/2+Nd)) through
-    log-gamma to avoid overflow at large counts.
+    log-gamma, so the gamma functions themselves never overflow. C itself
+    leaves the float64 range for large, balanced counts, first at a total
+    of 1021 (Nc, Nd = 511, 510); such counts raise ``OverflowError``.
     """
     nc, nd = outcome.n_c, outcome.n_d
-    return float(
-        np.exp(gammaln(1.0 + nc + nd) - gammaln(0.5 + nc) - gammaln(0.5 + nd))
-    )
+    with np.errstate(over="ignore"):
+        c = np.exp(gammaln(1.0 + nc + nd) - gammaln(0.5 + nc) - gammaln(0.5 + nd))
+    if np.isinf(c):
+        raise OverflowError(
+            f"normalization constant of counts ({nc}, {nd}) exceeds the float64 range"
+        )
+    return float(c)
 
 
 def accumulate(outcomes: Sequence[Outcome], grid: PhaseGrid) -> Posterior:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import poisson
 
 from mzbayes.detector import (
@@ -11,11 +13,14 @@ from mzbayes.detector import (
     ConfusionModel,
     FitError,
     RetrodictiveWeights,
+    _em_confusion,
+    _em_step,
     apply_noise,
     apply_noise_counts,
     exact_retrodictive_weights,
     fit_confusion_model,
     fit_retrodictive_weights,
+    measured_port_distributions,
     noisy_joint_likelihood,
     noisy_joint_pmf,
     posterior_fit,
@@ -112,6 +117,73 @@ class TestApplyNoise:
         vec_frac = np.mean(vec[0] == 1)
         sca_frac = np.mean([o.n_c == 1 for o in scalars])
         assert abs(vec_frac - sca_frac) < 0.02
+
+
+def _choice_port(counts, K, n_max, rng):
+    """One ``rng.choice`` call per true count, ascending: the channel's draw oracle."""
+    folded = np.minimum(counts, n_max)
+    out = np.empty_like(folded)
+    for t in range(n_max + 1):
+        mask = folded == t
+        n = int(mask.sum())
+        if n:
+            out[mask] = rng.choice(n_max + 1, size=n, p=K[:, t])
+    return out
+
+
+@st.composite
+def forward_matrices(draw, n_max):
+    """Column-stochastic K with silent (all-zero) rows and deterministic columns."""
+    bins = n_max + 1
+    silent = draw(st.sets(st.integers(0, n_max), max_size=n_max))
+    live = [m for m in range(bins) if m not in silent]
+    K = np.zeros((bins, bins))
+    for t in range(bins):
+        if draw(st.booleans()):
+            K[draw(st.sampled_from(live)), t] = 1.0
+        else:
+            w = draw(st.lists(st.integers(0, 1000), min_size=len(live), max_size=len(live)))
+            K[live, t] = w if sum(w) > 0 else np.eye(len(live))[0]
+    return K / K.sum(axis=0)
+
+
+class TestChannelDraws:
+    @given(data=st.data(), n_max=st.integers(0, 6), seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_choice_draw_for_draw(self, data, n_max, seed):
+        model = ConfusionModel(
+            forward_c=data.draw(forward_matrices(n_max)),
+            forward_d=data.draw(forward_matrices(n_max)),
+            n_max=n_max,
+        )
+        pulses = data.draw(st.integers(0, 300))
+        counts = st.lists(st.integers(0, n_max + 3), min_size=pulses, max_size=pulses)
+        n_c = np.array(data.draw(counts), dtype=np.int64)
+        n_d = np.array(data.draw(counts), dtype=np.int64)
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = apply_noise_counts(n_c, n_d, model, rng)
+        want = (
+            _choice_port(n_c, model.forward_c, n_max, oracle_rng),
+            _choice_port(n_d, model.forward_d, n_max, oracle_rng),
+        )
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+        assert rng.random() == oracle_rng.random()
+
+    @pytest.mark.parametrize("pulses", [0, 1], ids=["empty", "one-pulse"])
+    def test_edge_sizes_match_choice(self, regime, pulses):
+        n_c, n_d = np.full(pulses, 7), np.full(pulses, 2)
+        rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
+        got = apply_noise_counts(n_c, n_d, regime, rng)
+        want = (
+            _choice_port(n_c, regime.forward_c, regime.n_max, oracle_rng),
+            _choice_port(n_d, regime.forward_d, regime.n_max, oracle_rng),
+        )
+        for g, w in zip(got, want):
+            assert g.shape == (pulses,)
+            np.testing.assert_array_equal(g, w)
+        assert rng.random() == oracle_rng.random()
 
 
 class TestNoisyLikelihood:
@@ -294,6 +366,95 @@ class TestFit:
         for record, (nc, nd) in zip(caught, unsupported):
             assert f"measured pair ({nc},{nd})" in str(record.message)
             np.testing.assert_allclose(w.distribution(nc, nd), 1.0 / 25.0, atol=1e-12)
+
+
+def _einsum_em_step(K, observed_counts, true_dists):
+    """One step of the per-phase responsibility EM for one port: the step oracle."""
+    joint = K[None, :, :] * true_dists[:, None, :]  # [phase, m, t]
+    p_m = joint.sum(axis=2, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        resp = np.nan_to_num(joint / p_m)
+    K_new = (observed_counts[:, :, None] * resp).sum(axis=0)
+    col_sums = K_new.sum(axis=0)
+    if np.any(col_sums <= 0.0):
+        raise FitError("degenerate confusion fit: unpopulated true count")
+    return K_new / col_sums
+
+
+def _einsum_em(observed_counts, true_dists, max_iter=5000, tol=1e-13):
+    """The one-port EM loop of the oracle step: the fitted K and its iteration count."""
+    n_bins = observed_counts.shape[1]
+    K = 0.5 * np.eye(n_bins) + 0.5 / n_bins
+    K /= K.sum(axis=0)
+    for iteration in range(1, max_iter + 1):
+        K_new = _einsum_em_step(K, observed_counts, true_dists)
+        if np.abs(K_new - K).max() < tol:
+            return K_new, iteration
+        K = K_new
+    return K, max_iter
+
+
+def _port_data(calib, ideal):
+    """Stacked per-port observed histograms and folded true-count distributions."""
+    true_c, true_d = measured_port_distributions(
+        calib.phases, ConfusionModel.identity(calib.n_max), ideal
+    )
+    observed = np.stack([calib.counts.sum(axis=2), calib.counts.sum(axis=1)])
+    return observed.astype(float), np.stack([true_c.T, true_d.T])
+
+
+class TestEmStep:
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        bins=st.integers(1, 6),
+        phases=st.integers(1, 40),
+        silent_row=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matrix_step_matches_einsum_step(self, seed, bins, phases, silent_row):
+        gen = np.random.default_rng(seed)
+        live = np.ones(bins, dtype=bool)
+        if silent_row and bins > 1:
+            # an underflowed row: p_m is 0 for that reported count at every phase
+            live[gen.integers(bins)] = False
+        K = gen.random((bins, bins)) ** 4 * live[:, None]
+        K[gen.random(K.shape) < 0.3] = 0.0
+        K[np.ix_(live, K.sum(axis=0) == 0.0)] = 1.0
+        K /= K.sum(axis=0)
+        true_dists = gen.random((phases, bins))
+        true_dists[gen.random(true_dists.shape) < 0.2] = 0.0
+        true_dists /= np.maximum(true_dists.sum(axis=1, keepdims=True), 1e-300)
+        observed = np.floor(gen.random((phases, bins)) * 1000.0)
+        assert live.all() or np.any(true_dists @ K.T == 0.0)
+        try:
+            want = _einsum_em_step(K, observed, true_dists)
+        except FitError:
+            with pytest.raises(FitError), np.errstate(divide="ignore", invalid="ignore"):
+                _em_step(K, observed, true_dists)
+            return
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = _em_step(K, observed, true_dists)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    def test_full_fit_matches_einsum_loop(self, noisy_calibration, ideal_model):
+        observed, true_dists = _port_data(noisy_calibration, ideal_model)
+        fitted = fit_confusion_model(noisy_calibration, ideal_model)
+        for K, obs, true in zip((fitted.forward_c, fitted.forward_d), observed, true_dists):
+            np.testing.assert_allclose(K, _einsum_em(obs, true)[0], rtol=0, atol=1e-12)
+
+    def test_each_port_stops_on_its_own_step(self, noisy_calibration, ideal_model):
+        observed, true_dists = _port_data(noisy_calibration, ideal_model)
+        fitted = _em_confusion(observed, true_dists, tol=1e-5)
+        oracle = [_einsum_em(obs, true, tol=1e-5) for obs, true in zip(observed, true_dists)]
+        assert oracle[0][1] != oracle[1][1] and max(it for _, it in oracle) < 5000
+        for K, (want, _) in zip(fitted, oracle):
+            np.testing.assert_allclose(K, want, rtol=0, atol=1e-12)
+
+    def test_unpopulated_true_count_is_a_fit_error(self, noisy_calibration, ideal_model):
+        observed, true_dists = _port_data(noisy_calibration, ideal_model)
+        true_dists[1, :, 3] = 0.0
+        with pytest.raises(FitError, match="unpopulated true count"):
+            _em_confusion(observed, true_dists)
 
 
 def _scalar_retrodictive_table(model, ideal, n_quad=2001):

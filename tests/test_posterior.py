@@ -137,6 +137,10 @@ class TestNormalizationConstant:
         c = normalization_constant(Outcome(500, 500))
         assert math.isfinite(c) and c > 0
 
+    def test_constant_beyond_float_range_raises(self):
+        with pytest.raises(OverflowError, match=r"counts \(520, 520\)"):
+            normalization_constant(Outcome(520, 520))
+
 
 class TestAccumulate:
     def test_single_outcome_matches_single_shot(self, grid):
