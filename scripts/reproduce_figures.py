@@ -6,7 +6,8 @@ Runs the full pipeline into an output directory:
   1. calibrate the noisy detector regime (weights, histograms, fringe),
   2. ideal sensitivity + bias scans over the 19-point default grid,
   3. noisy sensitivity + bias scans (Bayes and YMK),
-  4. CRLB curves for the ideal and fitted noisy models.
+  4. CRLB curves for the ideal model and for the configured misread
+     channel (``paper_regime``, not the channel fitted in step 1).
 
 Everything is seeded, so reruns reproduce identical CSVs. Plot the
 outputs with any CSV-aware tool; angles in all files are in units of pi.

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from mzbayes._csv import csv_text
-from mzbayes.photon_model import InterferometerModel, Outcome, _log_poisson_pmf
+from mzbayes.photon_model import InterferometerModel, Outcome, PhaseDomainError, _check_phase
 from mzbayes.posterior import PhaseGrid, Posterior
 
 _COLUMN_TOL = 1e-12
@@ -46,7 +46,7 @@ def _validate_forward(K: np.ndarray, n_max: int, name: str) -> np.ndarray:
     K = np.asarray(K, dtype=float)
     if K.shape != (n_max + 1, n_max + 1):
         raise ValueError(f"{name} must be {(n_max + 1, n_max + 1)}, got {K.shape}")
-    if np.any(K < 0.0) or np.any(K > 1.0):
+    if not np.all((K >= 0.0) & (K <= 1.0)):
         raise ValueError(f"{name} entries must lie in [0, 1]")
     col_sums = K.sum(axis=0)
     if np.any(np.abs(col_sums - 1.0) > _COLUMN_TOL):
@@ -148,16 +148,11 @@ def measured_port_distributions(
     ``phi`` is a phase or an array of G phases; each port's distribution
     is then ``(n_max+1,)`` or ``(n_max+1, G)``. It is the forward matrix
     times the matrix folding true counts above ``n_max`` into the ``n_max``
-    bin times the Poisson pmf matrix of the true counts.
+    bin times the Poisson pmfs of the true counts.
     """
-    mu_c, mu_d = ideal.output_means(phi)
-    true = np.arange(ideal.n_max + 1)
-    fold = np.minimum(true, model.n_max)
-    true = true.reshape((-1,) + (1,) * np.ndim(mu_c))
-    return (
-        model.forward_c[:, fold] @ np.exp(_log_poisson_pmf(true, mu_c)),
-        model.forward_d[:, fold] @ np.exp(_log_poisson_pmf(true, mu_d)),
-    )
+    fold = np.minimum(np.arange(ideal.n_max + 1), model.n_max)
+    p_c, p_d = ideal.port_pmfs(phi)
+    return model.forward_c[:, fold] @ p_c, model.forward_d[:, fold] @ p_d
 
 
 def _check_reportable(n_c: np.ndarray, n_d: np.ndarray, n_max: int) -> None:
@@ -202,8 +197,7 @@ def noisy_joint_pmf(model: ConfusionModel, ideal: InterferometerModel):
     """Callable phi -> joint pmf matrix over measured pairs {0..n_max}^2."""
 
     def pmf(phi: float) -> np.ndarray:
-        dist_c, dist_d = measured_port_distributions(phi, model, ideal)
-        return np.outer(dist_c, dist_d)
+        return np.outer(*measured_port_distributions(phi, model, ideal))
 
     return pmf
 
@@ -279,8 +273,10 @@ def simulate_calibration(
     phases = np.asarray(phases, dtype=float)
     if pulses_per_phase < 1:
         raise CalibrationError(f"need >= 1 pulse per phase, got {pulses_per_phase}")
-    if np.any(phases < 0.0) or np.any(phases > np.pi):
-        raise CalibrationError("calibration phases must lie in [0, pi]")
+    try:
+        _check_phase(phases)
+    except PhaseDomainError as exc:
+        raise CalibrationError(f"calibration {exc}") from None
     n_bins = model.n_max + 1
     counts = np.zeros((len(phases), n_bins, n_bins), dtype=np.int64)
     streams = rng.spawn(len(phases))
@@ -312,8 +308,8 @@ class RetrodictiveWeights:
         table = np.asarray(self.table, dtype=float)
         if table.shape != shape:
             raise ValueError(f"weights table must be {shape}, got {table.shape}")
-        if np.any(table < 0.0):
-            raise ValueError("weights must be non-negative")
+        if not np.all((table >= 0.0) & (table <= 1.0)):
+            raise ValueError("weights must lie in [0, 1]")
         sums = table.sum(axis=(2, 3))
         if np.any(np.abs(sums - 1.0) > 1e-9):
             raise ValueError("each retrodictive distribution must sum to 1")

@@ -37,8 +37,9 @@ class FringeParams:
     amplitude: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.amplitude > 0:
-            raise ValueError(f"amplitude must be > 0, got {self.amplitude}")
+        finite = all(map(math.isfinite, (self.a, self.b, self.amplitude)))
+        if not (finite and self.amplitude > 0):
+            raise ValueError(f"fringe parameters must be finite with amplitude > 0, got {self}")
 
 
 def _counts(n_c, n_d) -> tuple[np.ndarray, np.ndarray]:
@@ -58,13 +59,11 @@ def _mean_difference(n_c, n_d) -> float:
 def classical_estimate(n_c, n_d, nbar: float) -> float:
     """arccos(M_p / nbar) with the argument clamped to [-1, 1].
 
-    Clamping keeps the estimator total: finite-sample noise routinely
-    pushes |M_p| past nbar near theta = 0 or pi.
+    The ideal fringe (a, b, amplitude) = (0, 0, nbar) inverted by
+    ``noisy_classical_estimate``. Clamping keeps the estimator total:
+    finite-sample noise routinely pushes |M_p| past nbar near theta = 0 or pi.
     """
-    if not nbar > 0:
-        raise ValueError(f"nbar must be > 0, got {nbar}")
-    arg = _mean_difference(n_c, n_d) / nbar
-    return math.acos(min(1.0, max(-1.0, arg)))
+    return noisy_classical_estimate(n_c, n_d, FringeParams(amplitude=nbar))
 
 
 def classical_uncertainty(theta: float, nbar: float, p: int) -> float:

@@ -37,7 +37,7 @@ from mzbayes.estimators import (
     noisy_classical_estimate,
     ymk_mean_estimate,
 )
-from mzbayes.photon_model import InterferometerModel
+from mzbayes.photon_model import InterferometerModel, PhaseDomainError, _check_phase
 from mzbayes.posterior import (
     CountLikelihood,
     PhaseGrid,
@@ -75,12 +75,13 @@ class ExperimentPlan:
     estimators: tuple[str, ...] = ("bayes",)
 
     def __post_init__(self) -> None:
-        thetas = np.asarray(self.theta_grid, dtype=float)
+        thetas = np.array(self.theta_grid, dtype=float)
         if thetas.ndim != 1 or thetas.size < 1:
             raise ValueError("theta_grid must be a non-empty 1-D array")
-        if np.any(thetas < 0.0) or np.any(thetas > np.pi):
-            raise ValueError("theta_grid must lie in [0, pi]")
-        thetas = thetas.copy()
+        try:
+            _check_phase(thetas)
+        except PhaseDomainError as exc:
+            raise ValueError(f"theta_grid: {exc}") from None
         thetas.flags.writeable = False
         object.__setattr__(self, "theta_grid", thetas)
         if self.p < 1:
@@ -96,13 +97,9 @@ class ExperimentPlan:
         unknown = set(self.estimators) - set(ESTIMATOR_NAMES)
         if unknown:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")
-        if self.noise is not None and self.weights is None:
-            raise ValueError("a noise model requires fitted retrodictive weights")
-        if (
-            self.noise is not None
-            and self.weights is not None
-            and self.noise.n_max != self.weights.n_max
-        ):
+        if (self.noise is None) != (self.weights is None):
+            raise ValueError("a noise model and retrodictive weights come together")
+        if self.noise is not None and self.noise.n_max != self.weights.n_max:
             raise ValueError(
                 f"noise model n_max {self.noise.n_max} does not match the "
                 f"retrodictive weights' n_max {self.weights.n_max}"
@@ -111,7 +108,7 @@ class ExperimentPlan:
     @cached_property
     def bayes_table(self) -> CountLikelihood:
         """Bayes: the port totals, or the measured pairs through the retrodictive mixture."""
-        if self.weights is None:
+        if self.noise is None:
             return ideal_likelihood(self.grid)
         return CountLikelihood(
             partial(log_posterior_fit, self.weights),
@@ -123,7 +120,7 @@ class ExperimentPlan:
     def ml_table(self) -> CountLikelihood:
         """ML: the port totals, or the per-port histograms through the misread channel."""
         if self.noise is None:
-            return ideal_likelihood(self.grid)
+            return self.bayes_table
         return CountLikelihood(
             noisy_log_likelihood_grid(self.noise, self.model),
             partial(port_histograms, n_max=self.noise.n_max),
@@ -172,7 +169,7 @@ def _estimators(
     Each entry looks its estimator up as a module global when called, so
     a wrapper installed on that name sees every call.
     """
-    fringe = plan.fringe or FringeParams(a=0.0, b=0.0, amplitude=plan.model.nbar)
+    fringe = plan.fringe or FringeParams(amplitude=plan.model.nbar)
 
     def bayes(n_c, n_d):
         post = plan.posterior(n_c, n_d)

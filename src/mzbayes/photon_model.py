@@ -72,8 +72,8 @@ class InterferometerModel:
     n_max: int = 25
 
     def __post_init__(self) -> None:
-        if not self.nbar > 0:
-            raise ValueError(f"nbar must be > 0, got {self.nbar}")
+        if not (self.nbar > 0 and np.isfinite(self.nbar)):
+            raise ValueError(f"nbar must be finite and > 0, got {self.nbar}")
         if self.n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {self.n_max}")
 
@@ -107,13 +107,18 @@ class InterferometerModel:
             outcome.n_d, mu_d
         )
 
+    def port_pmfs(self, phi) -> tuple[np.ndarray, np.ndarray]:
+        """Poisson pmfs of counts 0..n_max (the tail cut, not folded) at ports c and d.
+
+        Each is ``(n_max+1,)`` for a phase, ``(n_max+1, G)`` for G phases.
+        """
+        mu_c, mu_d = self.output_means(phi)
+        k = np.arange(self.n_max + 1).reshape((-1,) + (1,) * np.ndim(mu_c))
+        return np.exp(_log_poisson_pmf(k, mu_c)), np.exp(_log_poisson_pmf(k, mu_d))
+
     def joint_pmf(self, phi: float) -> np.ndarray:
         """Truncated joint pmf over counts {0..n_max}^2 as a 2-D array."""
-        mu_c, mu_d = self.output_means(phi)
-        k = np.arange(self.n_max + 1)
-        p_c = np.exp(_log_poisson_pmf(k, mu_c))
-        p_d = np.exp(_log_poisson_pmf(k, mu_d))
-        return np.outer(p_c, p_d)
+        return np.outer(*self.port_pmfs(phi))
 
     def sample_counts(
         self, phi: float, p: int, rng: np.random.Generator

@@ -1,6 +1,7 @@
 """Command-line front end: configs, outputs, exit codes, idempotence."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,10 +10,29 @@ from mzbayes.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, load_config, main
 from mzbayes.detector import RetrodictiveWeights
 
 
+_IDENTITY_WEIGHTS = json.loads(RetrodictiveWeights.identity().to_json())["weights"]
 # A weights file as written before weights.json recorded its nbar.
-_WEIGHTS_WITHOUT_NBAR = json.dumps(
-    {"n_max": 4, "weights": json.loads(RetrodictiveWeights.identity().to_json())["weights"]}
+_WEIGHTS_WITHOUT_NBAR = json.dumps({"n_max": 4, "weights": _IDENTITY_WEIGHTS})
+_WEIGHTS = json.dumps({"n_max": 4, "nbar": 1.08, "weights": _IDENTITY_WEIGHTS})
+_WEIGHTS_WITH_NAN = json.dumps(
+    {"n_max": 4, "nbar": 1.08, "weights": {**_IDENTITY_WEIGHTS, "(0,0)": {"(0,0)": math.nan}}}
 )
+
+_EYE = np.eye(5).tolist()
+_NAN_DIAGONAL = np.diag([math.nan, 1.0, 1.0, 1.0, 1.0]).tolist()
+# Non-finite config values: (command, config, text the error names).
+_NON_FINITE = {
+    "nan-theta-grid": ("scan", {"plan": {"theta_grid_pi": [0.5, math.nan]}}, "theta_grid"),
+    "nan-calibration-phase": (
+        "calibrate", {"calibration": {"phases_pi": [0.1, math.nan]}}, "calibration phase",
+    ),
+    "infinite-nbar": ("scan", {"model": {"nbar": math.inf}}, "nbar"),
+    "nan-forward-matrix": (
+        "calibrate",
+        {"noise": {"kind": "matrix", "forward_c": _NAN_DIAGONAL, "forward_d": _EYE}},
+        "forward_c",
+    ),
+}
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -90,6 +110,8 @@ class TestConfigErrors:
                          id="fractional-pulses"),
             pytest.param("calibrate", {"calibration": {"pulses_per_phase": "1000"}},
                          id="string-pulses"),
+            *(pytest.param(command, doc, id=name)
+              for name, (command, doc, _) in _NON_FINITE.items()),
         ],
     )
     def test_bad_input_is_config_error(self, tmp_path, capsys, command, doc):
@@ -99,6 +121,13 @@ class TestConfigErrors:
         assert run(*argv, "--config", cfg, "--quiet") == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command, doc, named", _NON_FINITE.values(), ids=_NON_FINITE)
+    def test_non_finite_value_is_named(self, tmp_path, capsys, command, doc, named):
+        cfg = write_config(tmp_path, {**doc, "output": {"dir": str(tmp_path / "out")}})
+        argv = [command, "bias"] if command == "scan" else [command]
+        assert run(*argv, "--config", cfg, "--quiet") == EXIT_CONFIG
+        assert named in capsys.readouterr().err
 
     def test_integral_floats_are_integers(self, tmp_path):
         cfg = load_config(write_config(tmp_path, {"plan": {"p": 1e3, "seed": 7.0}}))
@@ -116,19 +145,24 @@ class TestConfigErrors:
         assert "plan.estimators" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "weights_text, named",
+        "weights_text, fringe_text, named",
         [
-            ('{"n_max": 4}', "weights.json"),
-            ("{not json", "weights.json"),
-            (_WEIGHTS_WITHOUT_NBAR, "re-run the calibrate command"),
+            ('{"n_max": 4}', None, "weights.json"),
+            ("{not json", None, "weights.json"),
+            (_WEIGHTS_WITHOUT_NBAR, None, "re-run the calibrate command"),
+            (_WEIGHTS_WITH_NAN, None, "weights must lie in [0, 1]"),
+            (_WEIGHTS, '{"a": 0.0, "b": NaN, "amplitude": 1.0}',
+             "fringe parameters must be finite"),
         ],
-        ids=["no-weights-key", "not-json", "no-nbar"],
+        ids=["no-weights-key", "not-json", "no-nbar", "nan-weight", "nan-fringe"],
     )
     def test_bad_weights_file_is_config_error(
-        self, tmp_path, capsys, weights_text, named
+        self, tmp_path, capsys, weights_text, fringe_text, named
     ):
         weights = tmp_path / "weights.json"
         weights.write_text(weights_text)
+        if fringe_text is not None:
+            (tmp_path / "fringe.json").write_text(fringe_text)
         cfg = write_config(
             tmp_path,
             {

@@ -69,6 +69,9 @@ class TestConfusionModel:
         K[0, 0], K[1, 0] = 1.5, -0.5
         with pytest.raises(ValueError):
             ConfusionModel(forward_c=K, forward_d=np.eye(5))
+        K[0, 0], K[1, 0] = np.nan, 0.0
+        with pytest.raises(ValueError, match="forward_d"):
+            ConfusionModel(forward_c=np.eye(5), forward_d=K)
 
     def test_identity_flag(self):
         assert ConfusionModel.identity().is_identity()
@@ -241,6 +244,10 @@ class TestCalibration:
             simulate_calibration(
                 [-0.1], 100, regime, ideal_model, np.random.default_rng(0)
             )
+        with pytest.raises(CalibrationError):
+            simulate_calibration(
+                [0.5, np.nan], 100, regime, ideal_model, np.random.default_rng(0)
+            )
 
     def test_histogram_totals(self, regime, ideal_model):
         calib = simulate_calibration(
@@ -282,6 +289,13 @@ class TestRetrodictiveWeights:
     def test_distributions_sum_to_one_enforced(self):
         table = np.zeros((5, 5, 5, 5))
         with pytest.raises(ValueError):
+            RetrodictiveWeights(table=table)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        table = RetrodictiveWeights.identity().table.copy()
+        table[0, 0, 0, 0] = bad
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
             RetrodictiveWeights(table=table)
 
     def test_json_roundtrip(self, fitted_weights):

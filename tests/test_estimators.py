@@ -63,6 +63,8 @@ class TestClassical:
             classical_estimate(*pulses([]), nbar=1.0)
         with pytest.raises(ValueError):
             classical_estimate(*pulses([Outcome(1, 0)]), nbar=0.0)
+        with pytest.raises(ValueError):
+            classical_estimate(*pulses([Outcome(1, 0)]), nbar=math.inf)
 
     @given(data=st.lists(outcomes, min_size=1, max_size=20))
     @settings(max_examples=50)
@@ -92,6 +94,15 @@ class TestFringe:
     def test_amplitude_must_be_positive(self):
         with pytest.raises(ValueError):
             FringeParams(amplitude=0.0)
+
+    @pytest.mark.parametrize(
+        "params",
+        [{"a": math.nan}, {"b": math.nan}, {"b": math.inf}, {"amplitude": math.inf}],
+        ids=["nan-a", "nan-b", "infinite-b", "infinite-amplitude"],
+    )
+    def test_parameters_must_be_finite(self, params):
+        with pytest.raises(ValueError, match="finite"):
+            FringeParams(**params)
 
     def test_noiseless_fit_recovers_ideal_fringe(self, ideal_model):
         phases = np.pi * np.linspace(0.05, 0.95, 19)

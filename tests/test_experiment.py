@@ -45,6 +45,8 @@ class TestPlan:
             small_plan(replicas=0)
         with pytest.raises(ValueError):
             small_plan(theta_grid=np.array([4.0]))
+        with pytest.raises(ValueError, match="theta_grid"):
+            small_plan(theta_grid=np.array([0.5, np.nan]))
         with pytest.raises(ValueError):
             small_plan(estimators=("bayes", "psychic"))
         with pytest.raises(ValueError):
@@ -60,6 +62,8 @@ class TestPlan:
                 noise=ConfusionModel.paper_regime(n_max=4),
                 weights=RetrodictiveWeights.identity(n_max=3),
             )
+        with pytest.raises(ValueError, match="come together"):
+            small_plan(weights=RetrodictiveWeights.identity())
 
     def test_noise_requires_weights(self):
         with pytest.raises(ValueError):
@@ -69,6 +73,10 @@ class TestPlan:
             noise=ConfusionModel.paper_regime(),
             weights=RetrodictiveWeights.identity(),
         )
+
+    def test_ideal_plan_builds_one_table(self):
+        plan = small_plan()
+        assert plan.ml_table is plan.bayes_table
 
     def test_manifest_contents(self):
         plan = small_plan()

@@ -54,6 +54,9 @@ class TestOutputMeans:
             InterferometerModel(nbar=0.0)
         with pytest.raises(ValueError):
             InterferometerModel(nbar=-1.0)
+        for nbar in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                InterferometerModel(nbar=nbar)
 
 
 class TestOutcome:
@@ -100,6 +103,34 @@ class TestLikelihood:
             model = InterferometerModel(nbar=nbar, n_max=25)
             total = model.joint_pmf(phi_pi * math.pi).sum()
             assert total >= 1.0 - 1e-9
+
+    def test_port_pmfs_match_scipy_poisson(self, model):
+        """Both port pmfs against scipy's, on phases that include 0 and pi.
+
+        At phi = 0 port d has mu = 0: pmf 1 at k = 0 and exactly 0 beyond.
+        The two sum the log pmf in different orders, and exp turns a
+        last-bit difference in a log near -64 into 2.9e-14 relative, so
+        the 1e-14 bound holds down to pmf 1e-25 and 5e-14 below it.
+        """
+        phis = np.linspace(0.0, math.pi, 41)
+        k = np.arange(model.n_max + 1)[:, None]
+        mu_c, mu_d = model.output_means(phis)
+        for pmf, mu in zip(model.port_pmfs(phis), (mu_c, mu_d)):
+            ref = stats.poisson.pmf(k, mu)
+            bulk = ref >= 1e-25
+            np.testing.assert_allclose(pmf[bulk], ref[bulk], rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(pmf, ref, rtol=5e-14, atol=0.0)
+        assert mu_d[0] == 0.0
+        np.testing.assert_array_equal(model.port_pmfs(phis)[1][:, 0], k[:, 0] == 0)
+
+    def test_port_pmfs_of_a_phase_are_its_column(self, model):
+        phis = np.linspace(0.0, math.pi, 7)
+        p_c, p_d = model.port_pmfs(phis)
+        for j, phi in enumerate(phis):
+            c, d = model.port_pmfs(phi)
+            np.testing.assert_array_equal(c, p_c[:, j])
+            np.testing.assert_array_equal(d, p_d[:, j])
+            np.testing.assert_array_equal(model.joint_pmf(phi), np.outer(c, d))
 
     def test_log_likelihood_grid_consistent(self, model):
         phis = np.linspace(0.0, math.pi, 101)
