@@ -8,8 +8,10 @@ emitted CSVs are in units of pi. Subcommands:
   fisher       tabulate Fisher information and the CRLB over a theta grid
 
 Exit codes: 0 success, 2 config/usage error, 3 numerical or fit failure.
-Outputs are written atomically (temp file + rename); a failing command
-leaves no partial files behind.
+Every command checks the ``model``, ``noise`` and ``plan`` sections; the
+others are checked by the command that reads them. Outputs are written
+atomically (temp file + rename) once all are rendered; a failing command
+creates no files and no output directory.
 """
 
 from __future__ import annotations
@@ -125,6 +127,17 @@ def _model_from_config(cfg: dict) -> InterferometerModel:
         raise ConfigError(f"bad model section: {exc}") from exc
 
 
+def _plan_from_config(cfg: dict) -> ExperimentPlan:
+    """The ``model`` and ``plan`` sections as one plan, without a misread channel."""
+    model = _model_from_config(cfg)
+    renamed = {"theta_grid_pi": "theta_grid", "grid_points": "grid"}
+    fields = {renamed.get(key, key): value for key, value in cfg.get("plan", {}).items()}
+    try:
+        return ExperimentPlan(model=model, **fields)
+    except ValueError as exc:
+        raise ConfigError(f"bad plan section: {exc}") from exc
+
+
 def _noise_from_config(cfg: dict) -> ConfusionModel | None:
     if "noise" not in cfg:
         return None
@@ -143,12 +156,6 @@ def _noise_from_config(cfg: dict) -> ConfusionModel | None:
         raise ConfigError(f"bad noise section: {exc}") from exc
 
 
-def _out_dir(cfg: dict) -> Path:
-    path = cfg.get("output", {}).get("dir", Path("."))
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _write_atomic(path: Path, content: str) -> None:
     tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
     with open(tmp, "w", newline="") as fh:
@@ -156,40 +163,38 @@ def _write_atomic(path: Path, content: str) -> None:
     os.replace(tmp, path)
 
 
-def _emit_files(files: dict[Path, str]) -> None:
+def _emit_files(out_dir: Path, files: dict[str, str]) -> None:
     # All contents are rendered before anything is written, so an earlier
-    # failure leaves no partial outputs.
-    for path, content in files.items():
-        _write_atomic(path, content)
+    # failure leaves no partial outputs and no output directory.
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, content in files.items():
+        _write_atomic(out_dir / name, content)
 
 
-def cmd_calibrate(cfg: dict, args) -> int:
-    model = _model_from_config(cfg)
-    noise = _noise_from_config(cfg) or ConfusionModel.identity()
+def cmd_calibrate(
+    cfg: dict, plan: ExperimentPlan, noise: ConfusionModel | None, out_dir: Path, args
+) -> int:
     section = cfg.get("calibration", {})
-    seed = cfg.get("plan", {}).get("seed", ExperimentPlan.seed)
-    if seed < 0:
-        raise ConfigError(f"bad plan.seed: need seed >= 0, got {seed}")
-    out_dir = _out_dir(cfg)
-    rng = np.random.default_rng([seed, 0xCA11])
+    rng = np.random.default_rng([plan.seed, 0xCA11])
     try:
         calib = simulate_calibration(
             section.get("phases_pi", np.pi * np.linspace(0.02, 0.98, 33)),
             section.get("pulses_per_phase", 200_000),
-            noise,
-            model,
+            noise or ConfusionModel.identity(),
+            plan.model,
             rng,
         )
     except CalibrationError as exc:
         raise ConfigError(f"bad calibration section: {exc}") from exc
-    weights = fit_retrodictive_weights(calib, model)
+    weights = fit_retrodictive_weights(calib, plan.model)
     fringe = fit_fringe(calib)
     _emit_files(
+        out_dir,
         {
-            out_dir / "weights.json": weights.to_json() + "\n",
-            out_dir / "calibration.csv": calib.to_csv(),
-            out_dir / "fringe.json": json.dumps(asdict(fringe), indent=2) + "\n",
-        }
+            "weights.json": weights.to_json() + "\n",
+            "calibration.csv": calib.to_csv(),
+            "fringe.json": json.dumps(asdict(fringe), indent=2) + "\n",
+        },
     )
     worst, pair = weights.worst_diagonal()
     if not args.quiet:
@@ -199,27 +204,26 @@ def cmd_calibrate(cfg: dict, args) -> int:
 
 
 def _load_calibration(
-    cfg: dict, nbar: float
+    cfg: dict, out_dir: Path, nbar: float
 ) -> tuple[RetrodictiveWeights, FringeParams | None]:
     """The weights (and fringe, if present) that ``calibrate`` wrote at ``nbar``."""
-    weights_file = cfg.get("calibration", {}).get(
-        "weights_file", _out_dir(cfg) / "weights.json"
-    )
+    weights_file = cfg.get("calibration", {}).get("weights_file", out_dir / "weights.json")
     if not weights_file.is_file():
         raise ConfigError(
             f"noise configured but weights file {weights_file} is missing; "
             "run the calibrate command first"
         )
-    fringe_file = weights_file.with_name("fringe.json")
     try:
         weights = RetrodictiveWeights.from_json(weights_file.read_text())
-        fringe = None
-        if fringe_file.is_file():
-            fringe = FringeParams(**json.loads(fringe_file.read_text()))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"unreadable {weights_file} or its {fringe_file.name}: {exc!r}"
-        ) from exc
+        raise ConfigError(f"unreadable {weights_file}: {exc!r}") from exc
+    fringe_file = weights_file.with_name("fringe.json")
+    fringe = None
+    if fringe_file.is_file():
+        try:
+            fringe = FringeParams(**json.loads(fringe_file.read_text()))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"unreadable {fringe_file}: {exc!r}") from exc
     if weights.nbar is None:
         raise ConfigError(
             f"{weights_file} does not record the nbar it was calibrated at; "
@@ -233,42 +237,27 @@ def _load_calibration(
     return weights, fringe
 
 
-def _plan_from_config(cfg: dict) -> ExperimentPlan:
-    noise = _noise_from_config(cfg)
-    model = _model_from_config(cfg)
-    weights = fringe = None
-    if noise is not None and not noise.is_identity():
-        weights, fringe = _load_calibration(cfg, model.nbar)
-    elif noise is not None:
-        weights = RetrodictiveWeights.identity(noise.n_max)
-    renamed = {"theta_grid_pi": "theta_grid", "grid_points": "grid"}
-    fields = {renamed.get(key, key): value for key, value in cfg.get("plan", {}).items()}
-    try:
-        return ExperimentPlan(
-            model=model,
-            noise=noise,
-            weights=weights,
-            fringe=fringe,
-            **fields,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad plan section: {exc}") from exc
-
-
-def cmd_scan(cfg: dict, args) -> int:
-    plan = _plan_from_config(cfg)
-    out_dir = _out_dir(cfg)
+def cmd_scan(
+    cfg: dict, plan: ExperimentPlan, noise: ConfusionModel | None, out_dir: Path, args
+) -> int:
+    if noise is not None:
+        if noise.is_identity():
+            weights, fringe = RetrodictiveWeights.identity(noise.n_max), None
+        else:
+            weights, fringe = _load_calibration(cfg, out_dir, plan.model.nbar)
+        try:
+            plan = replace(plan, noise=noise, weights=weights, fringe=fringe)
+        except ValueError as exc:
+            raise ConfigError(f"bad plan section: {exc}") from exc
     result = scan(plan)
 
     csv_path = out_dir / f"{args.kind}_scan.csv"
     _emit_files(
+        out_dir,
         {
-            csv_path: result.to_csv(),
-            out_dir / f"{args.kind}_manifest.json": json.dumps(
-                plan.manifest(), indent=2
-            )
-            + "\n",
-        }
+            csv_path.name: result.to_csv(),
+            f"{args.kind}_manifest.json": json.dumps(plan.manifest(), indent=2) + "\n",
+        },
     )
     if not args.quiet:
         if args.kind == "bias":
@@ -295,23 +284,19 @@ def cmd_scan(cfg: dict, args) -> int:
     return EXIT_OK
 
 
-def cmd_fisher(cfg: dict, args) -> int:
-    model = _model_from_config(cfg)
-    noise = _noise_from_config(cfg)
+def cmd_fisher(
+    cfg: dict, plan: ExperimentPlan, noise: ConfusionModel | None, out_dir: Path, args
+) -> int:
     section = cfg.get("fisher", {})
     thetas = section.get("theta_grid_pi", np.pi * np.linspace(0.02, 0.98, 49))
-    pmf = model.joint_pmf if noise is None else noisy_joint_pmf(noise, model)
+    pmf = plan.model.joint_pmf if noise is None else noisy_joint_pmf(noise, plan.model)
     try:
         fishers, bounds = crlb_curve(
-            pmf,
-            thetas,
-            cfg.get("plan", {}).get("p", ExperimentPlan.p),
-            section.get("d_theta", DEFAULT_D_THETA),
+            pmf, thetas, plan.p, section.get("d_theta", DEFAULT_D_THETA)
         )
     except ValueError as exc:
         raise ConfigError(f"bad fisher inputs: {exc}") from exc
-    out_dir = _out_dir(cfg)
-    _emit_files({out_dir / "crlb.csv": crlb_csv(thetas, fishers, bounds)})
+    _emit_files(out_dir, {"crlb.csv": crlb_csv(thetas, fishers, bounds)})
     if not args.quiet:
         print(
             f"fisher range [{fishers.min():.6g}, {fishers.max():.6g}], "
@@ -352,13 +337,11 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.setdefault("plan", {})["seed"] = args.seed
-        if args.out_dir:
-            cfg.setdefault("output", {})["dir"] = Path(args.out_dir)
-        if args.command == "calibrate":
-            return cmd_calibrate(cfg, args)
-        if args.command == "scan":
-            return cmd_scan(cfg, args)
-        return cmd_fisher(cfg, args)
+        out_dir = Path(args.out_dir or cfg.get("output", {}).get("dir", "."))
+        commands = {"calibrate": cmd_calibrate, "scan": cmd_scan, "fisher": cmd_fisher}
+        return commands[args.command](
+            cfg, _plan_from_config(cfg), _noise_from_config(cfg), out_dir, args
+        )
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -18,6 +18,10 @@ import numpy as np
 from scipy.special import gammaln
 
 
+# numpy's Generator.poisson refuses a mean above int64 max less ten standard deviations.
+_POISSON_MAX_MEAN = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
+
+
 class PhaseDomainError(ValueError):
     """Phase outside the identifiable interval [0, pi]."""
 
@@ -72,8 +76,11 @@ class InterferometerModel:
     n_max: int = 25
 
     def __post_init__(self) -> None:
-        if not (self.nbar > 0 and np.isfinite(self.nbar)):
-            raise ValueError(f"nbar must be finite and > 0, got {self.nbar}")
+        if not 0 < self.nbar <= _POISSON_MAX_MEAN:
+            raise ValueError(
+                f"nbar must be finite, > 0 and <= {_POISSON_MAX_MEAN:.4g} "
+                f"(the largest Poisson mean numpy draws), got {self.nbar}"
+            )
         if self.n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {self.n_max}")
 

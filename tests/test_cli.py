@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,11 +19,18 @@ _WEIGHTS_WITH_NAN = json.dumps(
     {"n_max": 4, "nbar": 1.08, "weights": {**_IDENTITY_WEIGHTS, "(0,0)": {"(0,0)": math.nan}}}
 )
 
+_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 _EYE = np.eye(5).tolist()
 _NAN_DIAGONAL = np.diag([math.nan, 1.0, 1.0, 1.0, 1.0]).tolist()
 # Non-finite config values: (command, config, text the error names).
 _NON_FINITE = {
     "nan-theta-grid": ("scan", {"plan": {"theta_grid_pi": [0.5, math.nan]}}, "theta_grid"),
+    # fisher and calibrate do not read the plan's phases, but still check them
+    "fisher-nan-theta-grid": ("fisher", {"plan": {"theta_grid_pi": [math.nan]}}, "theta_grid"),
+    "calibrate-nan-theta-grid": (
+        "calibrate", {"plan": {"theta_grid_pi": [math.nan]}}, "theta_grid",
+    ),
     "nan-calibration-phase": (
         "calibrate", {"calibration": {"phases_pi": [0.1, math.nan]}}, "calibration phase",
     ),
@@ -110,6 +118,13 @@ class TestConfigErrors:
                          id="fractional-pulses"),
             pytest.param("calibrate", {"calibration": {"pulses_per_phase": "1000"}},
                          id="string-pulses"),
+            pytest.param("fisher", {"plan": {"replicas": 0}}, id="fisher-zero-replicas"),
+            pytest.param("calibrate", {"plan": {"replicas": 0}}, id="calibrate-zero-replicas"),
+            pytest.param("fisher", {"plan": {"estimators": ["nope"]}},
+                         id="fisher-unknown-estimator"),
+            pytest.param("calibrate", {"plan": {"estimators": ["nope"]}},
+                         id="calibrate-unknown-estimator"),
+            pytest.param("scan", {"model": {"nbar": 1e300}}, id="nbar-beyond-sampler"),
             *(pytest.param(command, doc, id=name)
               for name, (command, doc, _) in _NON_FINITE.items()),
         ],
@@ -120,7 +135,7 @@ class TestConfigErrors:
         argv = [command, "bias"] if command == "scan" else [command]
         assert run(*argv, "--config", cfg, "--quiet") == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, doc, named", _NON_FINITE.values(), ids=_NON_FINITE)
     def test_non_finite_value_is_named(self, tmp_path, capsys, command, doc, named):
@@ -128,6 +143,13 @@ class TestConfigErrors:
         argv = [command, "bias"] if command == "scan" else [command]
         assert run(*argv, "--config", cfg, "--quiet") == EXIT_CONFIG
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("nbar", [1e300, 1e19])
+    def test_nbar_beyond_sampler_is_named(self, tmp_path, capsys, nbar):
+        cfg = write_config(tmp_path, {"model": {"nbar": nbar}, "plan": {"replicas": 1}})
+        assert run("scan", "bias", "--config", cfg, "--quiet") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "nbar" in err
 
     def test_integral_floats_are_integers(self, tmp_path):
         cfg = load_config(write_config(tmp_path, {"plan": {"p": 1e3, "seed": 7.0}}))
@@ -175,6 +197,10 @@ class TestConfigErrors:
         assert run("scan", "bias", "--config", cfg, "--quiet") == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and named in err
+        # the message names only the file that failed
+        files = ["weights.json", "fringe.json"]
+        failed, intact = files[::-1] if fringe_text else files
+        assert failed in err and intact not in err
 
     def test_ymk_without_photons_is_numerical_failure(self, tmp_path, capsys):
         # at theta = pi/2 one pulse per estimation often detects nothing
@@ -183,7 +209,7 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, {"plan": plan, "output": {"dir": str(out)}})
         assert run("scan", "bias", "--config", cfg, "--quiet") == EXIT_NUMERICAL
         assert capsys.readouterr().err.startswith("numerical failure:")
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_no_partial_outputs_on_failure(self, tmp_path):
         out = tmp_path / "out"
@@ -192,10 +218,16 @@ class TestConfigErrors:
             {"fisher": {"d_theta": 0.0}, "output": {"dir": str(out)}},
         )
         assert run("fisher", "--config", cfg) == EXIT_CONFIG
-        assert not (out / "crlb.csv").exists()
+        assert not out.exists()
 
 
 class TestFisherCommand:
+    @pytest.mark.parametrize("name", ["ideal", "noisy"])
+    def test_shipped_configs_pass_every_check(self, tmp_path, name):
+        config = str(_CONFIGS / f"{name}.json")
+        assert run("fisher", "--config", config, "--out-dir", str(tmp_path), "--quiet") == EXIT_OK
+        assert (tmp_path / "crlb.csv").exists()
+
     def test_ideal_constant_fisher(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -276,14 +308,16 @@ class TestCalibrateCommand:
 
 class TestScanCommand:
     def test_noise_without_weights_is_config_error(self, tmp_path):
+        out = tmp_path / "out"
         cfg = write_config(
             tmp_path,
             {
                 "noise": {"kind": "paper_regime"},
-                "output": {"dir": str(tmp_path / "out")},
+                "output": {"dir": str(out)},
             },
         )
         assert run("scan", "bias", "--config", cfg, "--quiet") == EXIT_CONFIG
+        assert not out.exists()
 
     def test_weights_n_max_mismatch_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "out"

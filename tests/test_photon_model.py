@@ -57,6 +57,10 @@ class TestOutputMeans:
         for nbar in (math.inf, math.nan):
             with pytest.raises(ValueError, match="finite"):
                 InterferometerModel(nbar=nbar)
+        # finite, but above the largest Poisson mean numpy can sample (~9.2e18)
+        for nbar in (1e300, 1e19):
+            with pytest.raises(ValueError, match="nbar"):
+                InterferometerModel(nbar=nbar)
 
 
 class TestOutcome:
