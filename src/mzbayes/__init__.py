@@ -28,7 +28,6 @@ from mzbayes.detector import (
     apply_noise,
     fit_retrodictive_weights,
     noisy_joint_likelihood,
-    posterior_fit,
     simulate_calibration,
 )
 from mzbayes.estimators import (
@@ -74,7 +73,6 @@ __all__ = [
     "noisy_joint_likelihood",
     "simulate_calibration",
     "fit_retrodictive_weights",
-    "posterior_fit",
     "FringeParams",
     "MLEstimate",
     "classical_estimate",

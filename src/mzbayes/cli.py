@@ -205,8 +205,8 @@ def cmd_calibrate(
 
 def _load_calibration(
     cfg: dict, out_dir: Path, nbar: float
-) -> tuple[RetrodictiveWeights, FringeParams | None]:
-    """The weights (and fringe, if present) that ``calibrate`` wrote at ``nbar``."""
+) -> tuple[ConfusionModel, FringeParams | None]:
+    """The channel (and fringe, if present) that ``calibrate`` fitted at ``nbar``."""
     weights_file = cfg.get("calibration", {}).get("weights_file", out_dir / "weights.json")
     if not weights_file.is_file():
         raise ConfigError(
@@ -224,17 +224,17 @@ def _load_calibration(
             fringe = FringeParams(**json.loads(fringe_file.read_text()))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"unreadable {fringe_file}: {exc!r}") from exc
-    if weights.nbar is None:
+    if weights.nbar is None or weights.channel is None:
         raise ConfigError(
-            f"{weights_file} does not record the nbar it was calibrated at; "
-            "re-run the calibrate command"
+            f"{weights_file} does not record the nbar it was calibrated at and the "
+            "channel it fitted (forward_c, forward_d); re-run the calibrate command"
         )
     if weights.nbar != nbar:
         raise ConfigError(
             f"{weights_file} was calibrated at nbar {weights.nbar}, "
             f"but the model has nbar {nbar}"
         )
-    return weights, fringe
+    return weights.channel, fringe
 
 
 def cmd_scan(
@@ -242,11 +242,11 @@ def cmd_scan(
 ) -> int:
     if noise is not None:
         if noise.is_identity():
-            weights, fringe = RetrodictiveWeights.identity(noise.n_max), None
+            channel, fringe = noise, None
         else:
-            weights, fringe = _load_calibration(cfg, out_dir, plan.model.nbar)
+            channel, fringe = _load_calibration(cfg, out_dir, plan.model.nbar)
         try:
-            plan = replace(plan, noise=noise, weights=weights, fringe=fringe)
+            plan = replace(plan, noise=noise, channel=channel, fringe=fringe)
         except ValueError as exc:
             raise ConfigError(f"bad plan section: {exc}") from exc
     result = scan(plan)
@@ -295,7 +295,9 @@ def cmd_fisher(
             pmf, thetas, plan.p, section.get("d_theta", DEFAULT_D_THETA)
         )
     except ValueError as exc:
-        raise ConfigError(f"bad fisher inputs: {exc}") from exc
+        raise ConfigError(
+            f"bad fisher inputs at model.n_max {plan.model.n_max}, nbar {plan.model.nbar}: {exc}"
+        ) from exc
     _emit_files(out_dir, {"crlb.csv": crlb_csv(thetas, fishers, bounds)})
     if not args.quiet:
         print(

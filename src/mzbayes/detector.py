@@ -3,9 +3,10 @@
 Each port has an independent forward confusion matrix K[m, t]: the
 probability of reporting m photons when t were present, with true counts
 above ``n_max`` folded into the ``n_max`` column (the amplifiers cap the
-resolvable count). Calibration runs at known phases let us fit the
-retrodictive weights P(true pair | measured pair) that turn the ideal
-closed-form posteriors into posteriors for the real instrument.
+resolvable count). Calibration runs at known phases fit both matrices;
+the fitted channel gives the instrument's likelihood, and its Bayes
+inverse, the retrodictive weights P(true pair | measured pair), reports
+how often each measured pair is read correctly.
 """
 
 from __future__ import annotations
@@ -16,11 +17,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from mzbayes._csv import csv_text
 from mzbayes.photon_model import InterferometerModel, Outcome, PhaseDomainError, _check_phase
-from mzbayes.posterior import PhaseGrid, Posterior
 
 _COLUMN_TOL = 1e-12
 # Phase nodes of the trapezoid that averages true-pair probabilities over [0, pi].
@@ -217,6 +216,21 @@ def noisy_log_likelihood_grid(model: ConfusionModel, ideal: InterferometerModel)
     return log_rows
 
 
+def _true_count_dists(
+    phases: np.ndarray, ideal: InterferometerModel, n_max: int, error: type[Exception]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Folded true-count laws ``(phases, n_max+1)`` at ports c and d.
+
+    Raises ``error`` unless they resolve the ``n_max + 1`` levels the channel fit needs.
+    """
+    dist_c, dist_d = measured_port_distributions(phases, ConfusionModel.identity(n_max), ideal)
+    if np.linalg.matrix_rank(dist_c.T) < n_max + 1:
+        raise error(
+            f"too few distinct calibration phases to resolve {n_max + 1} true-count levels"
+        )
+    return dist_c.T, dist_d.T
+
+
 @dataclass(frozen=True)
 class CalibrationData:
     """Measured-count histograms collected at known phases."""
@@ -267,8 +281,9 @@ def simulate_calibration(
 ) -> CalibrationData:
     """Simulate a calibration run: known phases, many pulses, noisy readout.
 
-    Each phase gets an independent child stream of ``rng``, so the result
-    does not depend on the order phases are processed in.
+    Phases too few to resolve the true counts are rejected before any
+    draw. Each phase gets an independent child stream of ``rng``, so the
+    result does not depend on the order phases are processed in.
     """
     phases = np.asarray(phases, dtype=float)
     if pulses_per_phase < 1:
@@ -277,6 +292,7 @@ def simulate_calibration(
         _check_phase(phases)
     except PhaseDomainError as exc:
         raise CalibrationError(f"calibration {exc}") from None
+    _true_count_dists(phases, ideal, model.n_max, CalibrationError)
     n_bins = model.n_max + 1
     counts = np.zeros((len(phases), n_bins, n_bins), dtype=np.int64)
     streams = rng.spawn(len(phases))
@@ -296,14 +312,18 @@ class RetrodictiveWeights:
     ``table[nc, nd]`` is the (n_max+1, n_max+1) distribution over true
     pairs given measured counts (nc, nd). ``nbar`` is the mean photon
     number the weights were derived at, or None when they do not depend
-    on it (the identity weights).
+    on it (the identity weights). ``channel`` is the forward channel the
+    weights invert, or None when it is not known.
     """
 
     table: np.ndarray  # (n_max+1, n_max+1, n_max+1, n_max+1)
     n_max: int = 4
     nbar: float | None = None
+    channel: ConfusionModel | None = None
 
     def __post_init__(self) -> None:
+        if self.channel is not None and self.channel.n_max != self.n_max:
+            raise ValueError(f"channel n_max {self.channel.n_max} != weights n_max {self.n_max}")
         shape = (self.n_max + 1,) * 4
         table = np.asarray(self.table, dtype=float)
         if table.shape != shape:
@@ -320,7 +340,8 @@ class RetrodictiveWeights:
     @classmethod
     def identity(cls, n_max: int = 4) -> "RetrodictiveWeights":
         bins = n_max + 1
-        return cls(table=np.eye(bins * bins).reshape((bins,) * 4), n_max=n_max)
+        eye = np.eye(bins * bins).reshape((bins,) * 4)
+        return cls(table=eye, n_max=n_max, channel=ConfusionModel.identity(n_max))
 
     def distribution(self, n_c: int, n_d: int) -> np.ndarray:
         return self.table[n_c, n_d]
@@ -340,7 +361,11 @@ class RetrodictiveWeights:
         nonzero = np.nonzero(self.table)
         for (nc, nd, tc, td), w in zip(zip(*nonzero), self.table[nonzero]):
             weights.setdefault(f"({nc},{nd})", {})[f"({tc},{td})"] = w
-        doc = {"n_max": self.n_max, "nbar": self.nbar, "weights": weights}
+        doc = {"n_max": self.n_max, "nbar": self.nbar}
+        if self.channel is not None:
+            doc["forward_c"] = self.channel.forward_c.tolist()
+            doc["forward_d"] = self.channel.forward_d.tolist()
+        doc["weights"] = weights
         return json.dumps(doc, indent=2)
 
     @classmethod
@@ -353,8 +378,11 @@ class RetrodictiveWeights:
             for true, w in dist.items():
                 tc, td = (int(s) for s in true.strip("()").split(","))
                 table[nc, nd, tc, td] = float(w)
-        nbar = obj.get("nbar")
-        return cls(table=table, n_max=n_max, nbar=None if nbar is None else float(nbar))
+        nbar, channel = obj.get("nbar"), None
+        if "forward_c" in obj or "forward_d" in obj:
+            channel = ConfusionModel(obj["forward_c"], obj["forward_d"], n_max)
+        nbar = None if nbar is None else float(nbar)
+        return cls(table=table, n_max=n_max, nbar=nbar, channel=channel)
 
 
 def _em_step(
@@ -421,17 +449,7 @@ def fit_confusion_model(
     across all calibration phases jointly.
     """
     n_max = calib.n_max
-    phases = calib.phases
-    # Folded true-count distributions per phase: the identity channel.
-    dist_c, dist_d = measured_port_distributions(
-        phases, ConfusionModel.identity(n_max), ideal
-    )
-    true_c, true_d = dist_c.T, dist_d.T
-    if np.linalg.matrix_rank(true_c) < n_max + 1:
-        raise FitError(
-            f"too few distinct calibration phases to resolve {n_max + 1} "
-            "true-count levels"
-        )
+    true_c, true_d = _true_count_dists(calib.phases, ideal, n_max, FitError)
     observed = np.stack([calib.counts.sum(axis=2), calib.counts.sum(axis=1)])
     K_c, K_d = _em_confusion(observed.astype(float), np.stack([true_c, true_d]))
     return ConfusionModel(forward_c=K_c, forward_d=K_d, n_max=n_max)
@@ -479,33 +497,4 @@ def exact_retrodictive_weights(
         )
     with np.errstate(invalid="ignore", divide="ignore"):
         table = np.where(unsupported, 1.0 / (n_max + 1) ** 2, joint / total)
-    return RetrodictiveWeights(table=table, n_max=n_max, nbar=ideal.nbar)
-
-
-def posterior_fit(
-    measured: Outcome, weights: RetrodictiveWeights, grid: PhaseGrid
-) -> Posterior:
-    """Single-shot posterior for a measured pair: mixture of ideal posteriors."""
-    row = measured.n_c * (weights.n_max + 1) + measured.n_d
-    return Posterior.from_log_density(grid, log_posterior_fit(weights, grid.nodes)[row])
-
-
-def log_posterior_fit(weights: RetrodictiveWeights, nodes: np.ndarray) -> np.ndarray:
-    """Log of the (unnormalized) retrodictive mixture density of every measured pair.
-
-    The mixture weights P(true | measured) multiply the closed-form
-    single-shot posteriors C cos^{2tc}(phi/2) sin^{2td}(phi/2) of every
-    true pair (tc, td). Returns ``((n_max+1)^2, len(nodes))`` rows, the
-    measured pair (nc, nd) at row ``nc * (n_max+1) + nd``, the order of
-    ``pair_histogram``.
-    """
-    bins = weights.n_max + 1
-    true = np.arange(bins)
-    half = gammaln(0.5 + true)
-    log_c = gammaln(1.0 + true[:, None] + true) - half[:, None] - half
-    mixture = (weights.table * np.exp(log_c)).reshape(bins * bins, bins, bins)
-    cos_pow = np.cos(nodes / 2.0) ** (2 * true[:, None])
-    sin_pow = np.sin(nodes / 2.0) ** (2 * true[:, None])
-    density = np.sum(cos_pow * (mixture @ sin_pow), axis=1)
-    with np.errstate(divide="ignore"):
-        return np.log(density)
+    return RetrodictiveWeights(table=table, n_max=n_max, nbar=ideal.nbar, channel=model)

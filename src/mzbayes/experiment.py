@@ -2,12 +2,12 @@
 
 Reproduces the measurement protocol: at each true phase, draw ``p``
 pulses, (optionally) push them through the detector confusion channel,
-accumulate the Bayesian posterior (with fitted retrodictive weights when
-noise is configured), and repeat over independent replicas. Each
+accumulate the Bayesian posterior (through the calibrated misread channel
+when noise is configured), and repeat over independent replicas. Each
 (phase, replica) pair gets its own seeded stream derived from the master
-seed, so a rerun with the same plan draws the same counts. Every
-likelihood a scan needs is tabulated once per plan; a replica's counts
-enter it only through a histogram or the port totals.
+seed, so a rerun with the same plan draws the same counts. Bayes and ML
+read the plan's one likelihood table; a replica's counts enter it only
+through the per-port histograms or the port totals.
 """
 
 from __future__ import annotations
@@ -23,11 +23,8 @@ from mzbayes._csv import csv_text
 from mzbayes._version import __version__ as _code_version
 from mzbayes.detector import (
     ConfusionModel,
-    RetrodictiveWeights,
     apply_noise_counts,
-    log_posterior_fit,
     noisy_log_likelihood_grid,
-    pair_histogram,
     port_histograms,
 )
 from mzbayes.estimators import (
@@ -59,8 +56,9 @@ def default_theta_grid() -> np.ndarray:
 class ExperimentPlan:
     """One scan: true phases, shots per estimation, replicas, and seeding.
 
-    The plan holds the model and grid a scan reads, and builds each of its
-    likelihood tables once, on first use.
+    The plan holds the model and grid a scan reads, and builds its one
+    likelihood table on first use. ``noise``, the channel the simulation
+    draws from, comes with ``channel``, the calibrated one the estimators read.
     """
 
     theta_grid: np.ndarray = field(default_factory=default_theta_grid)
@@ -70,7 +68,7 @@ class ExperimentPlan:
     model: InterferometerModel = InterferometerModel(nbar=1.08)
     grid: PhaseGrid = PhaseGrid()
     noise: ConfusionModel | None = None
-    weights: RetrodictiveWeights | None = None
+    channel: ConfusionModel | None = None
     fringe: FringeParams | None = None
     estimators: tuple[str, ...] = ("bayes",)
 
@@ -97,40 +95,29 @@ class ExperimentPlan:
         unknown = set(self.estimators) - set(ESTIMATOR_NAMES)
         if unknown:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")
-        if (self.noise is None) != (self.weights is None):
-            raise ValueError("a noise model and retrodictive weights come together")
-        if self.noise is not None and self.noise.n_max != self.weights.n_max:
+        if (self.noise is None) != (self.channel is None):
+            raise ValueError("a noise model and a calibrated channel come together")
+        if self.noise is not None and self.noise.n_max != self.channel.n_max:
             raise ValueError(
                 f"noise model n_max {self.noise.n_max} does not match the "
-                f"retrodictive weights' n_max {self.weights.n_max}"
+                f"calibrated channel's n_max {self.channel.n_max}"
             )
 
     @cached_property
-    def bayes_table(self) -> CountLikelihood:
-        """Bayes: the port totals, or the measured pairs through the retrodictive mixture."""
-        if self.noise is None:
+    def table(self) -> CountLikelihood:
+        """The port totals, or the per-port histograms through the calibrated channel."""
+        if self.channel is None:
             return ideal_likelihood(self.grid)
         return CountLikelihood(
-            partial(log_posterior_fit, self.weights),
-            partial(pair_histogram, n_max=self.weights.n_max),
-            self.grid,
-        )
-
-    @cached_property
-    def ml_table(self) -> CountLikelihood:
-        """ML: the port totals, or the per-port histograms through the misread channel."""
-        if self.noise is None:
-            return self.bayes_table
-        return CountLikelihood(
-            noisy_log_likelihood_grid(self.noise, self.model),
-            partial(port_histograms, n_max=self.noise.n_max),
+            noisy_log_likelihood_grid(self.channel, self.model),
+            partial(port_histograms, n_max=self.channel.n_max),
             self.grid,
         )
 
     def posterior(self, n_c: np.ndarray, n_d: np.ndarray) -> Posterior:
         """The Bayesian posterior of one replica's measured counts."""
-        stats = self.bayes_table.statistics(n_c, n_d)
-        return Posterior.from_log_density(self.grid, self.bayes_table.on_grid(stats))
+        stats = self.table.statistics(n_c, n_d)
+        return Posterior.from_log_density(self.grid, self.table.on_grid(stats))
 
     def manifest(self) -> dict:
         return {
@@ -177,7 +164,7 @@ def _estimators(
 
     return {
         "bayes": bayes,
-        "ml": lambda n_c, n_d: (ml_estimate(n_c, n_d, plan.ml_table).phase, math.nan),
+        "ml": lambda n_c, n_d: (ml_estimate(n_c, n_d, plan.table).phase, math.nan),
         "classical": lambda n_c, n_d: (classical_estimate(n_c, n_d, plan.model.nbar), math.nan),
         "fringe": lambda n_c, n_d: (noisy_classical_estimate(n_c, n_d, fringe), math.nan),
         "ymk": lambda n_c, n_d: (ymk_mean_estimate(n_c, n_d), math.nan),

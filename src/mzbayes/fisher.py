@@ -24,6 +24,7 @@ PmfProvider = Callable[[float], np.ndarray]
 
 DEFAULT_D_THETA = 1e-5
 PROB_FLOOR = 1e-15
+MASS_TOL = 1e-9
 
 
 def fisher_ideal(nbar: float) -> float:
@@ -42,7 +43,8 @@ def fisher_numeric(
 
     ``pmf(theta)`` returns the (truncated) outcome probabilities as an
     array; terms with probability below ``PROB_FLOOR`` are skipped to
-    avoid 0/0 where outcomes are impossible.
+    avoid 0/0 where outcomes are impossible. A pmf whose count cut loses
+    more than ``MASS_TOL`` of its mass at ``theta`` raises ``ValueError``.
     """
     if not d_theta > 0:
         raise ValueError(f"d_theta must be > 0, got {d_theta}")
@@ -51,6 +53,11 @@ def fisher_numeric(
             f"theta = {theta} too close to the endpoints for step {d_theta}"
         )
     p0 = np.asarray(pmf(theta), dtype=float)
+    if not p0.sum() >= 1.0 - MASS_TOL:
+        raise ValueError(
+            f"pmf at theta = {theta:.6g} holds mass {p0.sum():.10g}: its count cut loses "
+            f"more than {MASS_TOL:g}"
+        )
     dp = (np.asarray(pmf(theta + d_theta)) - np.asarray(pmf(theta - d_theta))) / (
         2.0 * d_theta
     )

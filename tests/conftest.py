@@ -75,7 +75,7 @@ def noisy_scan(regime, fitted_weights, ideal_model):
         seed=MASTER_SEED,
         model=ideal_model,
         noise=regime,
-        weights=fitted_weights,
+        channel=fitted_weights.channel,
         estimators=("bayes", "ymk"),
     )
     return scan(plan)

@@ -12,7 +12,7 @@ from mzbayes.detector import RetrodictiveWeights
 
 
 _IDENTITY_WEIGHTS = json.loads(RetrodictiveWeights.identity().to_json())["weights"]
-# A weights file as written before weights.json recorded its nbar.
+# Weights files as written before weights.json recorded its nbar, and its channel.
 _WEIGHTS_WITHOUT_NBAR = json.dumps({"n_max": 4, "weights": _IDENTITY_WEIGHTS})
 _WEIGHTS = json.dumps({"n_max": 4, "nbar": 1.08, "weights": _IDENTITY_WEIGHTS})
 _WEIGHTS_WITH_NAN = json.dumps(
@@ -125,6 +125,11 @@ class TestConfigErrors:
             pytest.param("calibrate", {"plan": {"estimators": ["nope"]}},
                          id="calibrate-unknown-estimator"),
             pytest.param("scan", {"model": {"nbar": 1e300}}, id="nbar-beyond-sampler"),
+            pytest.param("calibrate",
+                         {"calibration": {"phases_pi": [0.5], "pulses_per_phase": 10}},
+                         id="one-calibration-phase"),
+            pytest.param("fisher", {"model": {"nbar": 30}}, id="fisher-nbar-beyond-n-max"),
+            pytest.param("fisher", {"model": {"nbar": 1e6}}, id="fisher-huge-nbar"),
             *(pytest.param(command, doc, id=name)
               for name, (command, doc, _) in _NON_FINITE.items()),
         ],
@@ -143,6 +148,13 @@ class TestConfigErrors:
         argv = [command, "bias"] if command == "scan" else [command]
         assert run(*argv, "--config", cfg, "--quiet") == EXIT_CONFIG
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("nbar", [30, 1e6])
+    def test_fisher_count_cut_is_named(self, tmp_path, capsys, nbar):
+        cfg = write_config(tmp_path, {"model": {"nbar": nbar}})
+        assert run("fisher", "--config", cfg, "--quiet") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "model.n_max 25" in err and f"nbar {float(nbar)}" in err and "mass" in err
 
     @pytest.mark.parametrize("nbar", [1e300, 1e19])
     def test_nbar_beyond_sampler_is_named(self, tmp_path, capsys, nbar):
@@ -175,8 +187,9 @@ class TestConfigErrors:
             (_WEIGHTS_WITH_NAN, None, "weights must lie in [0, 1]"),
             (_WEIGHTS, '{"a": 0.0, "b": NaN, "amplitude": 1.0}',
              "fringe parameters must be finite"),
+            (_WEIGHTS, None, "forward_c"),
         ],
-        ids=["no-weights-key", "not-json", "no-nbar", "nan-weight", "nan-fringe"],
+        ids=["no-weights-key", "not-json", "no-nbar", "nan-weight", "nan-fringe", "no-channel"],
     )
     def test_bad_weights_file_is_config_error(
         self, tmp_path, capsys, weights_text, fringe_text, named

@@ -1,6 +1,7 @@
 """Detector confusion channel, calibration, and retrodictive weights."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,11 +24,15 @@ from mzbayes.detector import (
     measured_port_distributions,
     noisy_joint_likelihood,
     noisy_joint_pmf,
-    posterior_fit,
     simulate_calibration,
 )
 from mzbayes.photon_model import InterferometerModel, Outcome
 from mzbayes.posterior import PhaseGrid, posterior_mean, single_shot_posterior
+from oracles import posterior_fit
+
+
+# The fewest distinct phases that resolve the five true counts 0..4.
+FIVE_PHASES = [0.3, 0.8, 1.3, 1.8, 2.3]
 
 
 def _variance(post):
@@ -251,10 +256,18 @@ class TestCalibration:
 
     def test_histogram_totals(self, regime, ideal_model):
         calib = simulate_calibration(
-            [0.3, 1.0], 500, regime, ideal_model, np.random.default_rng(5)
+            FIVE_PHASES, 500, regime, ideal_model, np.random.default_rng(5)
         )
-        assert calib.counts.shape == (2, 5, 5)
-        np.testing.assert_array_equal(calib.counts.sum(axis=(1, 2)), [500, 500])
+        assert calib.counts.shape == (5, 5, 5)
+        np.testing.assert_array_equal(calib.counts.sum(axis=(1, 2)), [500] * 5)
+
+    @pytest.mark.parametrize("phases", [[0.5], [0.3, 1.0, 2.0], [0.5] * 5])
+    def test_unresolvable_phases_rejected_before_sampling(self, regime, ideal_model, phases):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(CalibrationError, match="too few distinct calibration phases"):
+            simulate_calibration(phases, 100, regime, ideal_model, rng)
+        assert rng.bit_generator.state == state
 
     def test_noiseless_empirical_curve_matches_closed_form(self, ideal_model, grid):
         phases = np.pi * np.linspace(0.02, 0.98, 33)
@@ -272,11 +285,11 @@ class TestCalibration:
 
     def test_csv_export(self, regime, ideal_model):
         calib = simulate_calibration(
-            [0.5], 200, regime, ideal_model, np.random.default_rng(7)
+            FIVE_PHASES, 200, regime, ideal_model, np.random.default_rng(7)
         )
         rows = calib.to_csv().strip().splitlines()
         assert rows[0] == "phi,nc,nd,count"
-        assert len(rows) == 1 + 25
+        assert len(rows) == 1 + 5 * 25
 
 
 class TestRetrodictiveWeights:
@@ -302,6 +315,16 @@ class TestRetrodictiveWeights:
         back = RetrodictiveWeights.from_json(fitted_weights.to_json())
         np.testing.assert_allclose(back.table, fitted_weights.table, atol=1e-12)
         assert back.nbar == fitted_weights.nbar == 1.08
+        assert np.array_equal(back.channel.forward_c, fitted_weights.channel.forward_c)
+        assert np.array_equal(back.channel.forward_d, fitted_weights.channel.forward_d)
+
+    def test_records_the_channel_it_inverts(self, regime, ideal_model):
+        assert exact_retrodictive_weights(regime, ideal_model).channel is regime
+        assert RetrodictiveWeights.identity(3).channel.is_identity()
+        with pytest.raises(ValueError, match="n_max"):
+            RetrodictiveWeights(
+                table=RetrodictiveWeights.identity().table, channel=ConfusionModel.identity(3)
+            )
 
     def test_worst_diagonal_takes_first_minimum_on_ties(self):
         table = RetrodictiveWeights.identity().table.copy()
@@ -360,9 +383,11 @@ class TestFit:
         assert np.abs(fitted.forward_d - regime.forward_d).max() < 0.05
 
     def test_too_few_phases_rejected(self, regime, ideal_model):
+        # simulate_calibration refuses these phases, so keep three of five
         calib = simulate_calibration(
-            [0.3, 1.0, 2.0], 1000, regime, ideal_model, np.random.default_rng(9)
+            FIVE_PHASES, 1000, regime, ideal_model, np.random.default_rng(9)
         )
+        calib = replace(calib, phases=calib.phases[:3], counts=calib.counts[:3])
         with pytest.raises(FitError):
             fit_retrodictive_weights(calib, ideal_model)
 

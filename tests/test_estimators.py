@@ -1,6 +1,7 @@
 """Classical, fringe-inverted, YMK, and maximum-likelihood estimators."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -116,9 +117,11 @@ class TestFringe:
         assert params.amplitude == pytest.approx(ideal_model.nbar, rel=0.01)
 
     def test_too_few_phases_rejected(self, regime, ideal_model):
+        # simulate_calibration refuses two phases, so keep two of five
         calib = simulate_calibration(
-            [0.4, 1.2], 100, regime, ideal_model, np.random.default_rng(23)
+            [0.4, 1.2, 1.6, 2.0, 2.4], 100, regime, ideal_model, np.random.default_rng(23)
         )
+        calib = replace(calib, phases=calib.phases[:2], counts=calib.counts[:2])
         with pytest.raises(FitError):
             fit_fringe(calib)
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from mzbayes.detector import ConfusionModel, RetrodictiveWeights
+from mzbayes.detector import ConfusionModel
 from mzbayes.experiment import (
     ESTIMATOR_NAMES,
     ExperimentPlan,
@@ -16,7 +16,7 @@ from mzbayes.experiment import (
     run_estimation,
     scan,
 )
-from mzbayes.posterior import PhaseGrid
+from mzbayes.posterior import CountLikelihood, PhaseGrid
 
 
 def small_plan(**kwargs):
@@ -57,26 +57,39 @@ class TestPlan:
             small_plan(estimators=())
         with pytest.raises(ValueError):
             small_plan(estimators=("bayes", "bayes"))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_max"):
             small_plan(
                 noise=ConfusionModel.paper_regime(n_max=4),
-                weights=RetrodictiveWeights.identity(n_max=3),
+                channel=ConfusionModel.identity(n_max=3),
             )
         with pytest.raises(ValueError, match="come together"):
-            small_plan(weights=RetrodictiveWeights.identity())
+            small_plan(channel=ConfusionModel.identity())
 
-    def test_noise_requires_weights(self):
-        with pytest.raises(ValueError):
+    def test_noise_requires_channel(self):
+        with pytest.raises(ValueError, match="come together"):
             small_plan(noise=ConfusionModel.paper_regime())
-        # fine once weights are supplied
+        # fine once the calibrated channel is supplied
         small_plan(
             noise=ConfusionModel.paper_regime(),
-            weights=RetrodictiveWeights.identity(),
+            channel=ConfusionModel.identity(),
         )
 
-    def test_ideal_plan_builds_one_table(self):
-        plan = small_plan()
-        assert plan.ml_table is plan.bayes_table
+    def test_ideal_plan_builds_one_table(self, monkeypatch):
+        # Bayes and ML of a plan, ideal or noisy, read its one table
+        read = []
+        on_grid = CountLikelihood.on_grid
+        monkeypatch.setattr(
+            CountLikelihood,
+            "on_grid",
+            lambda table, stats: read.append(table) or on_grid(table, stats),
+        )
+        for channel in (None, ConfusionModel.paper_regime()):
+            plan = small_plan(noise=channel, channel=channel, estimators=("bayes", "ml"))
+            read.clear()
+            scan(plan)
+            # one Bayes and one ML read per replica at each phase
+            assert len(read) == 2 * plan.replicas * plan.theta_grid.size
+            assert all(table is plan.table for table in read)
 
     def test_manifest_contents(self):
         plan = small_plan()

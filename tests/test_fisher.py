@@ -46,6 +46,11 @@ class TestFisherNumeric:
         with pytest.raises(ValueError):
             fisher_numeric(ideal_model.joint_pmf, 1.0, d_theta=0.0)
 
+    def test_count_cut_losing_mass_rejected(self):
+        # counts cut at n_max = 25 per port keep 0.988 of the mass at nbar 30
+        with pytest.raises(ValueError, match="mass"):
+            fisher_numeric(InterferometerModel(nbar=30).joint_pmf, math.pi / 2)
+
     def test_central_difference_agrees_with_fourth_order(self, ideal_model):
         theta, h = 0.37 * math.pi, 1e-5
         pmf = ideal_model.joint_pmf

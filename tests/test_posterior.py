@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid, quad
 from scipy.stats import norm
 
-from mzbayes.detector import ConfusionModel, exact_retrodictive_weights, log_posterior_fit
+from mzbayes.detector import ConfusionModel, exact_retrodictive_weights
 from mzbayes.photon_model import InterferometerModel, Outcome
 from mzbayes.posterior import (
     DegenerateEvidenceError,
@@ -24,6 +24,7 @@ from mzbayes.posterior import (
     posterior_mean,
     single_shot_posterior,
 )
+from oracles import log_posterior_fit
 
 counts = st.integers(min_value=0, max_value=12)
 outcomes = st.builds(Outcome, counts, counts)

@@ -17,7 +17,6 @@ HOOKED = {
     ],
     "mzbayes.experiment": [
         "apply_noise_counts",
-        "log_posterior_fit",
         "noisy_log_likelihood_grid",
         "posterior_mean",
         "credible_interval",

@@ -15,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mzbayes.detector import (
+    _N_QUAD,
     ConfusionModel,
     apply_noise_counts,
     exact_retrodictive_weights,
-    log_posterior_fit,
     measured_port_distributions,
     noisy_joint_likelihood,
     pair_histogram,
@@ -37,6 +37,7 @@ from mzbayes.estimators import (
 from mzbayes.experiment import ExperimentPlan
 from mzbayes.photon_model import InterferometerModel, Outcome
 from mzbayes.posterior import PhaseGrid, accumulate, log_shape, normalization_constant
+from oracles import log_posterior_fit
 
 N_MAX = 4
 IDEAL = InterferometerModel(nbar=1.08)
@@ -48,10 +49,11 @@ IDEAL_PLAN = ExperimentPlan(grid=PhaseGrid(GRID_POINTS), estimators=("bayes", "m
 NOISY_PLAN = ExperimentPlan(
     grid=PhaseGrid(GRID_POINTS),
     noise=REGIME,
-    weights=WEIGHTS,
+    channel=REGIME,
     estimators=("bayes", "ml"),
 )
 NODES = IDEAL_PLAN.grid.nodes
+INTERIOR = slice(1, -1)
 
 # Golden-section refinement stops at 1e-10 rad, and the log likelihood's
 # maximum is flat at float precision over ~1e-8 rad; 1e-6 rad is the
@@ -113,13 +115,16 @@ def test_ideal_bayes_table_matches_accumulate(counts):
 
 @given(counts=pulse_counts(noise=REGIME))
 @settings(max_examples=60, deadline=None)
-def test_noisy_bayes_table_matches_summed_log_posterior_fit(counts):
-    bayes = NOISY_PLAN.bayes_table
-    got = bayes.on_grid(bayes.statistics(*counts))
-    rows = log_posterior_fit(WEIGHTS, NODES)
-    want = np.zeros(NODES.size)
-    for outcome in outcomes(*counts):
-        want = want + rows[outcome.n_c * (N_MAX + 1) + outcome.n_d]
+def test_noisy_table_matches_summed_noisy_joint_likelihood(counts):
+    table = NOISY_PLAN.table
+    nodes = NODES[[0, 1, 200, 511, 512, 900, GRID_POINTS - 2, GRID_POINTS - 1]]
+    got = table.on_grid(table.statistics(*counts))[np.searchsorted(NODES, nodes)]
+    want = np.zeros(nodes.size)
+    with np.errstate(divide="ignore"):
+        for outcome in outcomes(*counts):
+            want = want + np.log(
+                [noisy_joint_likelihood(phi, outcome, REGIME, IDEAL) for phi in nodes]
+            )
     assert_same_log_density(got, want)
 
 
@@ -140,6 +145,62 @@ def test_log_posterior_fit_matches_closed_form_mixture():
                     )
             got = np.exp(rows[nc * (N_MAX + 1) + nd])
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+
+def pair_rows(table):
+    """Log likelihood rows of every measured pair, pair (nc, nd) at row nc * (n_max+1) + nd."""
+    return (table[: N_MAX + 1, None, :] + table[None, N_MAX + 1 :, :]).reshape(
+        (N_MAX + 1) ** 2, -1
+    )
+
+
+def log_spreads(got, want):
+    """Per-row spread in phase of ``got - want`` over the interior nodes."""
+    diff = got[:, INTERIOR] - want[:, INTERIOR]
+    return diff.max(axis=1) - diff.min(axis=1)
+
+
+def exact_fold_mixture(weights):
+    """sum_t W[m, t] P_fold(t | phi) / q(t): the retrodictive mixture under the folded law.
+
+    ``q`` is the phase average of the folded true-pair law by the same
+    trapezoid the weights were inverted with.
+    """
+    identity = ConfusionModel.identity(N_MAX)
+    phis = np.linspace(0.0, np.pi, _N_QUAD)
+    true_c, true_d = measured_port_distributions(phis, identity, IDEAL)
+    q = np.trapezoid(true_c[:, None, :] * true_d[None, :, :] / np.pi, phis)
+    fold_c, fold_d = measured_port_distributions(NODES, identity, IDEAL)
+    mixture = weights.table.reshape((N_MAX + 1) ** 2, N_MAX + 1, N_MAX + 1) / q
+    with np.errstate(divide="ignore"):
+        return np.log(np.einsum("mab,ag,bg->mg", mixture, fold_c, fold_d))
+
+
+@pytest.mark.parametrize("source", ["paper-regime", "fitted"])
+def test_exact_fold_mixture_is_the_channel_table(source, request):
+    # Bayes' rule: sum_t W[m, t] P(t | phi) / q(t) = P(m | phi) / P(m), so the
+    # mixture and the channel's per-port rows differ by a constant in phi
+    weights = WEIGHTS if source == "paper-regime" else request.getfixturevalue("fitted_weights")
+    plan = ExperimentPlan(
+        grid=PhaseGrid(GRID_POINTS), noise=REGIME, channel=weights.channel
+    )
+    spreads = log_spreads(exact_fold_mixture(weights), pair_rows(plan.table.table))
+    assert spreads.max() <= 1e-12
+
+
+def test_closed_form_mixture_agrees_only_without_folded_support():
+    # The closed-form mixture gives a folded true count n_max the posterior
+    # of exactly n_max photons. Under paper_regime a measured count m comes
+    # from m or m + 1, so pairs with both counts <= 2 never see the fold;
+    # every other pair does, by a log spread of 0.005 to 0.23.
+    spreads = log_spreads(log_posterior_fit(WEIGHTS, NODES), pair_rows(NOISY_PLAN.table.table))
+    for nc in range(N_MAX + 1):
+        for nd in range(N_MAX + 1):
+            spread = spreads[nc * (N_MAX + 1) + nd]
+            if max(nc, nd) <= 2:
+                assert spread <= 1e-12, (nc, nd)
+            else:
+                assert spread > 1e-3, (nc, nd)
 
 
 # -- ML tables ----------------------------------------------------------------
@@ -163,10 +224,10 @@ def test_ml_rows_match_noisy_joint_likelihood(phi, seed):
     channel = REGIME if seed is None else random_channel(seed)
     rows = ExperimentPlan(
         grid=PhaseGrid(GRID_POINTS),
-        noise=channel,
-        weights=WEIGHTS,
+        noise=REGIME,
+        channel=channel,
         estimators=("ml",),
-    ).ml_table.rows(np.array([phi]))[:, 0]
+    ).table.rows(np.array([phi]))[:, 0]
     for nc in range(N_MAX + 1):
         for nd in range(N_MAX + 1):
             want = noisy_joint_likelihood(phi, Outcome(nc, nd), channel, IDEAL)
@@ -175,7 +236,7 @@ def test_ml_rows_match_noisy_joint_likelihood(phi, seed):
 
 
 def test_ml_grid_rows_match_pointwise_rows():
-    ml = NOISY_PLAN.ml_table
+    ml = NOISY_PLAN.table
     for j in (0, 1, 300, GRID_POINTS - 2, GRID_POINTS - 1):
         np.testing.assert_allclose(
             ml.table[:, j], ml.rows(NODES[j : j + 1])[:, 0], rtol=1e-12, atol=0.0
@@ -267,7 +328,7 @@ def test_moment_estimators_match_outcome_loops(counts, a, b, amplitude):
 @given(counts=pulse_counts(noise=None))
 @settings(max_examples=30, deadline=None)
 def test_ideal_ml_matches_outcome_loop(counts):
-    est = ml_estimate(*counts, IDEAL_PLAN.ml_table)
+    est = ml_estimate(*counts, IDEAL_PLAN.table)
     phase, flat = ml_reference(outcomes(*counts), ideal_pair_log_likelihood, NODES)
     assert est.flat == flat
     assert est.phase == pytest.approx(phase, abs=ML_TOL)
@@ -276,7 +337,7 @@ def test_ideal_ml_matches_outcome_loop(counts):
 @given(counts=pulse_counts(noise=REGIME))
 @settings(max_examples=30, deadline=None)
 def test_noisy_ml_matches_outcome_loop(counts):
-    est = ml_estimate(*counts, NOISY_PLAN.ml_table)
+    est = ml_estimate(*counts, NOISY_PLAN.table)
     phase, flat = ml_reference(outcomes(*counts), noisy_pair_log_likelihood, NODES)
     assert est.flat == flat
     assert est.phase == pytest.approx(phase, abs=ML_TOL)
