@@ -25,7 +25,6 @@ from mzbayes.detector import (
     ConfusionModel,
     FitError,
     RetrodictiveWeights,
-    apply_noise,
     fit_retrodictive_weights,
     noisy_joint_likelihood,
     simulate_calibration,
@@ -69,7 +68,6 @@ __all__ = [
     "RetrodictiveWeights",
     "CalibrationData",
     "FitError",
-    "apply_noise",
     "noisy_joint_likelihood",
     "simulate_calibration",
     "fit_retrodictive_weights",

@@ -186,6 +186,10 @@ def cmd_calibrate(
         )
     except CalibrationError as exc:
         raise ConfigError(f"bad calibration section: {exc}") from exc
+    except MemoryError as exc:
+        raise ConfigError(
+            f"bad calibration.pulses_per_phase: too many pulses to hold ({exc})"
+        ) from exc
     weights = fit_retrodictive_weights(calib, plan.model)
     fringe = fit_fringe(calib)
     _emit_files(
@@ -249,7 +253,10 @@ def cmd_scan(
             plan = replace(plan, noise=noise, channel=channel, fringe=fringe)
         except ValueError as exc:
             raise ConfigError(f"bad plan section: {exc}") from exc
-    result = scan(plan)
+    try:
+        result = scan(plan)
+    except MemoryError as exc:
+        raise ConfigError(f"bad plan.p: too many pulses to hold ({exc})") from exc
 
     csv_path = out_dir / f"{args.kind}_scan.csv"
     _emit_files(

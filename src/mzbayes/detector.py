@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +25,8 @@ from mzbayes.photon_model import InterferometerModel, Outcome, PhaseDomainError,
 _COLUMN_TOL = 1e-12
 # Phase nodes of the trapezoid that averages true-pair probabilities over [0, pi].
 _N_QUAD = 2001
+# Per true count t of one port: (base, interior cdf edges), see _column_reads.
+_Reads = tuple[tuple[int, tuple[float, ...]], ...]
 
 # Per-count report fidelity for the default noisy regime: each true count t
 # is reported correctly with probability _REGIME_FIDELITY[t], otherwise read
@@ -87,6 +90,11 @@ class ConfusionModel:
             K[t - 1, t] = 1.0 - g
         return cls(forward_c=K, forward_d=K, n_max=n_max)
 
+    @cached_property
+    def column_reads(self) -> tuple[_Reads, _Reads]:
+        """Each port's ``_column_reads``, computed once for the misread channel."""
+        return _column_reads(self.forward_c), _column_reads(self.forward_d)
+
     def is_identity(self) -> bool:
         eye = np.eye(self.n_max + 1)
         return bool(
@@ -94,36 +102,46 @@ class ConfusionModel:
         )
 
 
-def _apply_port(
-    counts: np.ndarray, K: np.ndarray, n_max: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Misread each count: one uniform per pulse against its column's cdf.
+def _column_reads(K: np.ndarray) -> _Reads:
+    """What a uniform reads in each column's cdf, as ``rng.choice(p=K[:, t])`` builds it.
 
-    The same arithmetic as ``rng.choice(n_max + 1, p=K[:, t])`` on the same
-    uniforms, drawn group by group in ascending true count ``t``, so the
-    reported counts and the generator's final state are those of ``choice``.
+    ``choice`` returns ``cdf.searchsorted(u, side="right")``: the number of
+    cdf entries ``<= u``. For ``0 <= u < 1`` an entry ``<= 0`` always counts
+    and an entry ``>= 1`` never does, so column t reads ``base`` plus one for
+    each interior edge (strictly inside (0, 1)) with ``u >= edge``.
     """
-    folded = np.minimum(counts, n_max)
     cdf = np.cumsum(K.T, axis=1)
     cdf /= cdf[:, -1:]
-    out = np.empty_like(folded)
-    sizes = np.bincount(folded.ravel(), minlength=n_max + 1)
-    for t in np.flatnonzero(sizes):
-        out[folded == t] = cdf[t].searchsorted(rng.random(sizes[t]), side="right")
-    return out
+    return tuple(
+        (int(np.count_nonzero(row <= 0.0)), tuple(row[(row > 0.0) & (row < 1.0)].tolist()))
+        for row in cdf
+    )
 
 
-def apply_noise(
-    true_outcome: Outcome, model: ConfusionModel, rng: np.random.Generator
-) -> Outcome:
-    """Push one true outcome through the misread channel (port c first)."""
-    n_c = int(
-        rng.choice(model.n_max + 1, p=model.forward_c[:, min(true_outcome.n_c, model.n_max)])
-    )
-    n_d = int(
-        rng.choice(model.n_max + 1, p=model.forward_d[:, min(true_outcome.n_d, model.n_max)])
-    )
-    return Outcome(n_c, n_d)
+def _apply_port(counts: np.ndarray, reads: _Reads, rng: np.random.Generator) -> np.ndarray:
+    """Misread each count: one uniform per pulse against its column's cdf edges.
+
+    The uniforms are drawn group by group in ascending true count ``t``
+    and compared as ``rng.choice(n_max + 1, p=K[:, t])`` compares them, so
+    the reported counts and the generator's final state are those of
+    ``choice``. ``reads`` is ``_column_reads(K)``.
+    """
+    flat = np.ravel(counts)
+    out = np.empty_like(flat)
+    n_max, seen = len(reads) - 1, 0
+    for t, (base, edges) in enumerate(reads):
+        # counts above n_max fold into the n_max column
+        where = np.flatnonzero(flat == t if t < n_max else flat >= t)
+        if where.size:
+            u = rng.random(where.size)
+            read = base
+            for edge in edges:
+                read = read + (u >= edge)
+            out[where] = read
+            seen += where.size
+    if seen != flat.size:
+        raise ValueError("true counts must be >= 0")
+    return out.reshape(np.shape(counts))
 
 
 def apply_noise_counts(
@@ -132,11 +150,9 @@ def apply_noise_counts(
     model: ConfusionModel,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized misread channel for arrays of per-pulse counts."""
-    return (
-        _apply_port(n_c, model.forward_c, model.n_max, rng),
-        _apply_port(n_d, model.forward_d, model.n_max, rng),
-    )
+    """Vectorized misread channel for arrays of per-pulse counts (port c first)."""
+    reads_c, reads_d = model.column_reads
+    return _apply_port(n_c, reads_c, rng), _apply_port(n_d, reads_d, rng)
 
 
 def measured_port_distributions(

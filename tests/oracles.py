@@ -1,5 +1,10 @@
 """Closed-form references that tests compare the program against.
 
+The misread channel: ``apply_noise`` pushes one ``Outcome`` through it
+with one ``rng.choice`` per port, and ``choice_port`` draws a port's
+counts with one ``rng.choice`` per true count, ascending, the draw order
+of ``apply_noise_counts``.
+
 The retrodictive mixture: each measured pair's density is its
 retrodictive weights times the closed-form single-shot posteriors of the
 true pairs. Up to a constant it equals the calibrated channel's per-port
@@ -10,9 +15,34 @@ likelihood wherever no true count is folded into ``n_max``;
 import numpy as np
 from scipy.special import gammaln
 
-from mzbayes.detector import RetrodictiveWeights
+from mzbayes.detector import ConfusionModel, RetrodictiveWeights
 from mzbayes.photon_model import Outcome
 from mzbayes.posterior import PhaseGrid, Posterior
+
+
+def apply_noise(
+    true_outcome: Outcome, model: ConfusionModel, rng: np.random.Generator
+) -> Outcome:
+    """Push one true outcome through the misread channel (port c first)."""
+    n_c = int(
+        rng.choice(model.n_max + 1, p=model.forward_c[:, min(true_outcome.n_c, model.n_max)])
+    )
+    n_d = int(
+        rng.choice(model.n_max + 1, p=model.forward_d[:, min(true_outcome.n_d, model.n_max)])
+    )
+    return Outcome(n_c, n_d)
+
+
+def choice_port(counts, K, n_max, rng):
+    """One ``rng.choice`` call per true count, ascending: the channel's draw oracle."""
+    folded = np.minimum(counts, n_max)
+    out = np.empty_like(folded)
+    for t in range(n_max + 1):
+        mask = folded == t
+        n = int(mask.sum())
+        if n:
+            out[mask] = rng.choice(n_max + 1, size=n, p=K[:, t])
+    return out
 
 
 def posterior_fit(

@@ -163,6 +163,29 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "nbar" in err
 
+    # 1e15 pulses need 7.1 PiB per port, more than the 128 TiB a process
+    # maps by default, so the allocation fails at once under any overcommit policy.
+    @pytest.mark.parametrize(
+        "command, doc, named",
+        [
+            (
+                "calibrate",
+                {"calibration": {"pulses_per_phase": 1e15}},
+                "calibration.pulses_per_phase",
+            ),
+            ("scan", {"plan": {"p": 1e15, "replicas": 1}}, "plan.p"),
+        ],
+        ids=["pulses-per-phase", "scan-p"],
+    )
+    def test_unallocatable_pulse_count_is_named(self, tmp_path, capsys, command, doc, named):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {**doc, "output": {"dir": str(out)}})
+        argv = [command, "bias"] if command == "scan" else [command]
+        assert run(*argv, "--config", cfg, "--quiet") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
+        assert not out.exists()
+
     def test_integral_floats_are_integers(self, tmp_path):
         cfg = load_config(write_config(tmp_path, {"plan": {"p": 1e3, "seed": 7.0}}))
         assert cfg["plan"] == {"p": 1000, "seed": 7}

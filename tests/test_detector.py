@@ -9,14 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson
 
+from mzbayes import detector
 from mzbayes.detector import (
     CalibrationError,
     ConfusionModel,
     FitError,
     RetrodictiveWeights,
+    _apply_port,
+    _column_reads,
     _em_confusion,
     _em_step,
-    apply_noise,
     apply_noise_counts,
     exact_retrodictive_weights,
     fit_confusion_model,
@@ -28,7 +30,7 @@ from mzbayes.detector import (
 )
 from mzbayes.photon_model import InterferometerModel, Outcome
 from mzbayes.posterior import PhaseGrid, posterior_mean, single_shot_posterior
-from oracles import posterior_fit
+from oracles import apply_noise, choice_port, posterior_fit
 
 
 # The fewest distinct phases that resolve the five true counts 0..4.
@@ -114,6 +116,11 @@ class TestApplyNoise:
         sigma = math.sqrt(n * 0.1 * 0.9)
         assert abs(misreads - 0.1 * n) < 5 * sigma
 
+    def test_negative_true_count_rejected(self, regime):
+        n_c, n_d = np.array([1, -1]), np.array([0, 0])
+        with pytest.raises(ValueError, match=">= 0"):
+            apply_noise_counts(n_c, n_d, regime, np.random.default_rng(0))
+
     def test_vectorized_matches_scalar_distribution(self, off_by_one):
         # same channel statistics whichever API draws the counts
         rng = np.random.default_rng(3)
@@ -127,32 +134,60 @@ class TestApplyNoise:
         assert abs(vec_frac - sca_frac) < 0.02
 
 
-def _choice_port(counts, K, n_max, rng):
-    """One ``rng.choice`` call per true count, ascending: the channel's draw oracle."""
-    folded = np.minimum(counts, n_max)
-    out = np.empty_like(folded)
-    for t in range(n_max + 1):
-        mask = folded == t
-        n = int(mask.sum())
-        if n:
-            out[mask] = rng.choice(n_max + 1, size=n, p=K[:, t])
-    return out
-
-
 @st.composite
 def forward_matrices(draw, n_max):
-    """Column-stochastic K with silent (all-zero) rows and deterministic columns."""
+    """Column-stochastic K with silent (all-zero) rows and four kinds of column.
+
+    - deterministic: all the mass on one live row;
+    - weights: integer weights on the live rows, normalised;
+    - saturating: dyadic masses whose running sum reaches exactly 1.0 before
+      the last live row; the later live rows hold 0 or masses below half an
+      ulp of 1, which the running sum absorbs;
+    - near-edge: ``1 - eps`` on one live row and ``eps`` on another, with
+      ``eps`` a few ulps of 0 (subnormal) or of 1 (2**-53), so a cdf entry
+      sits just inside 0 or 1.
+    """
     bins = n_max + 1
     silent = draw(st.sets(st.integers(0, n_max), max_size=n_max))
     live = [m for m in range(bins) if m not in silent]
     K = np.zeros((bins, bins))
+    kinds = ["deterministic", "weights"] + (["saturating", "near-edge"] if len(live) > 1 else [])
     for t in range(bins):
-        if draw(st.booleans()):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "deterministic":
             K[draw(st.sampled_from(live)), t] = 1.0
-        else:
+        elif kind == "weights":
             w = draw(st.lists(st.integers(0, 1000), min_size=len(live), max_size=len(live)))
-            K[live, t] = w if sum(w) > 0 else np.eye(len(live))[0]
-    return K / K.sum(axis=0)
+            w = np.array(w if sum(w) > 0 else np.eye(len(live))[0], dtype=float)
+            K[live, t] = w / w.sum()
+        elif kind == "saturating":
+            k = draw(st.integers(1, len(live) - 1))
+            cuts = sorted(draw(st.sets(st.integers(1, 63), min_size=k - 1, max_size=k - 1)))
+            K[live[:k], t] = np.diff([0, *cuts, 64]) / 64.0
+            tiny = st.sampled_from([0.0, 1e-17, 2.0**-60])
+            K[live[k:], t] = draw(st.lists(tiny, min_size=len(live) - k, max_size=len(live) - k))
+        else:
+            a, b = draw(st.permutations(live))[:2]
+            eps = draw(st.integers(1, 4)) * draw(st.sampled_from([5e-324, 2.0**-53]))
+            K[a, t], K[b, t] = 1.0 - eps, eps
+    return K
+
+
+def _random_channel(seed):
+    rng = np.random.default_rng(seed)
+    K_c, K_d = rng.random((2, 5, 5))
+    return ConfusionModel(forward_c=K_c / K_c.sum(axis=0), forward_d=K_d / K_d.sum(axis=0))
+
+
+class _Uniforms:
+    """A stand-in generator whose ``random(n)`` hands out given uniforms in order."""
+
+    def __init__(self, u):
+        self.u = list(u)
+
+    def random(self, n):
+        drawn, self.u = self.u[:n], self.u[n:]
+        return np.array(drawn)
 
 
 class TestChannelDraws:
@@ -171,8 +206,8 @@ class TestChannelDraws:
         rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = apply_noise_counts(n_c, n_d, model, rng)
         want = (
-            _choice_port(n_c, model.forward_c, n_max, oracle_rng),
-            _choice_port(n_d, model.forward_d, n_max, oracle_rng),
+            choice_port(n_c, model.forward_c, n_max, oracle_rng),
+            choice_port(n_d, model.forward_d, n_max, oracle_rng),
         )
         for g, w in zip(got, want):
             assert g.dtype == w.dtype
@@ -185,13 +220,57 @@ class TestChannelDraws:
         rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
         got = apply_noise_counts(n_c, n_d, regime, rng)
         want = (
-            _choice_port(n_c, regime.forward_c, regime.n_max, oracle_rng),
-            _choice_port(n_d, regime.forward_d, regime.n_max, oracle_rng),
+            choice_port(n_c, regime.forward_c, regime.n_max, oracle_rng),
+            choice_port(n_d, regime.forward_d, regime.n_max, oracle_rng),
         )
         for g, w in zip(got, want):
             assert g.shape == (pulses,)
             np.testing.assert_array_equal(g, w)
         assert rng.random() == oracle_rng.random()
+
+    @given(data=st.data(), n_max=st.integers(0, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_reads_equal_searchsorted_at_every_edge(self, data, n_max):
+        K = data.draw(forward_matrices(n_max))
+        reads = _column_reads(K)
+        for t in range(n_max + 1):
+            cdf = K[:, t].cumsum()  # as rng.choice builds it
+            cdf /= cdf[-1]
+            # uniforms on, and one ulp either side of, each cdf entry and each end of [0, 1)
+            probes = np.concatenate(
+                [cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0), [0.0, 1.0 - 2.0**-53]]
+            )
+            u = probes[(probes >= 0.0) & (probes < 1.0)]
+            got = _apply_port(np.full(u.size, t), reads, _Uniforms(u))
+            np.testing.assert_array_equal(got, cdf.searchsorted(u, side="right"))
+
+    @pytest.mark.parametrize(
+        "model", [ConfusionModel.paper_regime(), _random_channel(11)], ids=["paper-regime", "dense"]
+    )
+    def test_calibration_matches_choice_oracle(self, model, ideal_model, monkeypatch):
+        """Five phases x 50k pulses: sample_counts then choice_port on the same spawned streams."""
+        streams = []
+
+        def recording(n_c, n_d, channel, rng):
+            streams.append(rng)
+            return apply_noise_counts(n_c, n_d, channel, rng)
+
+        monkeypatch.setattr(detector, "apply_noise_counts", recording)
+        seed, pulses = [7, 0xCA11], 50_000
+        calib = simulate_calibration(
+            FIVE_PHASES, pulses, model, ideal_model, np.random.default_rng(seed)
+        )
+        oracle_streams = np.random.default_rng(seed).spawn(len(FIVE_PHASES))
+        want = np.zeros_like(calib.counts)
+        for j, (phi, stream) in enumerate(zip(FIVE_PHASES, oracle_streams)):
+            n_c, n_d = ideal_model.sample_counts(phi, pulses, stream)
+            m_c = choice_port(n_c, model.forward_c, model.n_max, stream)
+            m_d = choice_port(n_d, model.forward_d, model.n_max, stream)
+            np.add.at(want[j], (m_c, m_d), 1)
+        np.testing.assert_array_equal(calib.counts, want)
+        assert len(streams) == len(oracle_streams)
+        for got, oracle in zip(streams, oracle_streams):
+            assert got.bit_generator.state == oracle.bit_generator.state
 
 
 class TestNoisyLikelihood:
@@ -513,12 +592,6 @@ def _scalar_retrodictive_table(model, ideal, n_quad=2001):
             joint = np.outer(model.forward_c[nc], model.forward_d[nd]) * q
             table[nc, nd] = joint / joint.sum()
     return table
-
-
-def _random_channel(seed):
-    rng = np.random.default_rng(seed)
-    K_c, K_d = rng.random((2, 5, 5))
-    return ConfusionModel(forward_c=K_c / K_c.sum(axis=0), forward_d=K_d / K_d.sum(axis=0))
 
 
 @pytest.mark.parametrize(
