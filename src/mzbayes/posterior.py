@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from mzbayes._csv import csv_text
 from mzbayes.photon_model import Outcome
@@ -49,47 +48,121 @@ class PhaseGrid:
         return np.pi / (self.n_points - 1)
 
 
-def _trapezoids(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Trapezoid areas between consecutive nodes; their sum is ``np.trapezoid(y, x)``."""
-    return (x[1:] - x[:-1]) * (y[1:] + y[:-1]) / 2.0
+def _trapezoids(half_steps: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Trapezoid areas ``half_step * (y0 + y1)`` between consecutive nodes.
+
+    With ``half_steps`` the halved node spacings this is ``dx * (y0 + y1) / 2``
+    to the bit (halving is exact); a zero half-step drops its trapezoid.
+    """
+    return half_steps * (y[:, 1:] + y[:, :-1])
 
 
-@dataclass(frozen=True)
+def _cdf_at(cdf: np.ndarray, nodes: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """``np.interp(phi[r], nodes, cdf[r])`` for each row r, by np.interp's arithmetic.
+
+    ``nodes`` ascend strictly; a phase at or beyond an end node reads that
+    end's cdf value.
+    """
+    above = np.searchsorted(nodes, phi, side="right")
+    k = np.clip(above, 1, nodes.size - 1)
+    rows = np.arange(phi.size)
+    x0, f0 = nodes[k - 1], cdf[rows, k - 1]
+    inner = (cdf[rows, k] - f0) / (nodes[k] - x0) * (phi - x0) + f0
+    return np.where(above == 0, cdf[:, 0], np.where(above == nodes.size, cdf[:, -1], inner))
+
+
+def _quantile(cdf: np.ndarray, nodes: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``np.interp(q[..., r], cdf[r], nodes)`` for each row r, by np.interp's arithmetic.
+
+    Each cdf row runs from 0 to 1 and ``0 <= q < 1``. As in np.interp, q
+    lies after the last cdf entry at or below it, so on a flat run of the
+    cdf it reads the run's last node.
+    """
+    above = np.argmax(cdf > q[..., None], axis=-1)  # >= 1, as every row starts at 0
+    rows = np.arange(cdf.shape[0])
+    x0, f0 = cdf[rows, above - 1], nodes[above - 1]
+    return (nodes[above] - f0) / (cdf[rows, above] - x0) * (q - x0) + f0
+
+
+@dataclass(frozen=True, eq=False)
 class Posterior:
-    """Normalized phase density on a grid; trapezoidal integral is 1.
+    """Normalized phase densities on a grid, one per row; each trapezoidal integral is 1.
 
-    The mean and the credible interval integrate over the support window
-    ``_support`` only: the contiguous node range where the log density is
-    above ``peak - _SUPPORT_CUT``, widened by one node on each side.
-    Outside it the density is below e^-40 of its peak and adds nothing a
-    float64 sum resolves. ``density`` and ``to_csv`` stay full-grid.
+    Built from one log density, a single posterior, or from a
+    ``(rows, n_points)`` stack of them; the moments of a stack have one
+    value per row. Each row is normalized, and its mean and credible
+    interval integrated, on its own support window: the contiguous node
+    range where its log density is above ``peak - _SUPPORT_CUT``, widened
+    by one node on each side. Outside it the density is below e^-40 of its
+    peak and adds nothing a float64 sum resolves. ``_support`` spans every
+    row's window, and each row's sums skip the trapezoids outside its own;
+    so a stacked row's moments equal its one-row moments up to the
+    grouping of float64 sums. ``density`` and ``to_csv`` stay full-grid.
     """
 
     grid: PhaseGrid
-    log_density: np.ndarray  # log of the normalized density (-inf allowed)
-    _support: slice = field(default_factory=lambda: slice(None), repr=False, compare=False)
+    _log_rows: np.ndarray = field(repr=False)  # (rows, n_points), unnormalized
+    _peak: np.ndarray = field(repr=False)  # (rows, 1)
+    _log_norm: np.ndarray = field(repr=False)  # (rows, 1)
+    _support: slice = field(repr=False)
+    _shifted: np.ndarray = field(repr=False)  # log density on _support minus the peak
+    # (rows, nodes of _support - 1): half the spacing of each trapezoid
+    # inside the row's own window, 0 outside it
+    _half_steps: np.ndarray = field(repr=False)
+    stacked: bool = False
 
     @classmethod
     def from_log_density(cls, grid: PhaseGrid, log_density: np.ndarray) -> "Posterior":
-        """The posterior proportional to ``exp(log_density)``, normalized on its support window.
+        """Posteriors proportional to ``exp(log_density)``, each normalized on its own window.
 
         Taking the first and last node above the cut keeps every mode of a
         multimodal posterior inside the window.
         """
         log_density = np.asarray(log_density, dtype=float)
-        if log_density.shape != grid.nodes.shape:
+        if log_density.ndim not in (1, 2) or log_density.shape[-1] != grid.n_points:
             raise ValueError("log_density shape does not match grid")
-        peak = np.max(log_density)
-        if not np.isfinite(peak):
+        rows = np.atleast_2d(log_density)
+        if rows.shape[0] < 1:
+            raise ValueError("need at least one log density")
+        peak = rows.max(axis=1, keepdims=True)
+        if not np.all(np.isfinite(peak)):
             raise DegenerateEvidenceError(
                 "posterior is zero (or undefined) at every grid node"
             )
-        above = np.flatnonzero(log_density > peak - _SUPPORT_CUT)
-        support = slice(max(above[0] - 1, 0), above[-1] + 2)
-        norm = _trapezoids(np.exp(log_density[support] - peak), grid.nodes[support]).sum()
-        out = log_density - peak - np.log(norm)
+        above = rows > peak - _SUPPORT_CUT
+        any_above = np.flatnonzero(above.any(axis=0))
+        support = slice(max(any_above[0] - 1, 0), min(any_above[-1] + 2, grid.n_points))
+        above = above[:, support]
+        width = above.shape[1]
+        # Each row's window in _support coordinates: [start, stop).
+        start = np.maximum(np.argmax(above, axis=1) - 1, -support.start)
+        stop = np.minimum(width + 1 - np.argmax(above[:, ::-1], axis=1), width)
+        left = np.arange(width - 1)
+        nodes = grid.nodes[support]
+        inside = (left >= start[:, None]) & (left < stop[:, None] - 1)
+        half_steps = np.where(inside, (nodes[1:] - nodes[:-1]) / 2.0, 0.0)
+        shifted = rows[:, support] - peak
+        norm = _trapezoids(half_steps, np.exp(shifted)).sum(axis=1)
+        return cls(
+            grid=grid,
+            _log_rows=rows,
+            _peak=peak,
+            _log_norm=np.log(norm)[:, None],
+            _support=support,
+            _shifted=shifted,
+            _half_steps=half_steps,
+            stacked=log_density.ndim == 2,
+        )
+
+    def _per_row(self, values: np.ndarray):
+        return values if self.stacked else float(values[0])
+
+    @cached_property
+    def log_density(self) -> np.ndarray:
+        """Log of the normalized density (-inf allowed), full-grid."""
+        out = self._log_rows - self._peak - self._log_norm
         out.flags.writeable = False
-        return cls(grid=grid, log_density=out, _support=support)
+        return out if self.stacked else out[0]
 
     @cached_property
     def density(self) -> np.ndarray:
@@ -99,15 +172,17 @@ class Posterior:
 
     @cached_property
     def _support_density(self) -> np.ndarray:
-        return np.exp(self.log_density[self._support])
+        return np.exp(self._shifted - self._log_norm)
 
     @cached_property
-    def _mean(self) -> float:
+    def _mean(self) -> np.ndarray:
         nodes = self.grid.nodes[self._support]
-        return float(_trapezoids(nodes * self._support_density, nodes).sum())
+        return _trapezoids(self._half_steps, nodes * self._support_density).sum(axis=1)
 
     def to_csv(self) -> str:
         """The density as ``phi,density`` CSV text (phi in radians)."""
+        if self.stacked:
+            raise ValueError("to_csv writes a single posterior, not a stack")
         return csv_text(["phi", "density"], zip(self.grid.nodes, self.density))
 
 
@@ -156,7 +231,13 @@ class CountLikelihood:
     array of phases, and ``statistics(n_c, n_d)`` reduces per-pulse count
     arrays to the matching statistics ``s``. The rows are tabulated on
     ``grid`` once, so each pulse sequence costs one histogram and one
-    matrix-vector product.
+    matrix-vector product, and a stack of them one matrix product.
+
+    A zero statistic is a count that never occurred, so it must not meet a
+    -inf entry, a phase where that count is impossible: 0 * (-inf) would
+    poison the sum with NaN. The product runs on the table with -inf read
+    as 0, and a node is -inf in a row exactly where one of the row's
+    nonzero statistics meets -inf.
     """
 
     def __init__(
@@ -169,10 +250,23 @@ class CountLikelihood:
         self.statistics = statistics
         self.grid = grid
         self.table = rows(grid.nodes)
+        impossible = np.isneginf(self.table)
+        self._finite_table = np.where(impossible, 0.0, self.table)
+        self._impossible_nodes = np.flatnonzero(impossible.any(axis=0))
+        self._impossible = impossible[:, self._impossible_nodes]
 
     def on_grid(self, stats: np.ndarray) -> np.ndarray:
-        """Unnormalized log likelihood of statistics ``stats`` at every grid node."""
-        return log_count_density(stats, self.table)
+        """Unnormalized log likelihood at every grid node of statistics ``stats``.
+
+        ``stats`` is one vector of statistics, or a ``(rows, S)`` stack
+        that gives one log likelihood per row.
+        """
+        stats = np.asarray(stats)
+        out = stats @ self._finite_table
+        hit = (stats != 0) @ self._impossible
+        nodes = self._impossible_nodes
+        out[..., nodes] = np.where(hit, -np.inf, out[..., nodes])
+        return out
 
     def at(self, stats: np.ndarray, phi: float) -> float:
         """Unnormalized log likelihood of statistics ``stats`` at one phase."""
@@ -189,66 +283,43 @@ def single_shot_posterior(outcome: Outcome, grid: PhaseGrid) -> Posterior:
     return Posterior.from_log_density(grid, log_shape(outcome, grid.nodes))
 
 
-def normalization_constant(outcome: Outcome) -> float:
-    """Constant C with integral_0^pi C cos^{2Nc}(phi/2) sin^{2Nd}(phi/2) dphi = 1.
-
-    Evaluated as Gamma(1+Nc+Nd) / (Gamma(1/2+Nc) * Gamma(1/2+Nd)) through
-    log-gamma, so the gamma functions themselves never overflow. C itself
-    leaves the float64 range for large, balanced counts, first at a total
-    of 1021 (Nc, Nd = 511, 510); such counts raise ``OverflowError``.
-    """
-    nc, nd = outcome.n_c, outcome.n_d
-    with np.errstate(over="ignore"):
-        c = np.exp(gammaln(1.0 + nc + nd) - gammaln(0.5 + nc) - gammaln(0.5 + nd))
-    if np.isinf(c):
-        raise OverflowError(
-            f"normalization constant of counts ({nc}, {nd}) exceeds the float64 range"
-        )
-    return float(c)
-
-
-def accumulate(outcomes: Sequence[Outcome], grid: PhaseGrid) -> Posterior:
-    """Posterior after a sequence of independent pulses (product of shots).
-
-    The per-shot log densities add, so only the total counts matter; an
-    empty sequence returns the flat prior.
-    """
-    total = Outcome(
-        sum(o.n_c for o in outcomes), sum(o.n_d for o in outcomes)
-    )
-    return Posterior.from_log_density(grid, log_shape(total, grid.nodes))
-
-
-def posterior_mean(post: Posterior) -> float:
+def posterior_mean(post: Posterior):
     """Mean phase under the posterior, by trapezoidal quadrature on its support window.
 
-    Computed once per posterior; ``credible_interval`` reuses it.
+    A float, or one per row of a stacked posterior. Computed once per
+    posterior; ``credible_interval`` reuses it.
     """
-    return post._mean
+    return post._per_row(post._mean)
 
 
-def credible_interval(post: Posterior, level: float = 0.6827) -> float:
+def credible_interval(post: Posterior, level: float = 0.6827):
     """Half-width of the equal-tail-mass interval of ``level`` around the mean.
 
-    The cdf is the trapezoidal integral over the support window. When the
-    interval would overflow a domain edge it ends at that edge (``nodes[0]``
-    or ``nodes[-1]``) and the missing mass is taken from the interior side,
+    A float, or one per row of a stacked posterior. The cdf is the
+    trapezoidal integral over the support window. When the interval would
+    overflow a domain edge it ends at that edge (``nodes[0]`` or
+    ``nodes[-1]``) and the missing mass is taken from the interior side,
     so the width stays finite and well-defined even for posteriors peaked
     at 0 or pi.
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
     nodes = post.grid.nodes[post._support]
-    cdf = np.zeros_like(nodes)
-    np.cumsum(_trapezoids(post._support_density, nodes), out=cdf[1:])
-    cdf /= cdf[-1]
-    mass_at_mean = float(np.interp(post._mean, nodes, cdf))
+    cdf = np.zeros(post._support_density.shape)
+    np.cumsum(_trapezoids(post._half_steps, post._support_density), axis=1, out=cdf[:, 1:])
+    cdf /= cdf[:, -1:]
+    mass_at_mean = _cdf_at(cdf, nodes, post._mean)
     lo = mass_at_mean - level / 2.0
     hi = mass_at_mean + level / 2.0
-    if lo <= 0.0:
-        a, b = post.grid.nodes[0], np.interp(level, cdf, nodes)
-    elif hi >= 1.0:
-        a, b = np.interp(1.0 - level, cdf, nodes), post.grid.nodes[-1]
-    else:
-        a, b = np.interp(lo, cdf, nodes), np.interp(hi, cdf, nodes)
-    return float(b - a) / 2.0
+    at_zero = lo <= 0.0
+    at_pi = ~at_zero & (hi >= 1.0)
+    # A clamped end reads no quantile; its row reads ``level`` in its place.
+    a, b = _quantile(
+        cdf,
+        nodes,
+        np.stack([np.where(at_zero, level, np.where(at_pi, 1.0 - level, lo)),
+                  np.where(at_zero | at_pi, level, hi)]),
+    )
+    a = np.where(at_zero, post.grid.nodes[0], a)
+    b = np.where(at_pi, post.grid.nodes[-1], b)
+    return post._per_row((b - a) / 2.0)

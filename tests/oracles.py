@@ -1,5 +1,11 @@
 """Closed-form references that tests compare the program against.
 
+The ideal posterior: ``accumulate`` sums a pulse list's counts into one
+closed-form log shape, ``normalization_constant`` is that shape's
+normalizer through log-gamma, and ``beta_moments`` gives the exact
+flat-prior posterior mean and credible half-width from the Beta law of
+cos^2(phi/2), with no grid.
+
 The misread channel: ``apply_noise`` pushes one ``Outcome`` through it
 with one ``rng.choice`` per port, and ``choice_port`` draws a port's
 counts with one ``rng.choice`` per true count, ascending, the draw order
@@ -12,12 +18,84 @@ likelihood wherever no true count is folded into ``n_max``;
 ``tests/test_tables.py`` pins down where it does not.
 """
 
+import math
+from typing import Sequence
+
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import betainc, betaincinv, gammaln
 
 from mzbayes.detector import ConfusionModel, RetrodictiveWeights
 from mzbayes.photon_model import Outcome
-from mzbayes.posterior import PhaseGrid, Posterior
+from mzbayes.posterior import PhaseGrid, Posterior, log_shape
+
+
+def normalization_constant(outcome: Outcome) -> float:
+    """Constant C with integral_0^pi C cos^{2Nc}(phi/2) sin^{2Nd}(phi/2) dphi = 1.
+
+    Evaluated as Gamma(1+Nc+Nd) / (Gamma(1/2+Nc) * Gamma(1/2+Nd)) through
+    log-gamma, so the gamma functions themselves never overflow. C itself
+    leaves the float64 range for large, balanced counts, first at a total
+    of 1021 (Nc, Nd = 511, 510); such counts raise ``OverflowError``.
+    """
+    nc, nd = outcome.n_c, outcome.n_d
+    with np.errstate(over="ignore"):
+        c = np.exp(gammaln(1.0 + nc + nd) - gammaln(0.5 + nc) - gammaln(0.5 + nd))
+    if np.isinf(c):
+        raise OverflowError(
+            f"normalization constant of counts ({nc}, {nd}) exceeds the float64 range"
+        )
+    return float(c)
+
+
+def accumulate(outcomes: Sequence[Outcome], grid: PhaseGrid) -> Posterior:
+    """Posterior after a sequence of independent pulses (product of shots).
+
+    The per-shot log densities add, so only the total counts matter; an
+    empty sequence returns the flat prior.
+    """
+    total = Outcome(
+        sum(o.n_c for o in outcomes), sum(o.n_d for o in outcomes)
+    )
+    return Posterior.from_log_density(grid, log_shape(total, grid.nodes))
+
+
+# Gauss-Legendre nodes for the mean's integral over the posterior's window.
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(200)
+# Tail mass left outside that window on each side.
+_TAIL = 1e-20
+
+
+def _phase_quantile(nc: int, nd: int, q: float) -> float:
+    """Phase below which the flat-prior posterior of (nc, nd) has mass q."""
+    return 2.0 * math.asin(math.sqrt(betaincinv(nd + 0.5, nc + 0.5, q)))
+
+
+def beta_moments(nc: int, nd: int, level: float = 0.6827) -> tuple[float, float]:
+    """Exact flat-prior posterior (mean, credible half-width) of port totals (nc, nd).
+
+    Under a flat prior x = cos^2(phi/2) is Beta(nc + 1/2, nd + 1/2), so the
+    posterior cdf of phi is ``betainc(nd + 1/2, nc + 1/2, sin^2(phi/2))``
+    and its quantiles come from ``betaincinv``. The mean is
+    ``integral_0^pi (1 - cdf) dphi``: the window's lower end plus fixed-node
+    Gauss-Legendre over the window, which holds all but 1e-20 of the mass
+    on each side. The interval is equal-tail around the mean, with the
+    clamped-end rule of ``credible_interval``.
+    """
+    lo_end = _phase_quantile(nc, nd, _TAIL)
+    hi_end = 2.0 * math.acos(math.sqrt(betaincinv(nc + 0.5, nd + 0.5, _TAIL)))
+    half = (hi_end - lo_end) / 2.0
+    phis = lo_end + half * (_GL_X + 1.0)
+    survival = betainc(nc + 0.5, nd + 0.5, np.cos(phis / 2.0) ** 2)
+    mean = lo_end + half * float(_GL_W @ survival)
+    mass_at_mean = float(betainc(nd + 0.5, nc + 0.5, math.sin(mean / 2.0) ** 2))
+    lo, hi = mass_at_mean - level / 2.0, mass_at_mean + level / 2.0
+    if lo <= 0.0:
+        a, b = 0.0, _phase_quantile(nc, nd, level)
+    elif hi >= 1.0:
+        a, b = _phase_quantile(nc, nd, 1.0 - level), math.pi
+    else:
+        a, b = _phase_quantile(nc, nd, lo), _phase_quantile(nc, nd, hi)
+    return mean, (b - a) / 2.0
 
 
 def apply_noise(

@@ -225,7 +225,8 @@ class TestML:
             ml_estimate([], [], loglik)
 
     def test_asymptotic_agreement_with_bayes(self, loglik, ideal_model, grid):
-        from mzbayes.posterior import accumulate, credible_interval, posterior_mean
+        from mzbayes.posterior import credible_interval, posterior_mean
+        from oracles import accumulate
 
         theta = 0.24 * math.pi
         rng = np.random.default_rng(25)

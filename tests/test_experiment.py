@@ -2,21 +2,25 @@
 
 import json
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from mzbayes.detector import ConfusionModel
+from mzbayes.estimators import FringeParams, noisy_classical_estimate
 from mzbayes.experiment import (
     ESTIMATOR_NAMES,
     ExperimentPlan,
+    _aggregate,
+    _block_rows,
     _estimators,
     default_theta_grid,
     replica_rng,
     run_estimation,
     scan,
 )
-from mzbayes.posterior import CountLikelihood, PhaseGrid
+from mzbayes.posterior import CountLikelihood, PhaseGrid, credible_interval, posterior_mean
 
 
 def small_plan(**kwargs):
@@ -87,8 +91,9 @@ class TestPlan:
             plan = small_plan(noise=channel, channel=channel, estimators=("bayes", "ml"))
             read.clear()
             scan(plan)
-            # one Bayes and one ML read per replica at each phase
-            assert len(read) == 2 * plan.replicas * plan.theta_grid.size
+            # at each phase, one Bayes read per block of replicas and one ML read per replica
+            blocks = math.ceil(plan.replicas / _block_rows(plan.grid))
+            assert len(read) == (blocks + plan.replicas) * plan.theta_grid.size
             assert all(table is plan.table for table in read)
 
     def test_manifest_contents(self):
@@ -155,9 +160,34 @@ class TestScans:
         assert set(table) == set(ESTIMATOR_NAMES)
         n_c, n_d = plan.model.sample_counts(0.3 * math.pi, plan.p, np.random.default_rng(0))
         for name in ESTIMATOR_NAMES:
-            value, dtheta = table[name](n_c, n_d)
+            estimator = table[name]
+            (value,), (dtheta,) = estimator.score(np.array([estimator.reduce(n_c, n_d)]))
             assert 0.0 <= value <= math.pi
             assert math.isnan(dtheta) == (name != "bayes")
+
+    @pytest.mark.parametrize("replicas", [1, 8, 11])
+    def test_blocks_match_one_replica_estimates(self, replicas):
+        # 4096 nodes give 8-row blocks: a short block, a full one, a full one and a remainder
+        plan = small_plan(grid=PhaseGrid(), replicas=replicas, estimators=("bayes", "fringe"))
+        assert _block_rows(plan.grid) == 8
+        fringe = FringeParams(amplitude=plan.model.nbar)
+        result = scan(plan)
+        for phase_idx, theta in enumerate(plan.theta_grid):
+            bayes, inverted = [], []
+            for r in range(replicas):
+                rng = replica_rng(plan.seed, phase_idx, r)
+                n_c, n_d = plan.model.sample_counts(theta, plan.p, rng)
+                post = plan.posterior(n_c, n_d)
+                bayes.append((posterior_mean(post), credible_interval(post)))
+                inverted.append(noisy_classical_estimate(n_c, n_d, fringe))
+            means, widths = np.array(bayes).T
+            want = _aggregate(float(theta), "bayes", means, widths)
+            got = result.record(theta, "bayes")
+            np.testing.assert_allclose(astuple(got)[2:], astuple(want)[2:], rtol=0, atol=1e-14)
+            values = np.array(inverted)
+            want = _aggregate(float(theta), "fringe", values, np.full(replicas, math.nan))
+            got = result.record(theta, "fringe")
+            np.testing.assert_array_equal(astuple(got)[2:], astuple(want)[2:])
 
     def test_degenerate_single_replica(self):
         result = scan(small_plan(replicas=1))

@@ -7,24 +7,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid, quad
+from scipy.optimize import brentq
 from scipy.stats import norm
 
 from mzbayes.detector import ConfusionModel, exact_retrodictive_weights
+from mzbayes.experiment import ExperimentPlan
 from mzbayes.photon_model import InterferometerModel, Outcome
 from mzbayes.posterior import (
     DegenerateEvidenceError,
+    _cdf_at,
+    _quantile,
     PhaseGrid,
     Posterior,
-    accumulate,
     credible_interval,
     ideal_likelihood,
     log_count_density,
     log_shape,
-    normalization_constant,
     posterior_mean,
     single_shot_posterior,
 )
-from oracles import log_posterior_fit
+from oracles import accumulate, beta_moments, log_posterior_fit, normalization_constant
 
 counts = st.integers(min_value=0, max_value=12)
 outcomes = st.builds(Outcome, counts, counts)
@@ -58,13 +60,18 @@ def full_grid_interval(post, level=0.6827):
     return (b - a) / 2.0
 
 
-def bimodal_posterior(grid, sigma, left_mass=0.3, left=1.0, right=2.5):
+def bimodal_log_density(grid, sigma, left_mass=0.3, left=1.0, right=2.5):
     """Two Gaussian modes; the mass between them underflows to exact zeros."""
     log_modes = [
         math.log(mass) - 0.5 * ((grid.nodes - mu) / sigma) ** 2
         for mass, mu in ((left_mass, left), (1.0 - left_mass, right))
     ]
-    return Posterior.from_log_density(grid, np.logaddexp(*log_modes))
+    return np.logaddexp(*log_modes)
+
+
+def bimodal_posterior(grid, sigma, left_mass=0.3, left=1.0, right=2.5):
+    log_density = bimodal_log_density(grid, sigma, left_mass, left, right)
+    return Posterior.from_log_density(grid, log_density)
 
 
 class TestPhaseGrid:
@@ -251,6 +258,12 @@ WEIGHTS = exact_retrodictive_weights(
 grids = st.sampled_from([PhaseGrid(n) for n in (2, 3, 64, 1024, 4096)])
 levels = st.sampled_from([0.6827]) | st.floats(min_value=0.05, max_value=0.95)
 large_counts = st.integers(min_value=1, max_value=5000)
+edge_or_interior_totals = st.one_of(
+    st.tuples(large_counts, st.just(0)),  # peaked at 0
+    st.tuples(st.just(0), large_counts),  # peaked at pi
+    st.tuples(st.integers(0, 1), st.integers(0, 1)),  # p <= 1: nearly flat
+    st.tuples(st.integers(0, 5000), st.integers(0, 5000)),
+)
 
 
 def assert_matches_full_grid(post, level=0.6827):
@@ -259,16 +272,7 @@ def assert_matches_full_grid(post, level=0.6827):
 
 
 class TestSupportWindow:
-    @given(
-        grid=grids,
-        totals=st.one_of(
-            st.tuples(large_counts, st.just(0)),  # peaked at 0
-            st.tuples(st.just(0), large_counts),  # peaked at pi
-            st.tuples(st.integers(0, 1), st.integers(0, 1)),  # p <= 1: nearly flat
-            st.tuples(st.integers(0, 5000), st.integers(0, 5000)),
-        ),
-        level=levels,
-    )
+    @given(grid=grids, totals=edge_or_interior_totals, level=levels)
     @settings(max_examples=200, deadline=None)
     def test_ideal_posteriors_match_full_grid(self, grid, totals, level):
         log_density = ideal_likelihood(grid).on_grid(np.array(totals))
@@ -310,6 +314,174 @@ class TestSupportWindow:
         np.testing.assert_allclose(
             log_c, math.log(normalization_constant(outcome)), rtol=0, atol=1e-10
         )
+
+
+# A stacked row and its one-row posterior differ only in how float64 sums group.
+STACK_TOL = 1e-14
+GRID = PhaseGrid()
+IDEAL_TABLE = ideal_likelihood(GRID)
+NOISY_TABLE = ExperimentPlan(
+    noise=ConfusionModel.paper_regime(), channel=ConfusionModel.paper_regime()
+).table
+
+
+@st.composite
+def log_density_rows(draw):
+    """Ideal rows, paper-regime noisy rows (per-port histograms) or bimodal rows."""
+    kind = draw(st.sampled_from(("ideal", "noisy", "bimodal")))
+    if kind == "ideal":
+        return IDEAL_TABLE.on_grid(np.array(draw(edge_or_interior_totals)))
+    if kind == "noisy":
+        histograms = draw(st.lists(st.integers(0, 400), min_size=10, max_size=10))
+        return NOISY_TABLE.on_grid(np.array(histograms))
+    return bimodal_log_density(
+        GRID,
+        draw(st.floats(min_value=0.005, max_value=0.1)),
+        draw(st.floats(min_value=0.05, max_value=0.95)),
+        draw(st.floats(min_value=0.6, max_value=1.2)),
+    )
+
+
+def assert_rows_match_one_row(rows, level=0.6827):
+    stack = Posterior.from_log_density(GRID, np.array(rows))
+    means, widths = posterior_mean(stack), credible_interval(stack, level)
+    assert means.shape == widths.shape == (len(rows),)
+    for row, mean, width in zip(rows, means, widths):
+        one = Posterior.from_log_density(GRID, row)
+        assert abs(mean - posterior_mean(one)) <= STACK_TOL
+        assert abs(width - credible_interval(one, level)) <= STACK_TOL
+
+
+@st.composite
+def cdf_rows(draw):
+    """Rows of a cdf from 0 to 1 with flat runs, on shared ascending nodes."""
+    width = draw(st.integers(2, 12))
+    steps = st.lists(
+        st.sampled_from([0.0, 0.0, 0.125, 0.5, 3.0]), min_size=width - 1, max_size=width - 1
+    )
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        step = np.array(draw(steps))
+        step[draw(st.integers(0, width - 2))] += 1.0
+        rows.append(np.concatenate([[0.0], np.cumsum(step)]) / step.sum())
+    nodes = np.cumsum(draw(st.lists(st.floats(0.01, 1.0), min_size=width, max_size=width)))
+    return np.array(rows), nodes
+
+
+class TestRowInterpolation:
+    @given(data=st.data(), rows=cdf_rows())
+    @settings(max_examples=100, deadline=None)
+    def test_quantiles_are_np_interp(self, data, rows):
+        # q on a cdf value lands after its flat run, as np.interp places it
+        cdf, nodes = rows
+        ties = st.sampled_from(sorted(set(cdf.ravel()) - {1.0}))
+        reads = ties | st.floats(0.0, 1.0, exclude_max=True)
+        q = np.array([[data.draw(reads) for _ in cdf] for _ in range(2)])
+        want = [[np.interp(q[k, r], cdf[r], nodes) for r in range(len(cdf))] for k in range(2)]
+        assert _quantile(cdf, nodes, q).tolist() == want
+
+    @given(data=st.data(), rows=cdf_rows())
+    @settings(max_examples=100, deadline=None)
+    def test_cdf_reads_are_np_interp(self, data, rows):
+        cdf, nodes = rows
+        phases = st.sampled_from(list(nodes)) | st.floats(nodes[0] - 1.0, nodes[-1] + 1.0)
+        phi = np.array([data.draw(phases) for _ in cdf])
+        want = [np.interp(phi[r], nodes, cdf[r]) for r in range(len(cdf))]
+        assert _cdf_at(cdf, nodes, phi).tolist() == want
+
+
+class TestStackedPosteriors:
+    @given(rows=st.lists(log_density_rows(), min_size=1, max_size=12), level=levels)
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_one_row_posteriors(self, rows, level):
+        assert_rows_match_one_row(rows, level)
+
+    def test_rows_with_distant_windows(self):
+        # Peaked at 0, at pi, interior and flat: the stack spans the grid,
+        # yet each row is normalized and integrated on its own window.
+        totals = ((5000, 0), (0, 5000), (700, 300))
+        rows = [IDEAL_TABLE.on_grid(np.array(t)) for t in totals]
+        rows.append(np.zeros(GRID.n_points))
+        stack = Posterior.from_log_density(GRID, np.array(rows))
+        assert GRID.nodes[stack._support].size == GRID.n_points
+        assert_rows_match_one_row(rows)
+        for row, mean, width in zip(rows, posterior_mean(stack), credible_interval(stack)):
+            one = Posterior.from_log_density(GRID, row)
+            assert abs(mean - full_grid_mean(one)) <= WINDOW_TOL
+            assert abs(width - full_grid_interval(one)) <= WINDOW_TOL
+        np.testing.assert_allclose(np.trapezoid(stack.density, GRID.nodes), 1.0, atol=1e-9)
+
+    def test_one_degenerate_row_fails_the_stack(self):
+        rows = np.array([np.zeros(GRID.n_points), np.full(GRID.n_points, -np.inf)])
+        with pytest.raises(DegenerateEvidenceError):
+            Posterior.from_log_density(GRID, rows)
+
+    def test_stack_shape_checks(self):
+        n = GRID.n_points
+        for bad in (np.zeros((0, n)), np.zeros((2, 7)), np.zeros((1, 1, n))):
+            with pytest.raises(ValueError):
+                Posterior.from_log_density(GRID, bad)
+        stack = Posterior.from_log_density(GRID, np.zeros((2, GRID.n_points)))
+        with pytest.raises(ValueError, match="single posterior"):
+            stack.to_csv()
+
+
+# Bounds measured against the Beta law on counts up to a 5000 total, with
+# h the grid spacing and N the photon total. A window clear of both edges
+# integrates a density that decays smoothly to ~0, so the trapezoidal mean
+# is exact to float rounding (measured <= 3.1e-15). A window that reaches
+# 0 or pi cuts the density off where it is not smooth, and the mean is off
+# by up to 2.0e-6, at (4995, 0). The linear interpolation of the cdf
+# between nodes makes an interior half-width too wide by 0.086 to 0.21
+# h^2 sqrt(N) (2.4e-6 to 3.7e-6 at about 1080 photons); at an edge the
+# clamped end can make it too narrow, by up to 0.17 h^2 sqrt(N).
+BETA_MEAN_TOL = 1e-12
+BETA_EDGE_MEAN_TOL = 2.5e-6
+BETA_WIDTH_SCALE = 0.25
+
+
+class TestBetaLaw:
+    @given(totals=st.lists(edge_or_interior_totals, min_size=1, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_stacked_ideal_posteriors_match_the_beta_law(self, totals):
+        stats = np.array(totals)
+        stack = Posterior.from_log_density(GRID, IDEAL_TABLE.on_grid(stats))
+        rows = zip(totals, posterior_mean(stack), credible_interval(stack))
+        for (nc, nd), mean, width in rows:
+            exact_mean, exact_width = beta_moments(nc, nd)
+            one = Posterior.from_log_density(GRID, IDEAL_TABLE.on_grid(np.array([nc, nd])))
+            window = one._support
+            at_edge = window.start == 0 or window.stop == GRID.n_points
+            scale = BETA_WIDTH_SCALE * GRID.spacing**2 * math.sqrt(max(nc + nd, 1))
+            if at_edge:
+                assert abs(mean - exact_mean) <= BETA_EDGE_MEAN_TOL
+                assert abs(width - exact_width) <= scale
+            else:
+                assert abs(mean - exact_mean) <= BETA_MEAN_TOL
+                assert 0.0 < width - exact_width <= scale
+
+    def test_flat_prior_is_exact(self):
+        mean, width = beta_moments(0, 0)
+        assert mean == pytest.approx(math.pi / 2, abs=1e-14)
+        assert width == pytest.approx(0.6827 * math.pi / 2, abs=1e-14)
+
+    @pytest.mark.parametrize("nc, nd", [(3, 5), (40, 0), (0, 7)])
+    def test_beta_law_matches_quadrature(self, nc, nd):
+        c = normalization_constant(Outcome(nc, nd))
+
+        def density(t):
+            return c * math.cos(t / 2) ** (2 * nc) * math.sin(t / 2) ** (2 * nd)
+
+        def cdf(phi):
+            return quad(density, 0, phi)[0]
+
+        mean = quad(lambda t: t * density(t), 0, math.pi)[0]
+        mass = cdf(mean)
+        a = brentq(lambda x: cdf(x) - (mass - 0.6827 / 2), 0, math.pi, xtol=1e-14)
+        b = brentq(lambda x: cdf(x) - (mass + 0.6827 / 2), 0, math.pi, xtol=1e-14)
+        exact_mean, exact_width = beta_moments(nc, nd)
+        assert exact_mean == pytest.approx(mean, abs=1e-12)
+        assert exact_width == pytest.approx((b - a) / 2, abs=1e-10)
 
 
 class TestExport:

@@ -29,6 +29,7 @@ from mzbayes.estimators import (
     UndefinedEstimateError,
     classical_estimate,
     golden_section_max,
+    invert_fringe,
     ml_estimate,
     noisy_classical_estimate,
     ymk_estimate,
@@ -36,8 +37,8 @@ from mzbayes.estimators import (
 )
 from mzbayes.experiment import ExperimentPlan
 from mzbayes.photon_model import InterferometerModel, Outcome
-from mzbayes.posterior import PhaseGrid, accumulate, log_shape, normalization_constant
-from oracles import log_posterior_fit
+from mzbayes.posterior import PhaseGrid, log_count_density, log_shape
+from oracles import accumulate, log_posterior_fit, normalization_constant
 
 N_MAX = 4
 IDEAL = InterferometerModel(nbar=1.08)
@@ -126,6 +127,27 @@ def test_noisy_table_matches_summed_noisy_joint_likelihood(counts):
                 [noisy_joint_likelihood(phi, outcome, REGIME, IDEAL) for phi in nodes]
             )
     assert_same_log_density(got, want)
+
+
+@pytest.mark.parametrize("plan", [IDEAL_PLAN, NOISY_PLAN], ids=["ideal", "noisy"])
+def test_stacked_rows_keep_zero_statistics_off_neg_inf(plan):
+    # Each row of a stack equals its own skip-the-zeros product: a zero
+    # statistic meets a -inf entry without NaN, a nonzero one makes it -inf.
+    table = plan.table
+    impossible = np.isneginf(table.table).any(axis=1)
+    assert impossible.any()
+    rng = np.random.default_rng(3)
+    stats = rng.integers(1, 50, size=(12, impossible.size))
+    stats[::2, impossible] = 0
+    stats[1::4, ~impossible] = 0
+    stats[0] = 0
+    got = table.on_grid(stats)
+    assert not np.isnan(got).any()
+    for row, s in zip(got, stats):
+        assert_same_log_density(row, log_count_density(s, table.table))
+        assert_same_log_density(row, table.on_grid(s))
+    assert np.isfinite(got[::2]).all()
+    assert np.isneginf(got[1::2]).any(axis=1).all()
 
 
 def test_log_posterior_fit_matches_closed_form_mixture():
@@ -323,6 +345,32 @@ def test_moment_estimators_match_outcome_loops(counts, a, b, amplitude):
     else:
         with pytest.raises(UndefinedEstimateError):
             ymk_mean_estimate(*counts)
+
+
+@given(
+    runs=st.lists(pulse_counts(noise=None), min_size=1, max_size=6),
+    a=st.floats(-math.pi, math.pi),
+    b=st.floats(-2.0, 2.0),
+    amplitude=st.floats(0.1, 5.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_stacked_fringe_inversion_is_the_one_replica_estimate(runs, a, b, amplitude):
+    params = FringeParams(a=a, b=b, amplitude=amplitude)
+    differences = [(int(n_c.sum()) - int(n_d.sum())) / n_c.size for n_c, n_d in runs]
+    stacked = invert_fringe(np.array(differences), params)
+    assert stacked.tolist() == [noisy_classical_estimate(*run, params) for run in runs]
+
+
+@pytest.mark.parametrize("plan", [IDEAL_PLAN, NOISY_PLAN], ids=["ideal", "noisy"])
+@pytest.mark.parametrize("port", ["c", "d"])
+def test_ml_returns_the_domain_edge_exactly(plan, port):
+    # Every count in one port: the likelihood peaks at the domain edge, and
+    # golden-section search alone stops ~2e-8 short of it.
+    ones, zeros = np.ones(1000, dtype=np.int64), np.zeros(1000, dtype=np.int64)
+    counts = (ones, zeros) if port == "c" else (zeros, ones)
+    est = ml_estimate(*counts, plan.table)
+    assert est.phase == (0.0 if port == "c" else math.pi)
+    assert not est.flat
 
 
 @given(counts=pulse_counts(noise=None))
