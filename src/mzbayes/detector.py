@@ -12,9 +12,12 @@ how often each measured pair is read correctly.
 from __future__ import annotations
 
 import json
+import os
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +28,8 @@ from mzbayes.photon_model import InterferometerModel, Outcome, PhaseDomainError,
 _COLUMN_TOL = 1e-12
 # Phase nodes of the trapezoid that averages true-pair probabilities over [0, pi].
 _N_QUAD = 2001
+# Pulses per step of the misread channel and of a calibration phase's draws.
+_CHUNK = 1 << 16
 # Per true count t of one port: (base, interior cdf edges), see _column_reads.
 _Reads = tuple[tuple[int, tuple[float, ...]], ...]
 
@@ -92,7 +97,11 @@ class ConfusionModel:
 
     @cached_property
     def column_reads(self) -> tuple[_Reads, _Reads]:
-        """Each port's ``_column_reads``, computed once for the misread channel."""
+        """Each port's ``_column_reads``, computed once for the misread channel.
+
+        ``cached_property`` takes no lock (Python 3.12 on), so code that
+        reads this from several threads computes it once beforehand.
+        """
         return _column_reads(self.forward_c), _column_reads(self.forward_d)
 
     def is_identity(self) -> bool:
@@ -124,21 +133,25 @@ def _apply_port(counts: np.ndarray, reads: _Reads, rng: np.random.Generator) -> 
     The uniforms are drawn group by group in ascending true count ``t``
     and compared as ``rng.choice(n_max + 1, p=K[:, t])`` compares them, so
     the reported counts and the generator's final state are those of
-    ``choice``. ``reads`` is ``_column_reads(K)``.
+    ``choice``. ``reads`` is ``_column_reads(K)``. Each group is read
+    ``_CHUNK`` pulses at a time, in pulse order, so the temporaries do not
+    grow with the pulse count and the uniforms are those of one call.
     """
     flat = np.ravel(counts)
     out = np.empty_like(flat)
+    chunks = [(flat[i : i + _CHUNK], out[i : i + _CHUNK]) for i in range(0, flat.size, _CHUNK)]
     n_max, seen = len(reads) - 1, 0
     for t, (base, edges) in enumerate(reads):
-        # counts above n_max fold into the n_max column
-        where = np.flatnonzero(flat == t if t < n_max else flat >= t)
-        if where.size:
-            u = rng.random(where.size)
-            read = base
-            for edge in edges:
-                read = read + (u >= edge)
-            out[where] = read
-            seen += where.size
+        for chunk, reported in chunks:
+            # counts above n_max fold into the n_max column
+            where = np.flatnonzero(chunk == t if t < n_max else chunk >= t)
+            if where.size:
+                u = rng.random(where.size)
+                read = base
+                for edge in edges:
+                    read = read + (u >= edge)
+                reported[where] = read
+                seen += where.size
     if seen != flat.size:
         raise ValueError("true counts must be >= 0")
     return out.reshape(np.shape(counts))
@@ -288,6 +301,79 @@ class CalibrationData:
         )
 
 
+def _calibration_phase(
+    phi: float,
+    stream: np.random.Generator,
+    pulses: int,
+    reads: tuple[_Reads, _Reads],
+    ideal: InterferometerModel,
+) -> np.ndarray:
+    """One phase's ``(n_max+1, n_max+1)`` pair histogram, drawn from ``stream``.
+
+    The draws are those of ``sample_counts`` then ``apply_noise_counts``:
+    port c's Poisson counts, port d's, then each port's misreads. The
+    counts are drawn ``_CHUNK`` pulses at a time (consecutive calls use the
+    stream as one call does) and kept folded at ``n_max`` in the smallest
+    unsigned dtype that holds a pair index; the channel reads a count
+    above ``n_max`` as ``n_max``, so folding changes no read.
+    """
+    n_max = len(reads[0]) - 1
+    bins = n_max + 1
+    dtype = np.min_scalar_type(bins * bins - 1)
+    folded = []
+    for mu in ideal.output_means(phi):
+        port = np.empty(pulses, dtype)
+        for start in range(0, pulses, _CHUNK):
+            chunk = port[start : start + _CHUNK]
+            np.minimum(stream.poisson(mu, chunk.size), n_max, out=chunk, casting="unsafe")
+        folded.append(port)
+    m_c = _apply_port(folded[0], reads[0], stream)
+    m_d = _apply_port(folded[1], reads[1], stream)
+    hist = sum(
+        pair_histogram(m_c[start : start + _CHUNK], m_d[start : start + _CHUNK], n_max)
+        for start in range(0, pulses, _CHUNK)
+    )
+    return hist.reshape(bins, bins)
+
+
+def _workers(tasks: int) -> int:
+    """Threads for ``tasks`` independent tasks: one per usable CPU, at most one per task."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(tasks, cpus)
+
+
+def _map_phases(phase, phases: np.ndarray, streams: list) -> list:
+    """``phase`` of each phase and its stream, in order, on ``_workers`` threads.
+
+    Serial in the calling thread when there is one worker. Once a phase
+    raises, no further phase starts, and the first of them in phase order
+    that raised has its exception re-raised.
+    """
+    workers = _workers(len(phases))
+    if workers == 1:
+        return list(map(phase, phases, streams))
+    failed = threading.Event()
+
+    def guarded(phi, stream):
+        # list() raises at the failed phase, so a skipped phase's None is never returned.
+        if failed.is_set():
+            return None
+        try:
+            return phase(phi, stream)
+        except BaseException:
+            failed.set()
+            raise
+
+    pool = ThreadPoolExecutor(workers)
+    try:
+        return list(pool.map(guarded, phases, streams))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def simulate_calibration(
     phases: Sequence[float],
     pulses_per_phase: int,
@@ -299,7 +385,8 @@ def simulate_calibration(
 
     Phases too few to resolve the true counts are rejected before any
     draw. Each phase gets an independent child stream of ``rng``, so the
-    result does not depend on the order phases are processed in.
+    result does not depend on the order phases run in, nor on the number
+    of threads that run them (one per usable CPU).
     """
     phases = np.asarray(phases, dtype=float)
     if pulses_per_phase < 1:
@@ -309,15 +396,12 @@ def simulate_calibration(
     except PhaseDomainError as exc:
         raise CalibrationError(f"calibration {exc}") from None
     _true_count_dists(phases, ideal, model.n_max, CalibrationError)
-    n_bins = model.n_max + 1
-    counts = np.zeros((len(phases), n_bins, n_bins), dtype=np.int64)
-    streams = rng.spawn(len(phases))
-    for j, (phi, stream) in enumerate(zip(phases, streams)):
-        n_c, n_d = ideal.sample_counts(phi, pulses_per_phase, stream)
-        n_c, n_d = apply_noise_counts(n_c, n_d, model, stream)
-        counts[j] = pair_histogram(n_c, n_d, model.n_max).reshape(n_bins, n_bins)
+    phase = partial(
+        _calibration_phase, pulses=pulses_per_phase, reads=model.column_reads, ideal=ideal
+    )
+    counts = _map_phases(phase, phases, rng.spawn(len(phases)))
     return CalibrationData(
-        phases=phases, pulses_per_phase=pulses_per_phase, counts=counts
+        phases=phases, pulses_per_phase=pulses_per_phase, counts=np.stack(counts)
     )
 
 

@@ -1,6 +1,10 @@
 """Detector confusion channel, calibration, and retrodictive weights."""
 
 import math
+import sys
+import threading
+import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -173,10 +177,12 @@ def forward_matrices(draw, n_max):
     return K
 
 
-def _random_channel(seed):
+def _random_channel(seed, n_max=4):
     rng = np.random.default_rng(seed)
-    K_c, K_d = rng.random((2, 5, 5))
-    return ConfusionModel(forward_c=K_c / K_c.sum(axis=0), forward_d=K_d / K_d.sum(axis=0))
+    K_c, K_d = rng.random((2, n_max + 1, n_max + 1))
+    return ConfusionModel(
+        forward_c=K_c / K_c.sum(axis=0), forward_d=K_d / K_d.sum(axis=0), n_max=n_max
+    )
 
 
 class _Uniforms:
@@ -214,7 +220,9 @@ class TestChannelDraws:
             np.testing.assert_array_equal(g, w)
         assert rng.random() == oracle_rng.random()
 
-    @pytest.mark.parametrize("pulses", [0, 1], ids=["empty", "one-pulse"])
+    @pytest.mark.parametrize(
+        "pulses", [0, 1, 2 * detector._CHUNK + 7], ids=["empty", "one-pulse", "three-chunks"]
+    )
     def test_edge_sizes_match_choice(self, regime, pulses):
         n_c, n_d = np.full(pulses, 7), np.full(pulses, 2)
         rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
@@ -249,28 +257,56 @@ class TestChannelDraws:
     )
     def test_calibration_matches_choice_oracle(self, model, ideal_model, monkeypatch):
         """Five phases x 50k pulses: sample_counts then choice_port on the same spawned streams."""
-        streams = []
-
-        def recording(n_c, n_d, channel, rng):
-            streams.append(rng)
-            return apply_noise_counts(n_c, n_d, channel, rng)
-
-        monkeypatch.setattr(detector, "apply_noise_counts", recording)
-        seed, pulses = [7, 0xCA11], 50_000
-        calib = simulate_calibration(
-            FIVE_PHASES, pulses, model, ideal_model, np.random.default_rng(seed)
+        _assert_calibration_matches_oracle(
+            monkeypatch, FIVE_PHASES, 50_000, model, ideal_model, seed=[7, 0xCA11]
         )
-        oracle_streams = np.random.default_rng(seed).spawn(len(FIVE_PHASES))
-        want = np.zeros_like(calib.counts)
-        for j, (phi, stream) in enumerate(zip(FIVE_PHASES, oracle_streams)):
-            n_c, n_d = ideal_model.sample_counts(phi, pulses, stream)
-            m_c = choice_port(n_c, model.forward_c, model.n_max, stream)
-            m_d = choice_port(n_d, model.forward_d, model.n_max, stream)
-            np.add.at(want[j], (m_c, m_d), 1)
-        np.testing.assert_array_equal(calib.counts, want)
-        assert len(streams) == len(oracle_streams)
-        for got, oracle in zip(streams, oracle_streams):
-            assert got.bit_generator.state == oracle.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "phases, pulses, model, nbar",
+        [
+            (FIVE_PHASES, 2 * detector._CHUNK + 7, ConfusionModel.paper_regime(), 1.08),
+            (FIVE_PHASES, 20_000, _random_channel(12), 7.0),
+            (np.linspace(0.2, 2.9, 16), 8_000, _random_channel(13, n_max=15), 8.0),
+        ],
+        ids=["across-chunk-edges", "folded-above-n-max", "256-pairs"],
+    )
+    def test_calibration_chunks_match_choice_oracle(
+        self, phases, pulses, model, nbar, monkeypatch
+    ):
+        """Chunked, folded draws: a pulse count that is no multiple of the chunk,
+        true counts above ``n_max``, and pair indices up to 255."""
+        ideal = InterferometerModel(nbar=nbar)
+        _assert_calibration_matches_oracle(monkeypatch, phases, pulses, model, ideal, seed=3)
+
+
+def _assert_calibration_matches_oracle(monkeypatch, phases, pulses, model, ideal, seed):
+    """``simulate_calibration`` against ``sample_counts`` then ``choice_port`` per spawned stream.
+
+    The streams are recorded through the per-phase helper and matched to
+    the oracle's by spawn key, since the phases may finish in any order.
+    """
+    streams = []
+    phase = detector._calibration_phase
+
+    def recording(phi, stream, **kwargs):
+        streams.append(stream)
+        return phase(phi, stream, **kwargs)
+
+    monkeypatch.setattr(detector, "_calibration_phase", recording)
+    calib = simulate_calibration(phases, pulses, model, ideal, np.random.default_rng(seed))
+    oracle_streams = np.random.default_rng(seed).spawn(len(phases))
+    want = np.zeros_like(calib.counts)
+    for j, (phi, stream) in enumerate(zip(phases, oracle_streams)):
+        n_c, n_d = ideal.sample_counts(phi, pulses, stream)
+        m_c = choice_port(n_c, model.forward_c, model.n_max, stream)
+        m_d = choice_port(n_d, model.forward_d, model.n_max, stream)
+        np.add.at(want[j], (m_c, m_d), 1)
+    np.testing.assert_array_equal(calib.counts, want)
+    by_key = {s.bit_generator.seed_seq.spawn_key: s for s in streams}
+    assert len(streams) == len(by_key) == len(oracle_streams)
+    for oracle in oracle_streams:
+        got = by_key[oracle.bit_generator.seed_seq.spawn_key]
+        assert got.bit_generator.state == oracle.bit_generator.state
 
 
 class TestNoisyLikelihood:
@@ -369,6 +405,57 @@ class TestCalibration:
         rows = calib.to_csv().strip().splitlines()
         assert rows[0] == "phi,nc,nd,count"
         assert len(rows) == 1 + 5 * 25
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_counts_do_not_depend_on_worker_count(self, regime, ideal_model, monkeypatch, workers):
+        phases = np.pi * np.linspace(0.02, 0.98, 9)
+        want = simulate_calibration(phases, 3000, regime, ideal_model, np.random.default_rng(4))
+        monkeypatch.setattr(detector, "_workers", lambda tasks: min(tasks, workers))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            got = simulate_calibration(phases, 3000, regime, ideal_model, np.random.default_rng(4))
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(got.counts, want.counts)
+
+    def test_peak_memory_per_pulse(self, ideal_model):
+        """The tracemalloc peak of 2 phases x 400k pulses stays below 24 B per pulse of a phase.
+
+        Measured at 14.5 B with both phases in flight and 8.6 B with one; a
+        phase that holds its int64 counts, int64 misreads and pulse-sized
+        channel temporaries peaks at about 55 B per pulse on its own.
+        """
+        K = np.array([[0.9, 0.2], [0.1, 0.8]])
+        model = ConfusionModel(forward_c=K, forward_d=K, n_max=1)
+        pulses = 400_000
+        tracemalloc.start()
+        try:
+            simulate_calibration([0.8, 2.0], pulses, model, ideal_model, np.random.default_rng(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / pulses < 24
+
+    def test_failing_phase_stops_the_phases_not_started(self, regime, ideal_model, monkeypatch):
+        phases = np.pi * np.linspace(0.02, 0.98, 33)
+        calls, raised = [], threading.Event()
+
+        def failing(phi, stream, **kwargs):
+            calls.append(phi)
+            if phi == phases[0]:
+                raised.set()
+                raise RuntimeError("phase 0 failed")
+            # stay in flight until phase 0 has raised and its thread has seen it
+            raised.wait(timeout=5.0)
+            time.sleep(0.05)
+            return np.zeros((5, 5), dtype=np.int64)
+
+        monkeypatch.setattr(detector, "_calibration_phase", failing)
+        with pytest.raises(RuntimeError, match="phase 0 failed"):
+            simulate_calibration(phases, 100, regime, ideal_model, np.random.default_rng(0))
+        assert phases[0] in calls
+        assert len(calls) <= detector._workers(len(phases))
 
 
 class TestRetrodictiveWeights:
