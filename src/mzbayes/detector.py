@@ -30,6 +30,9 @@ _COLUMN_TOL = 1e-12
 _N_QUAD = 2001
 # Pulses per step of the misread channel and of a calibration phase's draws.
 _CHUNK = 1 << 16
+# The calibration phases in flight hold at most this much together (two
+# 200k-pulse phases), so calibration memory does not grow with the CPUs.
+_PHASES_BYTES = 8 * 1024 * 1024
 # Per true count t of one port: (base, interior cdf edges), see _column_reads.
 _Reads = tuple[tuple[int, tuple[float, ...]], ...]
 
@@ -301,6 +304,11 @@ class CalibrationData:
         )
 
 
+def _pair_dtype(n_max: int) -> np.dtype:
+    """Smallest unsigned dtype that holds a pair index ``nc * (n_max+1) + nd``."""
+    return np.min_scalar_type((n_max + 1) ** 2 - 1)
+
+
 def _calibration_phase(
     phi: float,
     stream: np.random.Generator,
@@ -313,16 +321,15 @@ def _calibration_phase(
     The draws are those of ``sample_counts`` then ``apply_noise_counts``:
     port c's Poisson counts, port d's, then each port's misreads. The
     counts are drawn ``_CHUNK`` pulses at a time (consecutive calls use the
-    stream as one call does) and kept folded at ``n_max`` in the smallest
-    unsigned dtype that holds a pair index; the channel reads a count
-    above ``n_max`` as ``n_max``, so folding changes no read.
+    stream as one call does) and kept folded at ``n_max`` in
+    ``_pair_dtype``; the channel reads a count above ``n_max`` as
+    ``n_max``, so folding changes no read.
     """
     n_max = len(reads[0]) - 1
     bins = n_max + 1
-    dtype = np.min_scalar_type(bins * bins - 1)
     folded = []
     for mu in ideal.output_means(phi):
-        port = np.empty(pulses, dtype)
+        port = np.empty(pulses, _pair_dtype(n_max))
         for start in range(0, pulses, _CHUNK):
             chunk = port[start : start + _CHUNK]
             np.minimum(stream.poisson(mu, chunk.size), n_max, out=chunk, casting="unsafe")
@@ -336,25 +343,39 @@ def _calibration_phase(
     return hist.reshape(bins, bins)
 
 
-def _workers(tasks: int) -> int:
-    """Threads for ``tasks`` independent tasks: one per usable CPU, at most one per task."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(tasks, cpus)
+def _phase_bytes(pulses: int, n_max: int) -> int:
+    """Bytes one ``_calibration_phase`` holds at its peak, rounded up.
 
-
-def _map_phases(phase, phases: np.ndarray, streams: list) -> list:
-    """``phase`` of each phase and its stream, in order, on ``_workers`` threads.
-
-    Serial in the calling thread when there is one worker. Once a phase
-    raises, no further phase starts, and the first of them in phase order
-    that raised has its exception re-raised.
+    Its counts and misreads at both ports, plus a chunk's temporaries:
+    the tracemalloc peak of a phase is at most 32.5 bytes per pulse of a
+    chunk above its four pulse-sized arrays.
     """
-    workers = _workers(len(phases))
-    if workers == 1:
-        return list(map(phase, phases, streams))
+    return 4 * _pair_dtype(n_max).itemsize * pulses + 40 * min(pulses, _CHUNK)
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _workers(tasks: int, task_bytes: int) -> int:
+    """Threads for ``tasks`` independent tasks of ``task_bytes`` each.
+
+    One per usable CPU, at most one per task, and no more than fit in
+    ``_PHASES_BYTES``; always at least one.
+    """
+    return max(1, min(tasks, _cpus(), _PHASES_BYTES // task_bytes))
+
+
+def _map_phases(phase, phases: np.ndarray, streams: list, workers: int) -> list:
+    """``phase`` of each phase and its stream, in order, on ``workers`` threads.
+
+    Once a phase raises, no further phase starts, and the first of them in
+    phase order that raised has its exception re-raised.
+    """
     failed = threading.Event()
 
     def guarded(phi, stream):
@@ -386,7 +407,8 @@ def simulate_calibration(
     Phases too few to resolve the true counts are rejected before any
     draw. Each phase gets an independent child stream of ``rng``, so the
     result does not depend on the order phases run in, nor on the number
-    of threads that run them (one per usable CPU).
+    of threads that run them (one per usable CPU, as many as
+    ``_PHASES_BYTES`` holds).
     """
     phases = np.asarray(phases, dtype=float)
     if pulses_per_phase < 1:
@@ -399,7 +421,8 @@ def simulate_calibration(
     phase = partial(
         _calibration_phase, pulses=pulses_per_phase, reads=model.column_reads, ideal=ideal
     )
-    counts = _map_phases(phase, phases, rng.spawn(len(phases)))
+    workers = _workers(len(phases), _phase_bytes(pulses_per_phase, model.n_max))
+    counts = _map_phases(phase, phases, rng.spawn(len(phases)), workers)
     return CalibrationData(
         phases=phases, pulses_per_phase=pulses_per_phase, counts=np.stack(counts)
     )

@@ -410,7 +410,7 @@ class TestCalibration:
     def test_counts_do_not_depend_on_worker_count(self, regime, ideal_model, monkeypatch, workers):
         phases = np.pi * np.linspace(0.02, 0.98, 9)
         want = simulate_calibration(phases, 3000, regime, ideal_model, np.random.default_rng(4))
-        monkeypatch.setattr(detector, "_workers", lambda tasks: min(tasks, workers))
+        monkeypatch.setattr(detector, "_workers", lambda tasks, task_bytes: min(tasks, workers))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
         try:
@@ -419,8 +419,9 @@ class TestCalibration:
             sys.setswitchinterval(interval)
         np.testing.assert_array_equal(got.counts, want.counts)
 
-    def test_peak_memory_per_pulse(self, ideal_model):
-        """The tracemalloc peak of 2 phases x 400k pulses stays below 24 B per pulse of a phase.
+    def test_peak_memory_per_pulse(self, ideal_model, monkeypatch):
+        """The tracemalloc peak of 2 phases x 400k pulses, both in flight, stays below 24 B
+        per pulse of a phase.
 
         Measured at 14.5 B with both phases in flight and 8.6 B with one; a
         phase that holds its int64 counts, int64 misreads and pulse-sized
@@ -429,6 +430,7 @@ class TestCalibration:
         K = np.array([[0.9, 0.2], [0.1, 0.8]])
         model = ConfusionModel(forward_c=K, forward_d=K, n_max=1)
         pulses = 400_000
+        monkeypatch.setattr(detector, "_workers", lambda tasks, task_bytes: tasks)
         tracemalloc.start()
         try:
             simulate_calibration([0.8, 2.0], pulses, model, ideal_model, np.random.default_rng(3))
@@ -436,6 +438,22 @@ class TestCalibration:
         finally:
             tracemalloc.stop()
         assert peak / pulses < 24
+
+    def test_phases_in_flight_stay_within_budget(self, regime, ideal_model, monkeypatch):
+        """However many CPUs, 16 phases x 200k pulses peak within ``_PHASES_BYTES``.
+
+        Measured at 4.3-4.5 MB with the two phases the budget lets in flight,
+        and at 20 MB with one thread per phase.
+        """
+        monkeypatch.setattr(detector, "_cpus", lambda: 64)
+        phases = np.pi * np.linspace(0.02, 0.98, 16)
+        tracemalloc.start()
+        try:
+            simulate_calibration(phases, 200_000, regime, ideal_model, np.random.default_rng(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= detector._PHASES_BYTES
 
     def test_failing_phase_stops_the_phases_not_started(self, regime, ideal_model, monkeypatch):
         phases = np.pi * np.linspace(0.02, 0.98, 33)
@@ -452,10 +470,11 @@ class TestCalibration:
             return np.zeros((5, 5), dtype=np.int64)
 
         monkeypatch.setattr(detector, "_calibration_phase", failing)
+        monkeypatch.setattr(detector, "_workers", lambda tasks, task_bytes: 2)
         with pytest.raises(RuntimeError, match="phase 0 failed"):
             simulate_calibration(phases, 100, regime, ideal_model, np.random.default_rng(0))
         assert phases[0] in calls
-        assert len(calls) <= detector._workers(len(phases))
+        assert len(calls) <= 2
 
 
 class TestRetrodictiveWeights:
