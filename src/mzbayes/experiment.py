@@ -190,13 +190,19 @@ def _estimators(plan: ExperimentPlan) -> dict[str, _Estimator]:
     fringe = plan.fringe or FringeParams(amplitude=plan.model.nbar)
     ideal_fringe = FringeParams(amplitude=plan.model.nbar)
 
+    # One block's log likelihoods, rewritten by every block of the scan: a
+    # fresh (rows x grid) array per block would grow and trim the heap each
+    # time. The posteriors that read it stay inside ``bayes``.
+    block = _block_rows(plan.grid)
+    log_rows = np.empty((block, plan.grid.n_points))
+
     def bayes(stats):
         out = np.empty((2, len(stats)))
-        block = _block_rows(plan.grid)
         for start in range(0, len(stats), block):
-            rows = slice(start, start + block)
-            post = Posterior.from_log_density(plan.grid, plan.table.on_grid(stats[rows]))
-            out[:, rows] = posterior_mean(post), credible_interval(post)
+            chunk = stats[start : start + block]
+            log_density = plan.table.on_grid(chunk, out=log_rows[: len(chunk)])
+            post = Posterior.from_log_density(plan.grid, log_density)
+            out[:, start : start + block] = posterior_mean(post), credible_interval(post)
         return out[0], out[1]
 
     def inversion(params):

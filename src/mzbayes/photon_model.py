@@ -12,10 +12,11 @@ coherent state is equivalent to a lossless one fed by a weaker state).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from scipy.special import gammaln
 
 
 # numpy's Generator.poisson refuses a mean above int64 max less ten standard deviations.
@@ -50,12 +51,58 @@ class Outcome:
         return self.n_c + self.n_d
 
 
-def _log_poisson_pmf(k: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """log Poisson pmf, with the mu=0 limit handled exactly (pmf = [k==0])."""
+# Cephes ``lgam``, the routine behind scipy.special.gammaln: log(2 pi) / 2
+# and the Stirling-series coefficients it uses below x = 1000.
+_LS2PI = 0.91893853320467274178
+_STIRLING = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+
+
+def _log_factorial(k) -> float:
+    """log k! for a count k >= 0, equal to the bit to ``scipy.special.gammaln(k + 1)``.
+
+    It repeats Cephes ``lgam`` at x = k + 1: below x = 13 the log of the
+    exact factorial, above it the Stirling series, shortened at x >= 1000
+    and dropped at x > 1e8. Counts past 2**53 lose their exactness in x.
+    """
+    if not (k >= 0 and k % 1 == 0):
+        raise ValueError(f"need a count k >= 0, got {k!r}")
+    k = int(k)
+    if k < 12:
+        return math.log(math.factorial(k))
+    x = float(k + 1)
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    series = _STIRLING[0]
+    for a in _STIRLING[1:]:
+        series = series * p + a
+    return q + series / x
+
+
+@cache
+def _log_factorials(n_max: int) -> np.ndarray:
+    """``_log_factorial(k)`` for k = 0..n_max, read-only."""
+    table = np.array([_log_factorial(k) for k in range(n_max + 1)])
+    table.flags.writeable = False
+    return table
+
+
+def _log_poisson_pmf(k, mu, log_k_factorial) -> np.ndarray:
+    """log Poisson pmf of counts k given their ``log k!``, with the mu=0 limit exact (pmf = [k==0])."""
     k = np.asarray(k, dtype=float)
     mu = np.asarray(mu, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = k * np.log(mu) - mu - gammaln(k + 1.0)
+        out = k * np.log(mu) - mu - log_k_factorial
     # mu == 0: pmf is 1 at k=0, 0 otherwise
     zero = mu == 0.0
     if np.any(zero):
@@ -99,9 +146,9 @@ class InterferometerModel:
     def likelihood(self, phi: float, outcome: Outcome) -> float:
         """P(N_c, N_d | phi): product of the two port Poisson pmfs."""
         mu_c, mu_d = self.output_means(phi)
-        log_p = _log_poisson_pmf(outcome.n_c, mu_c) + _log_poisson_pmf(
-            outcome.n_d, mu_d
-        )
+        log_p = _log_poisson_pmf(
+            outcome.n_c, mu_c, _log_factorial(outcome.n_c)
+        ) + _log_poisson_pmf(outcome.n_d, mu_d, _log_factorial(outcome.n_d))
         return float(np.exp(log_p))
 
     def log_likelihood_grid(self, phis: np.ndarray, outcome: Outcome) -> np.ndarray:
@@ -110,9 +157,9 @@ class InterferometerModel:
         half = phis / 2.0
         mu_c = self.nbar * np.cos(half) ** 2
         mu_d = self.nbar * np.sin(half) ** 2
-        return _log_poisson_pmf(outcome.n_c, mu_c) + _log_poisson_pmf(
-            outcome.n_d, mu_d
-        )
+        return _log_poisson_pmf(
+            outcome.n_c, mu_c, _log_factorial(outcome.n_c)
+        ) + _log_poisson_pmf(outcome.n_d, mu_d, _log_factorial(outcome.n_d))
 
     def port_pmfs(self, phi) -> tuple[np.ndarray, np.ndarray]:
         """Poisson pmfs of counts 0..n_max (the tail cut, not folded) at ports c and d.
@@ -120,8 +167,13 @@ class InterferometerModel:
         Each is ``(n_max+1,)`` for a phase, ``(n_max+1, G)`` for G phases.
         """
         mu_c, mu_d = self.output_means(phi)
-        k = np.arange(self.n_max + 1).reshape((-1,) + (1,) * np.ndim(mu_c))
-        return np.exp(_log_poisson_pmf(k, mu_c)), np.exp(_log_poisson_pmf(k, mu_d))
+        column = (-1,) + (1,) * np.ndim(mu_c)
+        k = np.arange(self.n_max + 1).reshape(column)
+        log_k_factorial = _log_factorials(self.n_max).reshape(column)
+        return (
+            np.exp(_log_poisson_pmf(k, mu_c, log_k_factorial)),
+            np.exp(_log_poisson_pmf(k, mu_d, log_k_factorial)),
+        )
 
     def joint_pmf(self, phi: float) -> np.ndarray:
         """Truncated joint pmf over counts {0..n_max}^2 as a 2-D array."""

@@ -255,14 +255,15 @@ class CountLikelihood:
         self._impossible_nodes = np.flatnonzero(impossible.any(axis=0))
         self._impossible = impossible[:, self._impossible_nodes]
 
-    def on_grid(self, stats: np.ndarray) -> np.ndarray:
+    def on_grid(self, stats: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Unnormalized log likelihood at every grid node of statistics ``stats``.
 
         ``stats`` is one vector of statistics, or a ``(rows, S)`` stack
-        that gives one log likelihood per row.
+        that gives one log likelihood per row. The result is written into
+        ``out`` when given, an array of the result's shape.
         """
         stats = np.asarray(stats)
-        out = stats @ self._finite_table
+        out = np.matmul(stats, self._finite_table, out=out)
         hit = (stats != 0) @ self._impossible
         nodes = self._impossible_nodes
         out[..., nodes] = np.where(hit, -np.inf, out[..., nodes])

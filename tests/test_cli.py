@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mzbayes
 from mzbayes.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, load_config, main
 from mzbayes.detector import RetrodictiveWeights
 
@@ -446,3 +450,59 @@ class TestScanCommand:
         a = (dirs[0] / "bias_scan.csv").read_bytes()
         b = (dirs[1] / "bias_scan.csv").read_bytes()
         assert a == b
+
+
+# Imports mzbayes, checks that no scipy module came with it, then blocks
+# scipy so that any later import of it raises, and runs every command.
+_WITHOUT_SCIPY = """
+import sys
+import mzbayes, mzbayes.cli
+loaded = [name for name in sys.modules if name.split(".")[0] == "scipy"]
+if loaded:
+    sys.exit(f"importing mzbayes loaded {loaded}")
+sys.modules["scipy"] = None
+noisy, ideal = sys.argv[1:]
+for argv in (
+    ["calibrate", "--config", noisy],
+    ["scan", "bias", "--config", noisy],
+    ["fisher", "--config", noisy],
+    ["scan", "sensitivity", "--config", ideal],
+):
+    code = mzbayes.cli.main([*argv, "--quiet"])
+    if code != 0:
+        sys.exit(f"{argv} exited {code}")
+"""
+
+
+class TestRuntimeDependencies:
+    def test_commands_run_without_scipy(self, tmp_path):
+        out = tmp_path / "out"
+        noisy = write_config(
+            tmp_path,
+            {
+                "noise": {"kind": "paper_regime"},
+                "calibration": {"pulses_per_phase": 5000},
+                "plan": {"theta_grid_pi": [0.25, 0.5], "p": 100, "replicas": 2,
+                         "estimators": ["bayes", "ymk", "ml", "fringe"]},
+                "fisher": {"theta_grid_pi": [0.5]},
+                "output": {"dir": str(out)},
+            },
+            name="noisy.json",
+        )
+        ideal = write_config(
+            tmp_path,
+            {"plan": {"theta_grid_pi": [0.5], "p": 100, "replicas": 2},
+             "output": {"dir": str(tmp_path / "ideal")}},
+            name="ideal.json",
+        )
+        src = str(Path(mzbayes.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _WITHOUT_SCIPY, noisy, ideal],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        for name in ("weights.json", "bias_scan.csv", "crlb.csv"):
+            assert (out / name).exists()
+        assert (tmp_path / "ideal" / "sensitivity_scan.csv").exists()

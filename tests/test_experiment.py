@@ -85,7 +85,7 @@ class TestPlan:
         monkeypatch.setattr(
             CountLikelihood,
             "on_grid",
-            lambda table, stats: read.append(table) or on_grid(table, stats),
+            lambda table, stats, out=None: read.append(table) or on_grid(table, stats, out),
         )
         for channel in (None, ConfusionModel.paper_regime()):
             plan = small_plan(noise=channel, channel=channel, estimators=("bayes", "ml"))

@@ -7,8 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import gammaln
 
-from mzbayes.photon_model import InterferometerModel, Outcome, PhaseDomainError
+from mzbayes.photon_model import (
+    InterferometerModel,
+    Outcome,
+    PhaseDomainError,
+    _log_factorial,
+    _log_factorials,
+)
 
 NBAR = 1.08
 
@@ -72,6 +79,27 @@ class TestOutcome:
             Outcome(-1, 0)
         with pytest.raises(ValueError):
             Outcome(0, -2)
+
+
+class TestLogFactorial:
+    def test_equals_gammaln_to_the_bit(self):
+        # every branch of Cephes lgam: x < 13, x < 1000, x <= 1e8 and above
+        counts = [*range(5001), 10**5, 10**7, 10**8 - 1, 10**8, 10**9, 10**12, 2**53]
+        differ = [k for k in counts if _log_factorial(k) != gammaln(k + 1)]
+        assert differ == []
+
+    def test_table_is_the_scalar(self):
+        table = _log_factorials(40)
+        assert table.tolist() == [_log_factorial(k) for k in range(41)]
+        assert not table.flags.writeable
+
+    def test_integral_values_of_any_type(self):
+        assert _log_factorial(np.int64(30)) == _log_factorial(30) == _log_factorial(30.0)
+
+    @pytest.mark.parametrize("k", [-1, -0.5, 2.5, math.nan, math.inf, np.int64(-3)])
+    def test_non_counts_rejected(self, k):
+        with pytest.raises(ValueError, match="count"):
+            _log_factorial(k)
 
 
 class TestLikelihood:
