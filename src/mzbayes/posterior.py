@@ -95,9 +95,11 @@ class Posterior:
     range where its log density is above ``peak - _SUPPORT_CUT``, widened
     by one node on each side. Outside it the density is below e^-40 of its
     peak and adds nothing a float64 sum resolves. ``_support`` spans every
-    row's window, and each row's sums skip the trapezoids outside its own;
-    so a stacked row's moments equal its one-row moments up to the
-    grouping of float64 sums. ``density`` and ``to_csv`` stay full-grid.
+    row's window, and each row's trapezoids outside its own are zero. Every
+    sum runs left to right (``np.cumsum``), where a zero adds exactly, so a
+    stacked row's moments equal its one-row moments to the bit; ``np.sum``
+    would group the terms pairwise by the window's length and the row's
+    offset in it. ``density`` and ``to_csv`` stay full-grid.
     """
 
     grid: PhaseGrid
@@ -105,10 +107,13 @@ class Posterior:
     _peak: np.ndarray = field(repr=False)  # (rows, 1)
     _log_norm: np.ndarray = field(repr=False)  # (rows, 1)
     _support: slice = field(repr=False)
-    _shifted: np.ndarray = field(repr=False)  # log density on _support minus the peak
+    _relative: np.ndarray = field(repr=False)  # density on _support over its peak value
     # (rows, nodes of _support - 1): half the spacing of each trapezoid
     # inside the row's own window, 0 outside it
     _half_steps: np.ndarray = field(repr=False)
+    # (rows, nodes of _support - 1): the running sums of the trapezoids of
+    # _relative; the last column is the normaliser
+    _cumulative: np.ndarray = field(repr=False)
     stacked: bool = False
 
     @classmethod
@@ -141,16 +146,17 @@ class Posterior:
         nodes = grid.nodes[support]
         inside = (left >= start[:, None]) & (left < stop[:, None] - 1)
         half_steps = np.where(inside, (nodes[1:] - nodes[:-1]) / 2.0, 0.0)
-        shifted = rows[:, support] - peak
-        norm = _trapezoids(half_steps, np.exp(shifted)).sum(axis=1)
+        relative = np.exp(rows[:, support] - peak)
+        cumulative = np.cumsum(_trapezoids(half_steps, relative), axis=1)
         return cls(
             grid=grid,
             _log_rows=rows,
             _peak=peak,
-            _log_norm=np.log(norm)[:, None],
+            _log_norm=np.log(cumulative[:, -1:]),
             _support=support,
-            _shifted=shifted,
+            _relative=relative,
             _half_steps=half_steps,
+            _cumulative=cumulative,
             stacked=log_density.ndim == 2,
         )
 
@@ -171,13 +177,10 @@ class Posterior:
         return d
 
     @cached_property
-    def _support_density(self) -> np.ndarray:
-        return np.exp(self._shifted - self._log_norm)
-
-    @cached_property
     def _mean(self) -> np.ndarray:
         nodes = self.grid.nodes[self._support]
-        return _trapezoids(self._half_steps, nodes * self._support_density).sum(axis=1)
+        moment = np.cumsum(_trapezoids(self._half_steps, nodes * self._relative), axis=1)
+        return moment[:, -1] / self._cumulative[:, -1]
 
     def to_csv(self) -> str:
         """The density as ``phi,density`` CSV text (phi in radians)."""
@@ -306,9 +309,8 @@ def credible_interval(post: Posterior, level: float = 0.6827):
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
     nodes = post.grid.nodes[post._support]
-    cdf = np.zeros(post._support_density.shape)
-    np.cumsum(_trapezoids(post._half_steps, post._support_density), axis=1, out=cdf[:, 1:])
-    cdf /= cdf[:, -1:]
+    cdf = np.zeros(post._relative.shape)
+    np.divide(post._cumulative, post._cumulative[:, -1:], out=cdf[:, 1:])
     mass_at_mean = _cdf_at(cdf, nodes, post._mean)
     lo = mass_at_mean - level / 2.0
     hi = mass_at_mean + level / 2.0

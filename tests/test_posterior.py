@@ -316,7 +316,8 @@ class TestSupportWindow:
         )
 
 
-# A stacked row and its one-row posterior differ only in how float64 sums group.
+# A stacked row repeats its one-row arithmetic, so the two agree to the bit
+# (test_rows_repeat_one_row_arithmetic); this bound predates that.
 STACK_TOL = 1e-14
 GRID = PhaseGrid()
 IDEAL_TABLE = ideal_likelihood(GRID)
@@ -395,6 +396,16 @@ class TestStackedPosteriors:
     @settings(max_examples=60, deadline=None)
     def test_rows_match_one_row_posteriors(self, rows, level):
         assert_rows_match_one_row(rows, level)
+
+    @given(rows=st.lists(log_density_rows(), min_size=1, max_size=12), level=levels)
+    @settings(max_examples=60, deadline=None)
+    def test_rows_repeat_one_row_arithmetic(self, rows, level):
+        # each sum runs left to right, and the zeros outside a row's window add exactly
+        stack = Posterior.from_log_density(GRID, np.array(rows))
+        means, widths = posterior_mean(stack), credible_interval(stack, level)
+        for row, mean, width in zip(rows, means, widths):
+            one = Posterior.from_log_density(GRID, row)
+            assert (mean, width) == (posterior_mean(one), credible_interval(one, level))
 
     def test_rows_with_distant_windows(self):
         # Peaked at 0, at pi, interior and flat: the stack spans the grid,
