@@ -287,14 +287,18 @@ def scan(plan: ExperimentPlan) -> ScanResult:
     """Every estimator of the plan over its replicas at each true phase."""
     table = _estimators(plan)
     chosen = [table[name] for name in plan.estimators]
+    # Estimators that read the same reduction (ideal Bayes, classical and
+    # fringe all read the port totals) share one call per replica.
+    reducers = list(dict.fromkeys(estimator.reduce for estimator in chosen))
     records: list[ScanRecord] = []
     for phase_idx, theta in enumerate(plan.theta_grid):
         reduced: list[list] = [[] for _ in chosen]
         for replica_idx in range(plan.replicas):
             rng = replica_rng(plan.seed, phase_idx, replica_idx)
             n_c, n_d = _sample_measured(theta, plan, rng)
+            reductions = {reduce: reduce(n_c, n_d) for reduce in reducers}
             for estimator, out in zip(chosen, reduced):
-                out.append(estimator.reduce(n_c, n_d))
+                out.append(reductions[estimator.reduce])
         for name, estimator, out in zip(plan.estimators, chosen, reduced):
             values, dthetas = estimator.score(np.array(out, dtype=float))
             records.append(_aggregate(float(theta), name, values, dthetas))

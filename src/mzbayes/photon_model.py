@@ -29,6 +29,10 @@ class PhaseDomainError(ValueError):
 
 def _check_phase(phi):
     """``phi`` as a float (or a float array), each phase checked to lie in [0, pi]."""
+    if isinstance(phi, float):  # a scan's phase, once per replica: no array round trip
+        if not 0.0 <= phi <= math.pi:
+            raise PhaseDomainError(f"phase {phi} outside [0, pi]")
+        return float(phi)
     arr = np.asarray(phi, dtype=float)
     if not np.all((arr >= 0.0) & (arr <= np.pi)):
         raise PhaseDomainError(f"phase {phi} outside [0, pi]")
@@ -98,7 +102,7 @@ def _log_factorials(n_max: int) -> np.ndarray:
 
 
 def _log_poisson_pmf(k, mu, log_k_factorial) -> np.ndarray:
-    """log Poisson pmf of counts k given their ``log k!``, with the mu=0 limit exact (pmf = [k==0])."""
+    """log Poisson pmf of counts k given their ``log k!``, exact at mu=0 (pmf = [k==0])."""
     k = np.asarray(k, dtype=float)
     mu = np.asarray(mu, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):

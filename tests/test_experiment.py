@@ -7,6 +7,8 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+import mzbayes.experiment as experiment
+import mzbayes.posterior as posterior
 from mzbayes.detector import ConfusionModel
 from mzbayes.estimators import FringeParams, noisy_classical_estimate
 from mzbayes.experiment import (
@@ -95,6 +97,21 @@ class TestPlan:
             blocks = math.ceil(plan.replicas / _block_rows(plan.grid))
             assert len(read) == (blocks + plan.replicas) * plan.theta_grid.size
             assert all(table is plan.table for table in read)
+
+    def test_estimators_share_one_reduction(self, monkeypatch):
+        # ideal Bayes, classical and fringe all read the port totals: once per replica
+        calls = []
+        port_totals = posterior.port_totals
+
+        def counted(n_c, n_d):
+            calls.append(None)
+            return port_totals(n_c, n_d)
+
+        monkeypatch.setattr(posterior, "port_totals", counted)
+        monkeypatch.setattr(experiment, "port_totals", counted)
+        plan = small_plan(estimators=("bayes", "classical", "fringe"))
+        scan(plan)
+        assert len(calls) == plan.replicas * plan.theta_grid.size
 
     def test_manifest_contents(self):
         plan = small_plan()
