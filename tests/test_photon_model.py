@@ -50,10 +50,16 @@ class TestOutputMeans:
         assert mu_c >= 0.0 and mu_d >= 0.0
         assert mu_c + mu_d == pytest.approx(NBAR, rel=1e-14)
 
+    def test_phase_domain_error(self, model):
+        with pytest.raises(PhaseDomainError):
+            model.output_means(-0.1)
+        with pytest.raises(PhaseDomainError):
+            model.output_means(math.pi + 0.1)
+
     # a float phase takes the scalar check, an array the elementwise one
     @pytest.mark.parametrize("form", [float, np.float64, np.atleast_1d])
     @pytest.mark.parametrize("phi", [-0.1, math.pi + 0.1, math.nan])
-    def test_phase_domain_error(self, model, form, phi):
+    def test_phase_domain_error_in_every_form(self, model, form, phi):
         with pytest.raises(PhaseDomainError):
             model.output_means(form(phi))
 

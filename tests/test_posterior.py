@@ -317,7 +317,8 @@ class TestSupportWindow:
 
 
 # A stacked row repeats its one-row arithmetic, so the two agree to the bit
-# (test_rows_repeat_one_row_arithmetic); this bound predates that.
+# (test_rows_repeat_one_row_arithmetic). assert_rows_match_one_row bounds the
+# difference by STACK_TOL.
 STACK_TOL = 1e-14
 GRID = PhaseGrid()
 IDEAL_TABLE = ideal_likelihood(GRID)
