@@ -2,8 +2,8 @@
 
 Classical fringe inversion of the mean count difference, its noisy
 generalization with fitted fringe parameters, the per-shot YMK estimator
-arccos[(Nc-Nd)/(Nc+Nd)], and maximum likelihood by grid search with
-golden-section refinement. Sequence estimators read a run's per-pulse
+arccos[(Nc-Nd)/(Nc+Nd)], and maximum likelihood by grid search with a
+stacked k-section refinement. Sequence estimators read a run's per-pulse
 counts as two integer arrays ``(n_c, n_d)``.
 """
 
@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from mzbayes.detector import CalibrationData, FitError
 from mzbayes.photon_model import Outcome
-from mzbayes.posterior import CountLikelihood
+from mzbayes.posterior import CountLikelihood, DegenerateEvidenceError
 
 
 class DivergenceError(ValueError):
@@ -130,59 +130,60 @@ def ymk_mean_estimate(n_c, n_d) -> float:
 
 
 class MLEstimate(NamedTuple):
-    phase: float
-    flat: bool
+    """ML phase and flat-likelihood flag: floats for one run, arrays for a stack."""
 
-
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def golden_section_max(
-    f: Callable[[float], float], a: float, b: float, tol: float = 1e-10
-) -> float:
-    """Maximize a unimodal function on [a, b] by golden-section search."""
-    x1 = b - _INV_GOLDEN * (b - a)
-    x2 = a + _INV_GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_GOLDEN * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_GOLDEN * (b - a)
-            f1 = f(x1)
-    return (a + b) / 2.0
+    phase: float | np.ndarray
+    flat: bool | np.ndarray
 
 
 _FLAT_TOL = 1e-12
+# Interior points per row and round of the section search: a round shrinks
+# each bracket by (_SECTIONS + 1) / 2, so a 2-node bracket at 4096 nodes
+# reaches _SEARCH_TOL in 5 rounds.
+_SECTIONS = 63
+_SEARCH_TOL = 1e-10
+
+
+def ml_estimates(stats, likelihood: CountLikelihood) -> MLEstimate:
+    """Maximum-likelihood phase of each row of a ``(rows, S)`` stack of statistics.
+
+    Each row's grid argmax (ties to the smaller phase) and its neighbours
+    bracket its maximum. Each round of the k-section search evaluates
+    every bracket at ``_SECTIONS`` interior phases in one ``likelihood.at``
+    call and narrows it to the neighbours of the best one; the phase is
+    the final bracket's midpoint. A flat row returns pi/2 with its flag
+    set. A grid argmax at 0 or pi returns that edge exactly when the
+    likelihood there is at least that of the refined phase: near an edge
+    the log likelihood is flat to float precision over ~3e-8 rad. Raises
+    ``DegenerateEvidenceError`` if a row vanishes at every grid node.
+    """
+    total = likelihood.on_grid(stats)
+    top = total.max(axis=1)
+    if not np.all(np.isfinite(top)):
+        vanished = np.flatnonzero(~np.isfinite(top)).tolist()
+        raise DegenerateEvidenceError(f"likelihood vanished at every grid node in rows {vanished}")
+    flat = top - np.where(np.isneginf(total), np.inf, total).min(axis=1) < _FLAT_TOL
+    nodes = likelihood.grid.nodes
+    best = np.argmax(total, axis=1)
+    lo = nodes[np.maximum(best - 1, 0)]
+    hi = nodes[np.minimum(best + 1, nodes.size - 1)]
+    steps = np.arange(_SECTIONS + 2) / (_SECTIONS + 1)
+    while np.max(hi - lo) > _SEARCH_TOL:
+        points = lo[:, None] + (hi - lo)[:, None] * steps
+        j = np.argmax(likelihood.at(stats, points[:, 1:-1]), axis=1)
+        lo, hi = np.take_along_axis(points, np.stack([j, j + 2], axis=1), axis=1).T
+    phase = (lo + hi) / 2.0
+    at_edge = (best == 0) | (best == nodes.size - 1)
+    edge_value, refined_value = likelihood.at(stats, np.column_stack([nodes[best], phase])).T
+    phase = np.where(at_edge & (edge_value >= refined_value), nodes[best], phase)
+    return MLEstimate(phase=np.where(flat, math.pi / 2.0, phase), flat=flat)
 
 
 def ml_estimate(n_c, n_d, likelihood: CountLikelihood) -> MLEstimate:
-    """Maximum-likelihood phase: grid argmax refined by golden-section search.
+    """Maximum-likelihood phase of one run: the one-row case of ``ml_estimates``.
 
-    ``likelihood`` tabulates the log likelihood on its grid as a function
-    of the counts' statistics (port totals for the ideal interferometer,
-    per-port histograms behind a misread channel). Ties go to the smaller
-    phase; a flat likelihood returns pi/2 with the flag set. A grid argmax
-    at 0 or pi returns that edge exactly when the likelihood there is at
-    least that of the refined point: near an edge the log likelihood is
-    flat to float precision over ~3e-8 rad, and the golden-section tie
-    rule would walk away from it.
+    ``likelihood`` reads the counts through its statistics: the port totals
+    for the ideal interferometer, per-port histograms behind a channel.
     """
-    stats = likelihood.statistics(*_counts(n_c, n_d))
-    total = likelihood.on_grid(stats)
-    finite = total[np.isfinite(total)]
-    if finite.size == 0:
-        raise ValueError("likelihood vanished at every grid node")
-    if finite.max() - finite.min() < _FLAT_TOL:
-        return MLEstimate(phase=math.pi / 2.0, flat=True)
-    nodes = likelihood.grid.nodes
-    i = int(np.argmax(total))
-    lo = nodes[max(i - 1, 0)]
-    hi = nodes[min(i + 1, nodes.size - 1)]
-    phase = golden_section_max(lambda phi: likelihood.at(stats, phi), lo, hi)
-    if i in (0, nodes.size - 1) and likelihood.at(stats, nodes[i]) >= likelihood.at(stats, phase):
-        phase = nodes[i]
-    return MLEstimate(phase=phase, flat=False)
+    est = ml_estimates(likelihood.statistics(*_counts(n_c, n_d))[None], likelihood)
+    return MLEstimate(phase=float(est.phase[0]), flat=bool(est.flat[0]))

@@ -34,7 +34,8 @@ from mzbayes.detector import (
     port_histograms,
 )
 # The traced benchmark wraps classical_estimate and noisy_classical_estimate
-# by this module's names; the scan itself reads invert_fringe.
+# by this module's names; the scan itself reads invert_fringe. Its ML gate
+# counts one ml_estimate call per replica, so ML scores replicas one by one.
 from mzbayes.estimators import (  # noqa: F401
     FringeParams,
     classical_estimate,

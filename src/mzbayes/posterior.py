@@ -212,16 +212,6 @@ def ideal_log_rows(nodes: np.ndarray) -> np.ndarray:
         return 2.0 * np.log(np.stack([np.cos(nodes / 2.0), np.sin(nodes / 2.0)]))
 
 
-def log_count_density(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``weights @ rows`` over the rows with nonzero weight.
-
-    Skipping zero weights keeps 0 * (-inf), a count that never occurred
-    at a phase where it is impossible, from poisoning the sum with NaN.
-    """
-    nonzero = np.flatnonzero(weights)
-    return weights[nonzero] @ rows[nonzero]
-
-
 def port_totals(n_c: np.ndarray, n_d: np.ndarray) -> np.ndarray:
     """Total counts (Nc, Nd) of a pulse sequence: the ideal sufficient statistic."""
     return np.array([np.sum(n_c), np.sum(n_d)])
@@ -272,9 +262,19 @@ class CountLikelihood:
         out[..., nodes] = np.where(hit, -np.inf, out[..., nodes])
         return out
 
-    def at(self, stats: np.ndarray, phi: float) -> float:
-        """Unnormalized log likelihood of statistics ``stats`` at one phase."""
-        return float(log_count_density(stats, self.rows(np.array([phi])))[0])
+    def at(self, stats: np.ndarray, phis: np.ndarray) -> np.ndarray:
+        """Unnormalized log likelihood of ``(rows, S)`` statistics at ``(rows, K)`` phases.
+
+        Returns ``(rows, K)``. One ``rows`` call builds the rows of every
+        phase; zero statistics are read as in ``on_grid``.
+        """
+        stats, phis = np.asarray(stats), np.asarray(phis, dtype=float)
+        table = self.rows(phis.ravel()).reshape(-1, *phis.shape).swapaxes(0, 1)
+        impossible = np.isneginf(table)
+        out = (stats[:, None, :] @ np.where(impossible, 0.0, table))[:, 0]
+        hit = ((stats != 0)[:, None, :] @ impossible)[:, 0]
+        out[hit] = -np.inf
+        return out
 
 
 def ideal_likelihood(grid: PhaseGrid) -> CountLikelihood:

@@ -11,6 +11,11 @@ with one ``rng.choice`` per port, and ``choice_port`` draws a port's
 counts with one ``rng.choice`` per true count, ascending, the draw order
 of ``apply_noise_counts``.
 
+Maximum likelihood: ``golden_section_max`` is the scalar golden-section
+search that ML refinement used before it searched stacked rows, and
+``log_count_density`` the one-run product of statistics and log rows
+that skips zero statistics.
+
 The retrodictive mixture: each measured pair's density is its
 retrodictive weights times the closed-form single-shot posteriors of the
 true pairs. Up to a constant it equals the calibrated channel's per-port
@@ -19,7 +24,7 @@ likelihood wherever no true count is folded into ``n_max``;
 """
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import betainc, betaincinv, gammaln
@@ -96,6 +101,38 @@ def beta_moments(nc: int, nd: int, level: float = 0.6827) -> tuple[float, float]
     else:
         a, b = _phase_quantile(nc, nd, lo), _phase_quantile(nc, nd, hi)
     return mean, (b - a) / 2.0
+
+
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_section_max(
+    f: Callable[[float], float], a: float, b: float, tol: float = 1e-10
+) -> float:
+    """Maximize a unimodal function on [a, b] by golden-section search."""
+    x1 = b - _INV_GOLDEN * (b - a)
+    x2 = a + _INV_GOLDEN * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while b - a > tol:
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _INV_GOLDEN * (b - a)
+            f2 = f(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _INV_GOLDEN * (b - a)
+            f1 = f(x1)
+    return (a + b) / 2.0
+
+
+def log_count_density(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``weights @ rows`` over the rows with nonzero weight.
+
+    Skipping zero weights keeps 0 * (-inf), a count that never occurred
+    at a phase where it is impossible, from poisoning the sum with NaN.
+    """
+    nonzero = np.flatnonzero(weights)
+    return weights[nonzero] @ rows[nonzero]
 
 
 def apply_noise(

@@ -251,6 +251,33 @@ class TestConfigErrors:
         assert capsys.readouterr().err.startswith("numerical failure:")
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore:measured pair:UserWarning")
+    @pytest.mark.parametrize("estimator", ["bayes", "ml"])
+    def test_reading_the_channel_cannot_produce_is_numerical_failure(
+        self, tmp_path, capsys, estimator
+    ):
+        # calibrated under a channel that reads a true 4 as 3 at port c, the
+        # fitted channel never reads 4 there; a scan whose noise does read 4
+        # at port c (and misreads at port d, so it is not the identity) finds
+        # every phase impossible for that run
+        out = tmp_path / "out"
+        never_four = np.eye(5)
+        never_four[:, 4] = [0.0, 0.0, 0.0, 1.0, 0.0]
+        doc = {
+            "noise": {"kind": "matrix", "forward_c": never_four.tolist(), "forward_d": _EYE},
+            "calibration": {"pulses_per_phase": 5000},
+            "plan": {"theta_grid_pi": [0.1], "p": 1000, "replicas": 2,
+                     "estimators": [estimator]},
+            "output": {"dir": str(out)},
+        }
+        assert run("calibrate", "--config", write_config(tmp_path, doc), "--quiet") == EXIT_OK
+        doc["noise"] = {"kind": "matrix", "forward_c": _EYE, "forward_d": never_four.tolist()}
+        cfg = write_config(tmp_path, doc, name="scan.json")
+        capsys.readouterr()
+        assert run("scan", "bias", "--config", cfg, "--quiet") == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("numerical failure:")
+        assert not (out / "bias_scan.csv").exists()
+
     def test_no_partial_outputs_on_failure(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(

@@ -16,7 +16,6 @@ from mzbayes.estimators import (
     classical_estimate,
     classical_uncertainty,
     fit_fringe,
-    golden_section_max,
     ml_estimate,
     noisy_classical_estimate,
     ymk_estimate,
@@ -24,6 +23,7 @@ from mzbayes.estimators import (
 )
 from mzbayes.photon_model import InterferometerModel, Outcome
 from mzbayes.posterior import ideal_likelihood
+from oracles import golden_section_max
 
 counts = st.integers(min_value=0, max_value=10)
 outcomes = st.builds(Outcome, counts, counts)

@@ -21,12 +21,17 @@ from mzbayes.posterior import (
     Posterior,
     credible_interval,
     ideal_likelihood,
-    log_count_density,
     log_shape,
     posterior_mean,
     single_shot_posterior,
 )
-from oracles import accumulate, beta_moments, log_posterior_fit, normalization_constant
+from oracles import (
+    accumulate,
+    beta_moments,
+    log_count_density,
+    log_posterior_fit,
+    normalization_constant,
+)
 
 counts = st.integers(min_value=0, max_value=12)
 outcomes = st.builds(Outcome, counts, counts)

@@ -28,17 +28,23 @@ from mzbayes.estimators import (
     FringeParams,
     UndefinedEstimateError,
     classical_estimate,
-    golden_section_max,
     invert_fringe,
     ml_estimate,
+    ml_estimates,
     noisy_classical_estimate,
     ymk_estimate,
     ymk_mean_estimate,
 )
-from mzbayes.experiment import ExperimentPlan
+from mzbayes.experiment import ExperimentPlan, _block_rows
 from mzbayes.photon_model import InterferometerModel, Outcome
-from mzbayes.posterior import PhaseGrid, log_count_density, log_shape
-from oracles import accumulate, log_posterior_fit, normalization_constant
+from mzbayes.posterior import PhaseGrid, log_shape
+from oracles import (
+    accumulate,
+    golden_section_max,
+    log_count_density,
+    log_posterior_fit,
+    normalization_constant,
+)
 
 N_MAX = 4
 IDEAL = InterferometerModel(nbar=1.08)
@@ -143,9 +149,11 @@ def test_stacked_rows_keep_zero_statistics_off_neg_inf(plan):
     stats[0] = 0
     got = table.on_grid(stats)
     assert not np.isnan(got).any()
-    for row, s in zip(got, stats):
+    at_nodes = table.at(stats, np.broadcast_to(NODES, got.shape))
+    for row, s, at_row in zip(got, stats, at_nodes):
         assert_same_log_density(row, log_count_density(s, table.table))
         assert_same_log_density(row, table.on_grid(s))
+        assert_same_log_density(at_row, row)
     assert np.isfinite(got[::2]).all()
     assert np.isneginf(got[1::2]).any(axis=1).all()
 
@@ -389,3 +397,49 @@ def test_noisy_ml_matches_outcome_loop(counts):
     phase, flat = ml_reference(outcomes(*counts), noisy_pair_log_likelihood, NODES)
     assert est.flat == flat
     assert est.phase == pytest.approx(phase, abs=ML_TOL)
+
+
+def one_port_run(port, p=1000):
+    """Every count in one port: the likelihood peaks at 0 (port c) or pi (port d)."""
+    ones, zeros = np.ones(p, dtype=np.int64), np.zeros(p, dtype=np.int64)
+    return (ones, zeros) if port == "c" else (zeros, ones)
+
+
+# Runs every stack holds, with the (phase, flat) ML returns for each.
+# Pulses with no photons leave the ideal likelihood flat; behind the
+# channel a reported 0 may be a misread 1, so there they do not.
+PINNED_RUNS = [(one_port_run("c"), (0.0, False)), (one_port_run("d"), (math.pi, False))]
+FLAT_RUN = ((np.zeros(5, dtype=np.int64),) * 2, (math.pi / 2, True))
+BLOCK = _block_rows(IDEAL_PLAN.grid)
+
+
+@st.composite
+def run_stacks(draw, noise):
+    """(run, pinned result or None) pairs: more than one block of rows, in drawn order."""
+    drawn = draw(st.lists(pulse_counts(noise), min_size=BLOCK - 1, max_size=BLOCK + 2))
+    pinned = PINNED_RUNS + ([FLAT_RUN] if noise is None else [])
+    return draw(st.permutations([(run, None) for run in drawn] + pinned))
+
+
+@pytest.mark.parametrize(
+    "plan, pair_log_likelihood",
+    [(IDEAL_PLAN, ideal_pair_log_likelihood), (NOISY_PLAN, noisy_pair_log_likelihood)],
+    ids=["ideal", "noisy"],
+)
+@given(data=st.data())
+@settings(max_examples=4, deadline=None)
+def test_stacked_ml_is_each_row_scored_alone(plan, pair_log_likelihood, data):
+    # interior, edge and flat rows scored together: each row is its own
+    # one-row score and the per-pair loop's, and the pinned rows are exact
+    stack = data.draw(run_stacks(plan.noise))
+    assert len(stack) > BLOCK
+    stats = np.array([plan.table.statistics(*run) for run, _ in stack])
+    stacked = ml_estimates(stats, plan.table)
+    for (run, pinned), phase, flat in zip(stack, stacked.phase, stacked.flat):
+        alone = ml_estimate(*run, plan.table)
+        want, want_flat = ml_reference(outcomes(*run), pair_log_likelihood, NODES)
+        assert flat == alone.flat == want_flat
+        assert phase == pytest.approx(alone.phase, abs=ML_TOL)
+        assert phase == pytest.approx(want, abs=ML_TOL)
+        if pinned is not None:
+            assert (phase, flat) == pinned
