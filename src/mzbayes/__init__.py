@@ -24,7 +24,6 @@ from mzbayes.detector import (
     FitError,
     RetrodictiveWeights,
     fit_retrodictive_weights,
-    noisy_joint_likelihood,
     simulate_calibration,
 )
 from mzbayes.estimators import (
@@ -35,7 +34,6 @@ from mzbayes.estimators import (
     fit_fringe,
     ml_estimate,
     noisy_classical_estimate,
-    ymk_estimate,
     ymk_mean_estimate,
 )
 from mzbayes.fisher import crlb, fisher_ideal, fisher_numeric
@@ -64,7 +62,6 @@ __all__ = [
     "RetrodictiveWeights",
     "CalibrationData",
     "FitError",
-    "noisy_joint_likelihood",
     "simulate_calibration",
     "fit_retrodictive_weights",
     "FringeParams",
@@ -73,7 +70,6 @@ __all__ = [
     "classical_uncertainty",
     "fit_fringe",
     "noisy_classical_estimate",
-    "ymk_estimate",
     "ymk_mean_estimate",
     "ml_estimate",
     "fisher_ideal",

@@ -51,6 +51,8 @@ class ConfigError(ValueError):
 
 
 def _pi_array(values) -> np.ndarray:
+    if isinstance(values, (str, dict)):
+        raise TypeError(f"need a list of angles, got {values!r}")
     thetas = np.pi * np.asarray([float(v) for v in values])
     if thetas.size == 0:
         raise ValueError("need at least one angle")
@@ -256,7 +258,9 @@ def cmd_scan(
     try:
         result = scan(plan)
     except MemoryError as exc:
-        raise ConfigError(f"bad plan.p: too many pulses to hold ({exc})") from exc
+        raise ConfigError(
+            f"bad plan.p or plan.grid_points: too many pulses or grid nodes to hold ({exc})"
+        ) from exc
 
     csv_path = out_dir / f"{args.kind}_scan.csv"
     _emit_files(

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from mzbayes._csv import csv_text
-from mzbayes.photon_model import InterferometerModel, Outcome, PhaseDomainError, _check_phase
+from mzbayes.photon_model import InterferometerModel, PhaseDomainError, _check_phase
 
 _COLUMN_TOL = 1e-12
 # Phase nodes of the trapezoid that averages true-pair probabilities over [0, pi].
@@ -207,23 +207,6 @@ def port_histograms(n_c: np.ndarray, n_d: np.ndarray, n_max: int) -> np.ndarray:
     )
 
 
-def noisy_joint_likelihood(
-    phi: float, measured: Outcome, model: ConfusionModel, ideal: InterferometerModel
-) -> float:
-    """P_fit(Nc, Nd | phi): ideal Poisson pair pushed through both channels.
-
-    The misreads at the two ports are independent, so the double sum over
-    true pairs factorizes into one folded sum per port. The ``n_max`` bin
-    aggregates the folded tail of true counts above ``n_max``.
-    """
-    if measured.n_c > model.n_max or measured.n_d > model.n_max:
-        raise ValueError(
-            f"measured counts {measured} exceed the reportable maximum {model.n_max}"
-        )
-    dist_c, dist_d = measured_port_distributions(phi, model, ideal)
-    return float(dist_c[measured.n_c] * dist_d[measured.n_d])
-
-
 def noisy_joint_pmf(model: ConfusionModel, ideal: InterferometerModel):
     """Callable phi -> joint pmf matrix over measured pairs {0..n_max}^2."""
 
@@ -280,18 +263,6 @@ class CalibrationData:
         nc = np.arange(self.n_max + 1)
         diff = nc[:, None] - nc[None, :]
         return (self.counts * diff).sum(axis=(1, 2)) / self.pulses_per_phase
-
-    def empirical_phase_curve(self, n_c: int, n_d: int) -> np.ndarray:
-        """Empirical P(phi | Nc, Nd) across the calibration phases.
-
-        Bayes inversion with a flat prior and equal pulse budgets reduces to
-        normalizing the per-phase frequencies of the pair as a density.
-        """
-        y = self.counts[:, n_c, n_d].astype(float)
-        norm = np.trapezoid(y, self.phases)
-        if norm == 0.0:
-            raise FitError(f"pair ({n_c},{n_d}) never observed in calibration")
-        return y / norm
 
     def to_csv(self) -> str:
         """Histograms as ``phi,nc,nd,count`` CSV text (phi in units of pi)."""
@@ -465,9 +436,6 @@ class RetrodictiveWeights:
         bins = n_max + 1
         eye = np.eye(bins * bins).reshape((bins,) * 4)
         return cls(table=eye, n_max=n_max, channel=ConfusionModel.identity(n_max))
-
-    def distribution(self, n_c: int, n_d: int) -> np.ndarray:
-        return self.table[n_c, n_d]
 
     def diagonal(self, n_c: int, n_d: int) -> float:
         """P(true == measured) for a measured pair."""

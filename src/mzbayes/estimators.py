@@ -16,7 +16,6 @@ from typing import NamedTuple
 import numpy as np
 
 from mzbayes.detector import CalibrationData, FitError
-from mzbayes.photon_model import Outcome
 from mzbayes.posterior import CountLikelihood, DegenerateEvidenceError
 
 
@@ -110,13 +109,6 @@ def invert_fringe(mean_difference, params: FringeParams) -> np.ndarray:
 def noisy_classical_estimate(n_c, n_d, params: FringeParams) -> float:
     """Invert the fitted fringe at one run's mean count difference (``invert_fringe``)."""
     return float(invert_fringe(_mean_difference(n_c, n_d), params)[0])
-
-
-def ymk_estimate(outcome: Outcome) -> float:
-    """arccos[(Nc - Nd) / (Nc + Nd)] for a single photon-bearing shot."""
-    if outcome.total < 1:
-        raise UndefinedEstimateError("YMK estimate undefined for zero photons")
-    return math.acos((outcome.n_c - outcome.n_d) / outcome.total)
 
 
 def ymk_mean_estimate(n_c, n_d) -> float:

@@ -125,11 +125,6 @@ class ExperimentPlan:
             self.grid,
         )
 
-    def posterior(self, n_c: np.ndarray, n_d: np.ndarray) -> Posterior:
-        """The Bayesian posterior of one replica's measured counts."""
-        stats = self.table.statistics(n_c, n_d)
-        return Posterior.from_log_density(self.grid, self.table.on_grid(stats))
-
     def manifest(self) -> dict:
         return {
             "code_version": _code_version,
@@ -223,9 +218,11 @@ def _estimators(plan: ExperimentPlan) -> dict[str, _Estimator]:
 def run_estimation(
     theta: float, plan: ExperimentPlan, rng: np.random.Generator
 ) -> tuple[float, float]:
-    """One phase estimation: p pulses, accumulated posterior, (mean, dtheta)."""
-    post = plan.posterior(*_sample_measured(theta, plan, rng))
-    return posterior_mean(post), credible_interval(post)
+    """One phase estimation, p pulses scored by the scan's Bayes scorer: (mean, dtheta)."""
+    bayes = _estimators(plan)["bayes"]
+    stats = np.array([bayes.reduce(*_sample_measured(theta, plan, rng))], dtype=float)
+    (mean,), (dtheta,) = bayes.score(stats)
+    return float(mean), float(dtheta)
 
 
 @dataclass(frozen=True)

@@ -147,20 +147,9 @@ class InterferometerModel:
         half = phi / 2.0
         return self.nbar * np.cos(half) ** 2, self.nbar * np.sin(half) ** 2
 
-    def likelihood(self, phi: float, outcome: Outcome) -> float:
-        """P(N_c, N_d | phi): product of the two port Poisson pmfs."""
-        mu_c, mu_d = self.output_means(phi)
-        log_p = _log_poisson_pmf(
-            outcome.n_c, mu_c, _log_factorial(outcome.n_c)
-        ) + _log_poisson_pmf(outcome.n_d, mu_d, _log_factorial(outcome.n_d))
-        return float(np.exp(log_p))
-
     def log_likelihood_grid(self, phis: np.ndarray, outcome: Outcome) -> np.ndarray:
         """log P(N_c, N_d | phi) evaluated on an array of phases."""
-        phis = np.asarray(phis, dtype=float)
-        half = phis / 2.0
-        mu_c = self.nbar * np.cos(half) ** 2
-        mu_d = self.nbar * np.sin(half) ** 2
+        mu_c, mu_d = self.output_means(phis)
         return _log_poisson_pmf(
             outcome.n_c, mu_c, _log_factorial(outcome.n_c)
         ) + _log_poisson_pmf(outcome.n_d, mu_d, _log_factorial(outcome.n_d))

@@ -189,19 +189,6 @@ class Posterior:
         return csv_text(["phi", "density"], zip(self.grid.nodes, self.density))
 
 
-def log_shape(outcome: Outcome, nodes: np.ndarray) -> np.ndarray:
-    """Unnormalized log posterior 2*Nc*log cos(phi/2) + 2*Nd*log sin(phi/2)."""
-    with np.errstate(divide="ignore"):
-        log_cos = np.log(np.cos(nodes / 2.0))
-        log_sin = np.log(np.sin(nodes / 2.0))
-    terms = np.zeros_like(nodes)
-    if outcome.n_c:
-        terms = terms + 2.0 * outcome.n_c * log_cos
-    if outcome.n_d:
-        terms = terms + 2.0 * outcome.n_d * log_sin
-    return terms
-
-
 def ideal_log_rows(nodes: np.ndarray) -> np.ndarray:
     """Rows ``2 log cos(phi/2)`` and ``2 log sin(phi/2)`` on ``nodes``.
 
@@ -284,7 +271,8 @@ def ideal_likelihood(grid: PhaseGrid) -> CountLikelihood:
 
 def single_shot_posterior(outcome: Outcome, grid: PhaseGrid) -> Posterior:
     """Posterior after one pulse; independent of the input intensity."""
-    return Posterior.from_log_density(grid, log_shape(outcome, grid.nodes))
+    log_density = ideal_likelihood(grid).on_grid([outcome.n_c, outcome.n_d])
+    return Posterior.from_log_density(grid, log_density)
 
 
 def posterior_mean(post: Posterior):

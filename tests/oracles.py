@@ -1,10 +1,11 @@
 """Closed-form references that tests compare the program against.
 
-The ideal posterior: ``accumulate`` sums a pulse list's counts into one
-closed-form log shape, ``normalization_constant`` is that shape's
-normalizer through log-gamma, and ``beta_moments`` gives the exact
-flat-prior posterior mean and credible half-width from the Beta law of
-cos^2(phi/2), with no grid.
+The ideal posterior: ``log_shape`` is the closed-form log posterior of
+port totals, ``accumulate`` sums a pulse list's counts into one such
+shape, ``normalization_constant`` is that shape's normalizer through
+log-gamma, and ``beta_moments`` gives the exact flat-prior posterior
+mean and credible half-width from the Beta law of cos^2(phi/2), with no
+grid.
 
 The misread channel: ``apply_noise`` pushes one ``Outcome`` through it
 with one ``rng.choice`` per port, and ``choice_port`` draws a port's
@@ -31,7 +32,7 @@ from scipy.special import betainc, betaincinv, gammaln
 
 from mzbayes.detector import ConfusionModel, RetrodictiveWeights
 from mzbayes.photon_model import Outcome
-from mzbayes.posterior import PhaseGrid, Posterior, log_shape
+from mzbayes.posterior import PhaseGrid, Posterior
 
 
 def normalization_constant(outcome: Outcome) -> float:
@@ -50,6 +51,19 @@ def normalization_constant(outcome: Outcome) -> float:
             f"normalization constant of counts ({nc}, {nd}) exceeds the float64 range"
         )
     return float(c)
+
+
+def log_shape(outcome: Outcome, nodes: np.ndarray) -> np.ndarray:
+    """Unnormalized log posterior 2*Nc*log cos(phi/2) + 2*Nd*log sin(phi/2)."""
+    with np.errstate(divide="ignore"):
+        log_cos = np.log(np.cos(nodes / 2.0))
+        log_sin = np.log(np.sin(nodes / 2.0))
+    terms = np.zeros_like(nodes)
+    if outcome.n_c:
+        terms = terms + 2.0 * outcome.n_c * log_cos
+    if outcome.n_d:
+        terms = terms + 2.0 * outcome.n_d * log_sin
+    return terms
 
 
 def accumulate(outcomes: Sequence[Outcome], grid: PhaseGrid) -> Posterior:

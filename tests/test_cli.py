@@ -46,6 +46,24 @@ _NON_FINITE = {
     ),
 }
 
+# Angle lists given as a string or an object: (command, config, the key the error names).
+_NOT_A_LIST = {
+    "theta-grid-string": ("scan", {"plan": {"theta_grid_pi": "1"}}, "plan.theta_grid_pi"),
+    "theta-grid-object": ("scan", {"plan": {"theta_grid_pi": {"0.5": 1}}}, "plan.theta_grid_pi"),
+    "calibration-phases-string": (
+        "calibrate", {"calibration": {"phases_pi": "0.5"}}, "calibration.phases_pi",
+    ),
+    "calibration-phases-object": (
+        "calibrate", {"calibration": {"phases_pi": {"0.3": 1, "0.7": 2}}}, "calibration.phases_pi",
+    ),
+    "fisher-theta-grid-string": (
+        "fisher", {"fisher": {"theta_grid_pi": "1"}}, "fisher.theta_grid_pi",
+    ),
+    "fisher-theta-grid-object": (
+        "fisher", {"fisher": {"theta_grid_pi": {"0.5": 1}}}, "fisher.theta_grid_pi",
+    ),
+}
+
 
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
@@ -135,7 +153,7 @@ class TestConfigErrors:
             pytest.param("fisher", {"model": {"nbar": 30}}, id="fisher-nbar-beyond-n-max"),
             pytest.param("fisher", {"model": {"nbar": 1e6}}, id="fisher-huge-nbar"),
             *(pytest.param(command, doc, id=name)
-              for name, (command, doc, _) in _NON_FINITE.items()),
+              for name, (command, doc, _) in {**_NON_FINITE, **_NOT_A_LIST}.items()),
         ],
     )
     def test_bad_input_is_config_error(self, tmp_path, capsys, command, doc):
@@ -153,6 +171,13 @@ class TestConfigErrors:
         assert run(*argv, "--config", cfg, "--quiet") == EXIT_CONFIG
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, doc, named", _NOT_A_LIST.values(), ids=_NOT_A_LIST)
+    def test_angle_list_key_is_named(self, tmp_path, capsys, command, doc, named):
+        cfg = write_config(tmp_path, {**doc, "output": {"dir": str(tmp_path / "out")}})
+        argv = [command, "bias"] if command == "scan" else [command]
+        assert run(*argv, "--config", cfg, "--quiet") == EXIT_CONFIG
+        assert f"bad {named}: need a list of angles" in capsys.readouterr().err
+
     @pytest.mark.parametrize("nbar", [30, 1e6])
     def test_fisher_count_cut_is_named(self, tmp_path, capsys, nbar):
         cfg = write_config(tmp_path, {"model": {"nbar": nbar}})
@@ -167,8 +192,9 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "nbar" in err
 
-    # 1e15 pulses need 7.1 PiB per port, more than the 128 TiB a process
-    # maps by default, so the allocation fails at once under any overcommit policy.
+    # 1e15 pulses need 7.1 PiB per port, and 1e17 grid nodes 711 PiB per
+    # row, more than the 128 TiB a process maps by default, so the allocation
+    # fails at once under any overcommit policy.
     @pytest.mark.parametrize(
         "command, doc, named",
         [
@@ -178,8 +204,9 @@ class TestConfigErrors:
                 "calibration.pulses_per_phase",
             ),
             ("scan", {"plan": {"p": 1e15, "replicas": 1}}, "plan.p"),
+            ("scan", {"plan": {"grid_points": 10**17, "replicas": 1}}, "plan.grid_points"),
         ],
-        ids=["pulses-per-phase", "scan-p"],
+        ids=["pulses-per-phase", "scan-p", "scan-grid-points"],
     )
     def test_unallocatable_pulse_count_is_named(self, tmp_path, capsys, command, doc, named):
         out = tmp_path / "out"

@@ -28,8 +28,8 @@ from mzbayes.detector import (
     fit_confusion_model,
     fit_retrodictive_weights,
     measured_port_distributions,
-    noisy_joint_likelihood,
     noisy_joint_pmf,
+    port_histograms,
     simulate_calibration,
 )
 from mzbayes.photon_model import InterferometerModel, Outcome
@@ -315,18 +315,15 @@ class TestNoisyLikelihood:
         for phi in (0.1, 1.2, 3.0):
             for nc in range(4):
                 for nd in range(4):
-                    noisy = noisy_joint_likelihood(
-                        phi, Outcome(nc, nd), model, ideal_model
-                    )
-                    assert noisy == pytest.approx(
-                        ideal_model.likelihood(phi, Outcome(nc, nd)), rel=1e-12
-                    )
+                    noisy = noisy_joint_pmf(model, ideal_model)(phi)[nc, nd]
+                    log_ideal = ideal_model.log_likelihood_grid(np.array([phi]), Outcome(nc, nd))
+                    assert noisy == pytest.approx(math.exp(log_ideal[0]), rel=1e-12)
 
     def test_dead_detector_all_mass_at_origin(self, dead_detector, ideal_model):
         for phi in (0.2, 1.5):
-            assert noisy_joint_likelihood(
-                phi, Outcome(0, 0), dead_detector, ideal_model
-            ) == pytest.approx(1.0, rel=1e-9)
+            assert noisy_joint_pmf(dead_detector, ideal_model)(phi)[0, 0] == pytest.approx(
+                1.0, rel=1e-9
+            )
 
     def test_matches_brute_force_double_sum(self, off_by_one, ideal_model):
         phi = math.pi / 2
@@ -340,9 +337,9 @@ class TestNoisyLikelihood:
                         * off_by_one.forward_d[meas.n_d, min(td, 4)]
                         * pmf[tc, td]
                     )
-            assert noisy_joint_likelihood(
-                phi, meas, off_by_one, ideal_model
-            ) == pytest.approx(brute, rel=1e-9)
+            assert noisy_joint_pmf(off_by_one, ideal_model)(phi)[
+                meas.n_c, meas.n_d
+            ] == pytest.approx(brute, rel=1e-9)
 
     def test_pmf_sums_to_one(self, regime, ideal_model):
         pmf = noisy_joint_pmf(regime, ideal_model)
@@ -350,8 +347,9 @@ class TestNoisyLikelihood:
             assert pmf(phi).sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_out_of_range_measurement_rejected(self, regime, ideal_model):
+        # measured counts enter the noisy likelihood through their per-port histograms
         with pytest.raises(ValueError):
-            noisy_joint_likelihood(1.0, Outcome(5, 0), regime, ideal_model)
+            port_histograms(np.array([5]), np.array([0]), regime.n_max)
 
 
 class TestCalibration:
@@ -390,7 +388,9 @@ class TestCalibration:
             phases, 200_000, ConfusionModel.identity(), ideal_model,
             np.random.default_rng(6),
         )
-        emp = calib.empirical_phase_curve(0, 1)
+        # flat prior, equal pulse budgets: the pair's frequencies normalized as a density
+        y = calib.counts[:, 0, 1].astype(float)
+        emp = y / np.trapezoid(y, phases)
         post = single_shot_posterior(Outcome(0, 1), PhaseGrid(512))
         exact = np.interp(phases, post.grid.nodes, post.density)
         # both curves normalized over the truncated calibration range
@@ -589,7 +589,7 @@ class TestFit:
         assert len(caught) == len(unsupported) == 9
         for record, (nc, nd) in zip(caught, unsupported):
             assert f"measured pair ({nc},{nd})" in str(record.message)
-            np.testing.assert_allclose(w.distribution(nc, nd), 1.0 / 25.0, atol=1e-12)
+            np.testing.assert_allclose(w.table[nc, nd], 1.0 / 25.0, atol=1e-12)
 
 
 def _einsum_em_step(K, observed_counts, true_dists):

@@ -18,7 +18,6 @@ from mzbayes.estimators import (
     fit_fringe,
     ml_estimate,
     noisy_classical_estimate,
-    ymk_estimate,
     ymk_mean_estimate,
 )
 from mzbayes.photon_model import InterferometerModel, Outcome
@@ -168,14 +167,14 @@ class TestFringe:
 class TestYMK:
     def test_balanced_counts(self):
         for k in (1, 2, 5):
-            assert ymk_estimate(Outcome(k, k)) == pytest.approx(math.pi / 2)
+            assert ymk_mean_estimate([k], [k]) == pytest.approx(math.pi / 2)
 
     def test_three_one(self):
-        assert ymk_estimate(Outcome(3, 1)) == pytest.approx(math.pi / 3)
+        assert ymk_mean_estimate([3], [1]) == pytest.approx(math.pi / 3)
 
     def test_no_photons_undefined(self):
         with pytest.raises(UndefinedEstimateError):
-            ymk_estimate(Outcome(0, 0))
+            ymk_mean_estimate([0], [0])
 
     def test_sequence_skips_empty_shots(self):
         est = ymk_mean_estimate(*pulses([Outcome(0, 0), Outcome(1, 1), Outcome(0, 0)]))
@@ -242,5 +241,5 @@ class TestML:
             for nd in range(9):
                 if 1 <= nc + nd <= 8:
                     ml = ml_estimate([nc], [nd], loglik).phase
-                    ymk = ymk_estimate(Outcome(nc, nd))
+                    ymk = ymk_mean_estimate([nc], [nd])
                     assert abs(ml - ymk) < 2 * grid.spacing

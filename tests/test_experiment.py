@@ -22,7 +22,13 @@ from mzbayes.experiment import (
     run_estimation,
     scan,
 )
-from mzbayes.posterior import CountLikelihood, PhaseGrid, credible_interval, posterior_mean
+from mzbayes.posterior import (
+    CountLikelihood,
+    PhaseGrid,
+    Posterior,
+    credible_interval,
+    posterior_mean,
+)
 
 
 def small_plan(**kwargs):
@@ -150,6 +156,17 @@ class TestRunEstimation:
         assert abs(mean - 0.24 * math.pi) < 3 * dtheta
         assert math.sqrt(1000) * dtheta == pytest.approx(1 / math.sqrt(1.08), rel=0.10)
 
+    @pytest.mark.parametrize("noisy", [False, True], ids=["ideal", "noisy"])
+    def test_is_the_scans_bayes_value(self, noisy):
+        # one replica: the scan's mean over replicas is that replica's value
+        regime = ConfusionModel.paper_regime() if noisy else None
+        plan = small_plan(replicas=1, noise=regime, channel=regime)
+        result = scan(plan)
+        for phase_idx, theta in enumerate(plan.theta_grid):
+            mean, dtheta = run_estimation(theta, plan, replica_rng(plan.seed, phase_idx, 0))
+            rec = result.record(theta, "bayes")
+            assert (mean, dtheta) == (rec.mean_est, rec.mean_dtheta)
+
     def test_single_pulse_width_of_order_prior(self):
         plan = ExperimentPlan(theta_grid=np.array([0.24 * math.pi]), p=1,
                               replicas=1, seed=11)
@@ -194,7 +211,8 @@ class TestScans:
             for r in range(replicas):
                 rng = replica_rng(plan.seed, phase_idx, r)
                 n_c, n_d = plan.model.sample_counts(theta, plan.p, rng)
-                post = plan.posterior(n_c, n_d)
+                stats = plan.table.statistics(n_c, n_d)
+                post = Posterior.from_log_density(plan.grid, plan.table.on_grid(stats))
                 bayes.append((posterior_mean(post), credible_interval(post)))
                 inverted.append(noisy_classical_estimate(n_c, n_d, fringe))
             means, widths = np.array(bayes).T

@@ -21,7 +21,6 @@ from mzbayes.posterior import (
     Posterior,
     credible_interval,
     ideal_likelihood,
-    log_shape,
     posterior_mean,
     single_shot_posterior,
 )
@@ -30,6 +29,7 @@ from oracles import (
     beta_moments,
     log_count_density,
     log_posterior_fit,
+    log_shape,
     normalization_constant,
 )
 

@@ -20,7 +20,7 @@ from mzbayes.detector import (
     apply_noise_counts,
     exact_retrodictive_weights,
     measured_port_distributions,
-    noisy_joint_likelihood,
+    noisy_joint_pmf,
     pair_histogram,
     port_histograms,
 )
@@ -32,17 +32,17 @@ from mzbayes.estimators import (
     ml_estimate,
     ml_estimates,
     noisy_classical_estimate,
-    ymk_estimate,
     ymk_mean_estimate,
 )
 from mzbayes.experiment import ExperimentPlan, _block_rows
 from mzbayes.photon_model import InterferometerModel, Outcome
-from mzbayes.posterior import PhaseGrid, log_shape
+from mzbayes.posterior import PhaseGrid, Posterior
 from oracles import (
     accumulate,
     golden_section_max,
     log_count_density,
     log_posterior_fit,
+    log_shape,
     normalization_constant,
 )
 
@@ -115,7 +115,8 @@ def assert_same_log_density(got, want):
 @given(counts=pulse_counts(noise=None))
 @settings(max_examples=60, deadline=None)
 def test_ideal_bayes_table_matches_accumulate(counts):
-    got = IDEAL_PLAN.posterior(*counts)
+    stats = IDEAL_PLAN.table.statistics(*counts)
+    got = Posterior.from_log_density(IDEAL_PLAN.grid, IDEAL_PLAN.table.on_grid(stats))
     want = accumulate(outcomes(*counts), IDEAL_PLAN.grid)
     assert_same_log_density(got.log_density, want.log_density)
 
@@ -126,12 +127,11 @@ def test_noisy_table_matches_summed_noisy_joint_likelihood(counts):
     table = NOISY_PLAN.table
     nodes = NODES[[0, 1, 200, 511, 512, 900, GRID_POINTS - 2, GRID_POINTS - 1]]
     got = table.on_grid(table.statistics(*counts))[np.searchsorted(NODES, nodes)]
+    pmfs = [noisy_joint_pmf(REGIME, IDEAL)(phi) for phi in nodes]
     want = np.zeros(nodes.size)
     with np.errstate(divide="ignore"):
         for outcome in outcomes(*counts):
-            want = want + np.log(
-                [noisy_joint_likelihood(phi, outcome, REGIME, IDEAL) for phi in nodes]
-            )
+            want = want + np.log([pmf[outcome.n_c, outcome.n_d] for pmf in pmfs])
     assert_same_log_density(got, want)
 
 
@@ -163,7 +163,7 @@ def test_log_posterior_fit_matches_closed_form_mixture():
     rows = log_posterior_fit(WEIGHTS, NODES)
     for nc in range(N_MAX + 1):
         for nd in range(N_MAX + 1):
-            dist = WEIGHTS.distribution(nc, nd)
+            dist = WEIGHTS.table[nc, nd]
             want = np.zeros(NODES.size)
             for tc in range(N_MAX + 1):
                 for td in range(N_MAX + 1):
@@ -258,9 +258,10 @@ def test_ml_rows_match_noisy_joint_likelihood(phi, seed):
         channel=channel,
         estimators=("ml",),
     ).table.rows(np.array([phi]))[:, 0]
+    pmf = noisy_joint_pmf(channel, IDEAL)(phi)
     for nc in range(N_MAX + 1):
         for nd in range(N_MAX + 1):
-            want = noisy_joint_likelihood(phi, Outcome(nc, nd), channel, IDEAL)
+            want = pmf[nc, nd]
             got = math.exp(rows[nc] + rows[N_MAX + 1 + nd])
             assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)
 
@@ -301,7 +302,7 @@ def fringe_reference(data, params):
 
 
 def ymk_reference(data):
-    vals = [ymk_estimate(o) for o in data if o.total >= 1]
+    vals = [math.acos((o.n_c - o.n_d) / o.total) for o in data if o.total >= 1]
     if not vals:
         raise UndefinedEstimateError("no photon-bearing shots")
     return sum(vals) / len(vals)
