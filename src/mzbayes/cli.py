@@ -50,13 +50,26 @@ class ConfigError(ValueError):
     """Bad or missing configuration."""
 
 
+def _number(value) -> float:
+    """A JSON number: an int or a float, but not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"need a number, got {value!r}")
+    return float(value)
+
+
 def _pi_array(values) -> np.ndarray:
-    if isinstance(values, (str, dict)):
-        raise TypeError(f"need a list of angles, got {values!r}")
-    thetas = np.pi * np.asarray([float(v) for v in values])
+    # A string or an object iterates as strings, which _number rejects.
+    try:
+        thetas = np.pi * np.array([_number(v) for v in values])
+    except TypeError:
+        raise TypeError(f"need a list of angles, got {values!r}") from None
     if thetas.size == 0:
         raise ValueError("need at least one angle")
     return thetas
+
+
+def _matrix(rows) -> np.ndarray:
+    return np.array([[_number(v) for v in row] for row in rows])
 
 
 def _integer(value) -> int:
@@ -69,16 +82,16 @@ def _integer(value) -> int:
 
 
 def _names(values) -> tuple[str, ...]:
-    if isinstance(values, str):
-        raise ValueError(f"need a list of names, got the string {values!r}")
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise TypeError(f"need a list of names, got {values!r}")
     return tuple(values)
 
 
 # Every config key with its converter; a key missing here is rejected.
 # An absent key keeps the default of the code that reads it.
 _SCHEMA = {
-    "model": {"nbar": float, "n_max": _integer},
-    "noise": {"kind": str, "n_max": _integer, "forward_c": np.array, "forward_d": np.array},
+    "model": {"nbar": _number, "n_max": _integer},
+    "noise": {"kind": str, "n_max": _integer, "forward_c": _matrix, "forward_d": _matrix},
     "calibration": {"phases_pi": _pi_array, "pulses_per_phase": _integer, "weights_file": Path},
     "plan": {
         "theta_grid_pi": _pi_array,
@@ -88,7 +101,7 @@ _SCHEMA = {
         "grid_points": lambda n: PhaseGrid(_integer(n)),
         "estimators": _names,
     },
-    "fisher": {"theta_grid_pi": _pi_array, "d_theta": float},
+    "fisher": {"theta_grid_pi": _pi_array, "d_theta": _number},
     "output": {"dir": Path},
 }
 
@@ -99,9 +112,10 @@ def load_config(path: str) -> dict:
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        with open(p) as fh:
+        # JSON text is UTF-8, whatever the locale's encoding.
+        with open(p, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -117,7 +131,7 @@ def load_config(path: str) -> dict:
                 raise ConfigError(f"unknown config key {name}.{key}")
             try:
                 cfg[name][key] = _SCHEMA[name][key](value)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"bad {name}.{key}: {exc}") from exc
     return cfg
 

@@ -33,17 +33,9 @@ from mzbayes.detector import (
     noisy_log_likelihood_grid,
     port_histograms,
 )
-# The traced benchmark wraps classical_estimate and noisy_classical_estimate
-# by this module's names; the scan itself reads invert_fringe. Its ML gate
-# counts one ml_estimate call per replica, so ML scores replicas one by one.
-from mzbayes.estimators import (  # noqa: F401
-    FringeParams,
-    classical_estimate,
-    invert_fringe,
-    ml_estimate,
-    noisy_classical_estimate,
-    ymk_mean_estimate,
-)
+# The traced benchmark's ML gate counts one ml_estimate call per replica,
+# so ML scores replicas one by one.
+from mzbayes.estimators import FringeParams, invert_fringe, ml_estimate, ymk_mean_estimate
 from mzbayes.photon_model import InterferometerModel, PhaseDomainError, _check_phase
 from mzbayes.posterior import (
     CountLikelihood,

@@ -95,11 +95,13 @@ class Posterior:
     range where its log density is above ``peak - _SUPPORT_CUT``, widened
     by one node on each side. Outside it the density is below e^-40 of its
     peak and adds nothing a float64 sum resolves. ``_support`` spans every
-    row's window, and each row's trapezoids outside its own are zero. Every
-    sum runs left to right (``np.cumsum``), where a zero adds exactly, so a
-    stacked row's moments equal its one-row moments to the bit; ``np.sum``
-    would group the terms pairwise by the window's length and the row's
-    offset in it. ``density`` and ``to_csv`` stay full-grid.
+    row's window, and each row's trapezoids outside its own are zero. The
+    window is integrated once: running sums of mass and first moment give
+    each row's normaliser, cdf and mean, which the moment functions read.
+    Every sum runs left to right (``np.cumsum``), where a zero adds
+    exactly, so a stacked row's moments equal its one-row moments to the
+    bit; ``np.sum`` would group the terms pairwise by the window's length
+    and the row's offset in it. ``density`` and ``to_csv`` stay full-grid.
     """
 
     grid: PhaseGrid
@@ -107,13 +109,8 @@ class Posterior:
     _peak: np.ndarray = field(repr=False)  # (rows, 1)
     _log_norm: np.ndarray = field(repr=False)  # (rows, 1)
     _support: slice = field(repr=False)
-    _relative: np.ndarray = field(repr=False)  # density on _support over its peak value
-    # (rows, nodes of _support - 1): half the spacing of each trapezoid
-    # inside the row's own window, 0 outside it
-    _half_steps: np.ndarray = field(repr=False)
-    # (rows, nodes of _support - 1): the running sums of the trapezoids of
-    # _relative; the last column is the normaliser
-    _cumulative: np.ndarray = field(repr=False)
+    _cdf: np.ndarray = field(repr=False)  # (rows, nodes of _support), from 0 to 1
+    _mean: np.ndarray = field(repr=False)  # (rows,)
     stacked: bool = False
 
     @classmethod
@@ -138,25 +135,28 @@ class Posterior:
         any_above = np.flatnonzero(above.any(axis=0))
         support = slice(max(any_above[0] - 1, 0), min(any_above[-1] + 2, grid.n_points))
         above = above[:, support]
-        width = above.shape[1]
-        # Each row's window in _support coordinates: [start, stop).
-        start = np.maximum(np.argmax(above, axis=1) - 1, -support.start)
-        stop = np.minimum(width + 1 - np.argmax(above[:, ::-1], axis=1), width)
-        left = np.arange(width - 1)
+        # Each row's first and last node above the cut, in _support
+        # coordinates; its window holds trapezoids first - 1 ... last.
+        first = np.argmax(above, axis=1)
+        last = above.shape[1] - 1 - np.argmax(above[:, ::-1], axis=1)
+        left = np.arange(above.shape[1] - 1)
         nodes = grid.nodes[support]
-        inside = (left >= start[:, None]) & (left < stop[:, None] - 1)
+        inside = (left >= first[:, None] - 1) & (left <= last[:, None])
         half_steps = np.where(inside, (nodes[1:] - nodes[:-1]) / 2.0, 0.0)
         relative = np.exp(rows[:, support] - peak)
-        cumulative = np.cumsum(_trapezoids(half_steps, relative), axis=1)
+        # The running sums of mass and first moment; the last mass is the normaliser.
+        mass = np.cumsum(_trapezoids(half_steps, relative), axis=1)
+        moment = np.cumsum(_trapezoids(half_steps, nodes * relative), axis=1)
+        cdf = np.zeros(relative.shape)
+        np.divide(mass, mass[:, -1:], out=cdf[:, 1:])
         return cls(
             grid=grid,
             _log_rows=rows,
             _peak=peak,
-            _log_norm=np.log(cumulative[:, -1:]),
+            _log_norm=np.log(mass[:, -1:]),
             _support=support,
-            _relative=relative,
-            _half_steps=half_steps,
-            _cumulative=cumulative,
+            _cdf=cdf,
+            _mean=moment[:, -1] / mass[:, -1],
             stacked=log_density.ndim == 2,
         )
 
@@ -175,12 +175,6 @@ class Posterior:
         d = np.exp(self.log_density)
         d.flags.writeable = False
         return d
-
-    @cached_property
-    def _mean(self) -> np.ndarray:
-        nodes = self.grid.nodes[self._support]
-        moment = np.cumsum(_trapezoids(self._half_steps, nodes * self._relative), axis=1)
-        return moment[:, -1] / self._cumulative[:, -1]
 
     def to_csv(self) -> str:
         """The density as ``phi,density`` CSV text (phi in radians)."""
@@ -278,8 +272,8 @@ def single_shot_posterior(outcome: Outcome, grid: PhaseGrid) -> Posterior:
 def posterior_mean(post: Posterior):
     """Mean phase under the posterior, by trapezoidal quadrature on its support window.
 
-    A float, or one per row of a stacked posterior. Computed once per
-    posterior; ``credible_interval`` reuses it.
+    A float, or one per row of a stacked posterior. Integrated when the
+    posterior is built; ``credible_interval`` reuses it.
     """
     return post._per_row(post._mean)
 
@@ -287,26 +281,23 @@ def posterior_mean(post: Posterior):
 def credible_interval(post: Posterior, level: float = 0.6827):
     """Half-width of the equal-tail-mass interval of ``level`` around the mean.
 
-    A float, or one per row of a stacked posterior. The cdf is the
-    trapezoidal integral over the support window. When the interval would
-    overflow a domain edge it ends at that edge (``nodes[0]`` or
-    ``nodes[-1]``) and the missing mass is taken from the interior side,
-    so the width stays finite and well-defined even for posteriors peaked
-    at 0 or pi.
+    A float, or one per row of a stacked posterior. It reads the cdf
+    stored when the posterior is built. When the interval would overflow
+    a domain edge it ends at that edge (``nodes[0]`` or ``nodes[-1]``) and
+    the missing mass is taken from the interior side, so the width stays
+    finite and well-defined even for posteriors peaked at 0 or pi.
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
     nodes = post.grid.nodes[post._support]
-    cdf = np.zeros(post._relative.shape)
-    np.divide(post._cumulative, post._cumulative[:, -1:], out=cdf[:, 1:])
-    mass_at_mean = _cdf_at(cdf, nodes, post._mean)
+    mass_at_mean = _cdf_at(post._cdf, nodes, post._mean)
     lo = mass_at_mean - level / 2.0
     hi = mass_at_mean + level / 2.0
     at_zero = lo <= 0.0
     at_pi = ~at_zero & (hi >= 1.0)
     # A clamped end reads no quantile; its row reads ``level`` in its place.
     a, b = _quantile(
-        cdf,
+        post._cdf,
         nodes,
         np.stack([np.where(at_zero, level, np.where(at_pi, 1.0 - level, lo)),
                   np.where(at_zero | at_pi, level, hi)]),

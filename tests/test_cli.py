@@ -46,7 +46,8 @@ _NON_FINITE = {
     ),
 }
 
-# Angle lists given as a string or an object: (command, config, the key the error names).
+# Angle lists given as a string, an object or a list holding a string or a
+# bool: (command, config, the key the error names).
 _NOT_A_LIST = {
     "theta-grid-string": ("scan", {"plan": {"theta_grid_pi": "1"}}, "plan.theta_grid_pi"),
     "theta-grid-object": ("scan", {"plan": {"theta_grid_pi": {"0.5": 1}}}, "plan.theta_grid_pi"),
@@ -61,6 +62,15 @@ _NOT_A_LIST = {
     ),
     "fisher-theta-grid-object": (
         "fisher", {"fisher": {"theta_grid_pi": {"0.5": 1}}}, "fisher.theta_grid_pi",
+    ),
+    "theta-grid-string-and-bool": (
+        "scan", {"plan": {"theta_grid_pi": ["0.5", True]}}, "plan.theta_grid_pi",
+    ),
+    "calibration-phases-strings": (
+        "calibrate", {"calibration": {"phases_pi": ["0.3", "0.7"]}}, "calibration.phases_pi",
+    ),
+    "fisher-theta-grid-bool": (
+        "fisher", {"fisher": {"theta_grid_pi": [0.5, False]}}, "fisher.theta_grid_pi",
     ),
 }
 
@@ -86,6 +96,12 @@ class TestConfigErrors:
         path.write_text("{not json")
         assert run("fisher", "--config", str(path)) == EXIT_CONFIG
 
+    def test_config_not_utf8_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b"\xff{}")
+        assert run("fisher", "--config", str(path), "--quiet") == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_unknown_noise_kind(self, tmp_path):
         cfg = write_config(tmp_path, {"noise": {"kind": "gremlins"}})
         assert run("fisher", "--config", cfg) == EXIT_CONFIG
@@ -110,6 +126,15 @@ class TestConfigErrors:
             pytest.param("calibrate", {"calibration": {"pulses_per_phase": "many"}},
                          id="pulses-not-a-number"),
             pytest.param("fisher", {"fisher": {"d_theta": "abc"}}, id="step-not-a-number"),
+            pytest.param("fisher", {"fisher": {"d_theta": "1e-5"}}, id="string-step"),
+            pytest.param("scan", {"model": {"nbar": True}}, id="bool-nbar"),
+            pytest.param("scan", {"model": {"nbar": "1.08"}}, id="string-nbar"),
+            pytest.param("scan", {"model": {"nbar": 10**400}}, id="int-nbar-beyond-float"),
+            pytest.param("fisher",
+                         {"noise": {"kind": "matrix", "n_max": 1,
+                                    "forward_c": [["1", "0"], ["0", "1"]],
+                                    "forward_d": np.eye(2).tolist()}},
+                         id="string-forward-matrix"),
             pytest.param("fisher", {"fisher": {"theta_grid_pi": [0.0, 0.5]}},
                          id="theta-at-endpoint"),
             pytest.param("fisher", {"fisher": {"theta_grid_pi": []}}, id="empty-theta-grid"),
@@ -231,6 +256,14 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, {"plan": {"estimators": "bayes"}})
         assert run("scan", "bias", "--config", cfg, "--quiet") == EXIT_CONFIG
         assert "plan.estimators" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "estimators", [[["bayes"]], [{"a": 1}], ["x", 3]], ids=["list", "object", "number"]
+    )
+    def test_estimator_not_a_string_is_named(self, tmp_path, capsys, estimators):
+        cfg = write_config(tmp_path, {"plan": {"estimators": estimators}})
+        assert run("scan", "bias", "--config", cfg, "--quiet") == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: bad plan.estimators: ")
 
     @pytest.mark.parametrize(
         "weights_text, fringe_text, named",

@@ -20,8 +20,6 @@ HOOKED = {
         "noisy_log_likelihood_grid",
         "posterior_mean",
         "credible_interval",
-        "classical_estimate",
-        "noisy_classical_estimate",
         "ml_estimate",
         "replica_rng",
     ],
