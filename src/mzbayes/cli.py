@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -187,25 +188,38 @@ def _emit_files(out_dir: Path, files: dict[str, str]) -> None:
         _write_atomic(out_dir / name, content)
 
 
+@contextmanager
+def _sized_by(keys: str):
+    """Report an array too large to hold as a bad value of one of ``keys``.
+
+    numpy raises ``MemoryError`` for an array the machine cannot hold, and
+    ``ValueError: Maximum allowed dimension exceeded`` (or ``size``) for
+    one beyond its own index range, before anything is allocated.
+    """
+    try:
+        yield
+    except (MemoryError, ValueError) as exc:
+        if isinstance(exc, ValueError) and not str(exc).startswith("Maximum allowed"):
+            raise
+        raise ConfigError(f"bad {keys}: too large to hold ({exc})") from exc
+
+
 def cmd_calibrate(
     cfg: dict, plan: ExperimentPlan, noise: ConfusionModel | None, out_dir: Path, args
 ) -> int:
     section = cfg.get("calibration", {})
     rng = np.random.default_rng([plan.seed, 0xCA11])
     try:
-        calib = simulate_calibration(
-            section.get("phases_pi", np.pi * np.linspace(0.02, 0.98, 33)),
-            section.get("pulses_per_phase", 200_000),
-            noise or ConfusionModel.identity(),
-            plan.model,
-            rng,
-        )
+        with _sized_by("calibration.pulses_per_phase or model.n_max"):
+            calib = simulate_calibration(
+                section.get("phases_pi", np.pi * np.linspace(0.02, 0.98, 33)),
+                section.get("pulses_per_phase", 200_000),
+                noise or ConfusionModel.identity(),
+                plan.model,
+                rng,
+            )
     except CalibrationError as exc:
         raise ConfigError(f"bad calibration section: {exc}") from exc
-    except MemoryError as exc:
-        raise ConfigError(
-            f"bad calibration.pulses_per_phase: too many pulses to hold ({exc})"
-        ) from exc
     weights = fit_retrodictive_weights(calib, plan.model)
     fringe = fit_fringe(calib)
     _emit_files(
@@ -269,12 +283,8 @@ def cmd_scan(
             plan = replace(plan, noise=noise, channel=channel, fringe=fringe)
         except ValueError as exc:
             raise ConfigError(f"bad plan section: {exc}") from exc
-    try:
+    with _sized_by("plan.p, plan.grid_points or model.n_max"):
         result = scan(plan)
-    except MemoryError as exc:
-        raise ConfigError(
-            f"bad plan.p or plan.grid_points: too many pulses or grid nodes to hold ({exc})"
-        ) from exc
 
     csv_path = out_dir / f"{args.kind}_scan.csv"
     _emit_files(

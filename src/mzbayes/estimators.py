@@ -121,6 +121,23 @@ def ymk_mean_estimate(n_c, n_d) -> float:
     return float(np.mean(np.arccos((n_c[fired] - n_d[fired]) / total[fired])))
 
 
+def ymk_pair_estimates(pairs: np.ndarray, n_max: int) -> np.ndarray:
+    """``ymk_mean_estimate`` of each row of a ``(rows, (n_max+1)**2)`` stack of pair histograms.
+
+    A measured pair (nc, nd), at index ``nc * (n_max+1) + nd``, has one
+    per-shot estimate, so a row's mean is its histogram times those
+    angles over its photon-bearing shots: the per-pulse mean to rounding.
+    Raises ``UndefinedEstimateError`` if a row has no such shot.
+    """
+    bins = n_max + 1
+    n_c, n_d = np.divmod(np.arange(1, bins * bins), bins)  # every pair but (0, 0)
+    fired = pairs[:, 1:]
+    shots = fired.sum(axis=1)
+    if not np.all(shots):
+        raise UndefinedEstimateError("no photon-bearing shots in the sequence")
+    return fired @ np.arccos((n_c - n_d) / (n_c + n_d)) / shots
+
+
 class MLEstimate(NamedTuple):
     """ML phase and flat-likelihood flag: floats for one run, arrays for a stack."""
 

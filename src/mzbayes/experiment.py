@@ -9,11 +9,15 @@ seed, so a rerun with the same plan draws the same counts. Bayes and ML
 read the plan's one likelihood table; a replica's counts enter it only
 through the per-port histograms or the port totals.
 
-Each replica is reduced to its estimators' statistics as soon as it is
-drawn, and its per-pulse counts are dropped. Bayes then scores a phase's
-replicas as stacked posteriors, a block of rows at a time, and the
-classical and fringe estimators invert all of the phase's mean count
-differences at once. ML and YMK estimate each replica as it is drawn.
+A replica only draws: its Poisson counts and, on a noisy plan, the
+uniforms of its misreads, into buffers shared by a block of replicas.
+Each block is then reduced once, stacked: one misread of all its rows,
+each row's count sums (the port totals), and on a noisy plan one pair
+histogram per row, which gives the per-port histograms and YMK. Bayes
+scores a phase's replicas as stacked posteriors, and the classical and
+fringe estimators invert all of its mean count differences at once. ML,
+and YMK on an ideal plan (whose counts have no bound), estimate each row
+of a block on its own.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass, field, fields
 from functools import cached_property, partial
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -29,13 +34,19 @@ from mzbayes._csv import csv_text
 from mzbayes._version import __version__ as _code_version
 from mzbayes.detector import (
     ConfusionModel,
-    apply_noise_counts,
+    misread_rows,
     noisy_log_likelihood_grid,
     port_histograms,
 )
 # The traced benchmark's ML gate counts one ml_estimate call per replica,
 # so ML scores replicas one by one.
-from mzbayes.estimators import FringeParams, invert_fringe, ml_estimate, ymk_mean_estimate
+from mzbayes.estimators import (
+    FringeParams,
+    invert_fringe,
+    ml_estimate,
+    ymk_mean_estimate,
+    ymk_pair_estimates,
+)
 from mzbayes.photon_model import InterferometerModel, PhaseDomainError, _check_phase
 from mzbayes.posterior import (
     CountLikelihood,
@@ -43,7 +54,6 @@ from mzbayes.posterior import (
     Posterior,
     credible_interval,
     ideal_likelihood,
-    port_totals,
     posterior_mean,
 )
 
@@ -137,18 +147,13 @@ def replica_rng(seed: int, phase_idx: int, replica_idx: int) -> np.random.Genera
     return np.random.default_rng([seed, phase_idx, replica_idx])
 
 
-def _sample_measured(
-    theta: float, plan: ExperimentPlan, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    n_c, n_d = plan.model.sample_counts(theta, plan.p, rng)
-    if plan.noise is not None:
-        n_c, n_d = apply_noise_counts(n_c, n_d, plan.noise, rng)
-    return n_c, n_d
-
-
 # Every (rows x grid) float array of a Bayes block stays within this size,
 # so the scan's memory does not grow with the number of replicas.
 _BLOCK_BYTES = 256 * 1024
+# A draw block's buffers (both ports' counts and, on a noisy plan, the
+# uniforms) stay within this size together; the misreads' temporaries
+# take about as much again.
+_DRAW_BYTES = 512 * 1024
 
 
 def _block_rows(grid: PhaseGrid) -> int:
@@ -156,12 +161,87 @@ def _block_rows(grid: PhaseGrid) -> int:
     return max(1, _BLOCK_BYTES // (8 * grid.n_points))
 
 
+def _draw_rows(plan: ExperimentPlan) -> int:
+    """Replicas per draw block: 16 noisy and 32 ideal at p = 1000."""
+    per_replica = 8 * plan.p * (2 if plan.noise is None else 4)
+    return max(1, min(plan.replicas, _DRAW_BYTES // per_replica))
+
+
+class _Draws:
+    """Buffers for a block of replicas' draws, rewritten by every block of a scan.
+
+    Row r holds one replica's Poisson counts at both ports and, on a noisy
+    plan, the 2p uniforms of its misreads (port c's, then port d's): the
+    draws of ``sample_counts`` then ``apply_noise_counts``. Reused buffers
+    keep the heap from growing and trimming once per block.
+    """
+
+    def __init__(self, plan: ExperimentPlan, rows: int):
+        self.plan = plan
+        self.counts = np.empty((2, rows, plan.p), dtype=np.int64)
+        self.uniforms = None if plan.noise is None else np.empty((rows, 2 * plan.p))
+
+    def draw(self, row: int, theta: float, rng: np.random.Generator) -> None:
+        """One replica's draws from its stream into row ``row``."""
+        self.counts[0, row], self.counts[1, row] = self.plan.model.sample_counts(
+            theta, self.plan.p, rng
+        )
+        if self.uniforms is not None:
+            rng.random(out=self.uniforms[row])
+
+    def block(self, rows: int) -> "_Block":
+        """The measured counts of the first ``rows`` replicas."""
+        n_c, n_d = self.counts[:, :rows]
+        if self.uniforms is not None:
+            reads_c, reads_d = self.plan.noise.column_reads
+            p = self.plan.p
+            n_c = misread_rows(n_c, self.uniforms[:rows, :p], reads_c)
+            n_d = misread_rows(n_d, self.uniforms[:rows, p:], reads_d)
+        return _Block(self.plan, n_c, n_d)
+
+
+class _Block:
+    """A block's measured counts, ``(rows, p)`` per port, each statistic reduced once."""
+
+    def __init__(self, plan: ExperimentPlan, n_c: np.ndarray, n_d: np.ndarray):
+        self.plan = plan
+        self.n_c = n_c
+        self.n_d = n_d
+
+    @cached_property
+    def pairs(self) -> np.ndarray:
+        """Each row's ``pair_histogram`` (noisy plans, whose counts stop at n_max)."""
+        bins = self.plan.noise.n_max + 1
+        rows = len(self.n_c)
+        index = self.n_c * bins + self.n_d
+        index += np.arange(0, rows * bins * bins, bins * bins)[:, None]
+        return np.bincount(index.ravel(), minlength=rows * bins * bins).reshape(rows, -1)
+
+    @cached_property
+    def totals(self) -> np.ndarray:
+        """Each row's port totals (Nc, Nd)."""
+        return np.stack([self.n_c.sum(axis=1), self.n_d.sum(axis=1)], axis=1)
+
+    @property
+    def statistics(self) -> np.ndarray:
+        """Each row's statistics of the plan's table: the totals, or the port histograms."""
+        if self.plan.noise is None:
+            return self.totals
+        bins = self.plan.noise.n_max + 1
+        pairs = self.pairs.reshape(-1, bins, bins)
+        return np.concatenate([pairs.sum(axis=2), pairs.sum(axis=1)], axis=1)
+
+    def each_row(self, estimate) -> np.ndarray:
+        """``estimate(n_c, n_d)`` of each row's measured counts."""
+        return np.array([estimate(n_c, n_d) for n_c, n_d in zip(self.n_c, self.n_d)])
+
+
 class _Estimator(NamedTuple):
-    """``reduce`` maps one replica's counts to what the estimator reads of
-    them; ``score`` maps a phase's stacked reductions to per-replica
+    """``reduce`` maps a block to one row per replica of what the estimator
+    reads of it; ``score`` maps a phase's stacked rows to per-replica
     (values, dthetas), dtheta NaN where the estimator has none."""
 
-    reduce: Callable[[np.ndarray, np.ndarray], object]
+    reduce: Callable[[_Block], np.ndarray]
     score: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
@@ -198,22 +278,36 @@ def _estimators(plan: ExperimentPlan) -> dict[str, _Estimator]:
             invert_fringe((totals[:, 0] - totals[:, 1]) / plan.p, params)
         )
 
+    def ml(block: _Block):
+        return block.each_row(lambda n_c, n_d: ml_estimate(n_c, n_d, plan.table).phase)
+
+    def ymk(block: _Block):
+        # ideal counts have no bound, so an ideal replica has no fixed-width pair histogram
+        if plan.noise is None:
+            return block.each_row(ymk_mean_estimate)
+        return ymk_pair_estimates(block.pairs, plan.noise.n_max)
+
+    totals = attrgetter("totals")
     return {
-        "bayes": _Estimator(plan.table.statistics, bayes),
-        "ml": _Estimator(lambda n_c, n_d: ml_estimate(n_c, n_d, plan.table).phase, _no_dtheta),
-        "classical": _Estimator(port_totals, inversion(ideal_fringe)),
-        "fringe": _Estimator(port_totals, inversion(fringe)),
-        "ymk": _Estimator(ymk_mean_estimate, _no_dtheta),
+        "bayes": _Estimator(attrgetter("statistics"), bayes),
+        "ml": _Estimator(ml, _no_dtheta),
+        "classical": _Estimator(totals, inversion(ideal_fringe)),
+        "fringe": _Estimator(totals, inversion(fringe)),
+        "ymk": _Estimator(ymk, _no_dtheta),
     }
 
 
 def run_estimation(
     theta: float, plan: ExperimentPlan, rng: np.random.Generator
 ) -> tuple[float, float]:
-    """One phase estimation, p pulses scored by the scan's Bayes scorer: (mean, dtheta)."""
+    """One phase estimation, p pulses scored by the scan's Bayes scorer: (mean, dtheta).
+
+    It is the scan's one-replica case: the same draws, the same reduction.
+    """
+    draws = _Draws(plan, 1)
+    draws.draw(0, theta, rng)
     bayes = _estimators(plan)["bayes"]
-    stats = np.array([bayes.reduce(*_sample_measured(theta, plan, rng))], dtype=float)
-    (mean,), (dtheta,) = bayes.score(stats)
+    (mean,), (dtheta,) = bayes.score(bayes.reduce(draws.block(1)).astype(float))
     return float(mean), float(dtheta)
 
 
@@ -277,19 +371,19 @@ def scan(plan: ExperimentPlan) -> ScanResult:
     """Every estimator of the plan over its replicas at each true phase."""
     table = _estimators(plan)
     chosen = [table[name] for name in plan.estimators]
-    # Estimators that read the same reduction (ideal Bayes, classical and
-    # fringe all read the port totals) share one call per replica.
-    reducers = list(dict.fromkeys(estimator.reduce for estimator in chosen))
+    rows = _draw_rows(plan)
+    draws = _Draws(plan, rows)
     records: list[ScanRecord] = []
     for phase_idx, theta in enumerate(plan.theta_grid):
         reduced: list[list] = [[] for _ in chosen]
-        for replica_idx in range(plan.replicas):
-            rng = replica_rng(plan.seed, phase_idx, replica_idx)
-            n_c, n_d = _sample_measured(theta, plan, rng)
-            reductions = {reduce: reduce(n_c, n_d) for reduce in reducers}
+        for start in range(0, plan.replicas, rows):
+            size = min(rows, plan.replicas - start)
+            for row in range(size):
+                draws.draw(row, theta, replica_rng(plan.seed, phase_idx, start + row))
+            block = draws.block(size)
             for estimator, out in zip(chosen, reduced):
-                out.append(reductions[estimator.reduce])
+                out.append(estimator.reduce(block))
         for name, estimator, out in zip(plan.estimators, chosen, reduced):
-            values, dthetas = estimator.score(np.array(out, dtype=float))
+            values, dthetas = estimator.score(np.concatenate(out, dtype=float))
             records.append(_aggregate(float(theta), name, values, dthetas))
     return ScanResult(records=tuple(records), plan=plan)

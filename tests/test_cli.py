@@ -74,6 +74,26 @@ _NOT_A_LIST = {
     ),
 }
 
+# Sizes beyond numpy's array index range, which it rejects with
+# "Maximum allowed dimension/size exceeded" before allocating anything:
+# (command, config, the keys the error names).
+_TOO_LARGE = {
+    "scan-p-beyond-numpy": ("scan", {"plan": {"p": 1e30, "replicas": 1}}, "plan.p"),
+    "scan-grid-points-beyond-numpy": (
+        "scan", {"plan": {"grid_points": 1e30, "replicas": 1}}, "plan.grid_points",
+    ),
+    "pulses-per-phase-beyond-numpy": (
+        "calibrate", {"calibration": {"pulses_per_phase": 1e30}}, "calibration.pulses_per_phase",
+    ),
+    "calibrate-n-max-beyond-numpy": ("calibrate", {"model": {"n_max": 1e30}}, "model.n_max"),
+    # an ideal scan never reads model.n_max; the identity channel's likelihood does
+    "scan-n-max-beyond-numpy": (
+        "scan",
+        {"model": {"n_max": 1e30}, "noise": {"kind": "identity"}, "plan": {"replicas": 1}},
+        "model.n_max",
+    ),
+}
+
 
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
@@ -178,7 +198,9 @@ class TestConfigErrors:
             pytest.param("fisher", {"model": {"nbar": 30}}, id="fisher-nbar-beyond-n-max"),
             pytest.param("fisher", {"model": {"nbar": 1e6}}, id="fisher-huge-nbar"),
             *(pytest.param(command, doc, id=name)
-              for name, (command, doc, _) in {**_NON_FINITE, **_NOT_A_LIST}.items()),
+              for name, (command, doc, _) in {
+                  **_NON_FINITE, **_NOT_A_LIST, **_TOO_LARGE
+              }.items()),
         ],
     )
     def test_bad_input_is_config_error(self, tmp_path, capsys, command, doc):
@@ -223,15 +245,17 @@ class TestConfigErrors:
     @pytest.mark.parametrize(
         "command, doc, named",
         [
-            (
+            pytest.param(
                 "calibrate",
                 {"calibration": {"pulses_per_phase": 1e15}},
                 "calibration.pulses_per_phase",
+                id="pulses-per-phase",
             ),
-            ("scan", {"plan": {"p": 1e15, "replicas": 1}}, "plan.p"),
-            ("scan", {"plan": {"grid_points": 10**17, "replicas": 1}}, "plan.grid_points"),
+            pytest.param("scan", {"plan": {"p": 1e15, "replicas": 1}}, "plan.p", id="scan-p"),
+            pytest.param("scan", {"plan": {"grid_points": 10**17, "replicas": 1}},
+                         "plan.grid_points", id="scan-grid-points"),
+            *(pytest.param(*case, id=name) for name, case in _TOO_LARGE.items()),
         ],
-        ids=["pulses-per-phase", "scan-p", "scan-grid-points"],
     )
     def test_unallocatable_pulse_count_is_named(self, tmp_path, capsys, command, doc, named):
         out = tmp_path / "out"
@@ -303,13 +327,15 @@ class TestConfigErrors:
         assert failed in err and intact not in err
 
     def test_ymk_without_photons_is_numerical_failure(self, tmp_path, capsys):
-        # at theta = pi/2 one pulse per estimation often detects nothing
+        # at theta = pi/2 one pulse per estimation often detects nothing; an
+        # ideal plan reads each replica's pulses, a noisy one its pair histogram
         out = tmp_path / "out"
         plan = {"theta_grid_pi": [0.5], "p": 1, "replicas": 3, "estimators": ["ymk"], "seed": 3}
-        cfg = write_config(tmp_path, {"plan": plan, "output": {"dir": str(out)}})
-        assert run("scan", "bias", "--config", cfg, "--quiet") == EXIT_NUMERICAL
-        assert capsys.readouterr().err.startswith("numerical failure:")
-        assert not out.exists()
+        for noise in ({}, {"noise": {"kind": "identity"}}):
+            cfg = write_config(tmp_path, {"plan": plan, **noise, "output": {"dir": str(out)}})
+            assert run("scan", "bias", "--config", cfg, "--quiet") == EXIT_NUMERICAL
+            assert capsys.readouterr().err.startswith("numerical failure:")
+            assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore:measured pair:UserWarning")
     @pytest.mark.parametrize("estimator", ["bayes", "ml"])

@@ -28,10 +28,13 @@ from mzbayes.detector import (
     fit_confusion_model,
     fit_retrodictive_weights,
     measured_port_distributions,
+    misread_rows,
     noisy_joint_pmf,
+    pair_histogram,
     port_histograms,
     simulate_calibration,
 )
+from mzbayes.experiment import ExperimentPlan, _Block
 from mzbayes.photon_model import InterferometerModel, Outcome
 from mzbayes.posterior import PhaseGrid, posterior_mean, single_shot_posterior
 from oracles import apply_noise, choice_port, posterior_fit
@@ -219,6 +222,41 @@ class TestChannelDraws:
             assert g.dtype == w.dtype
             np.testing.assert_array_equal(g, w)
         assert rng.random() == oracle_rng.random()
+
+    @given(data=st.data(), n_max=st.integers(0, 15), rows=st.integers(1, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_rows_match_choice_row_by_row(self, data, n_max, rows):
+        """Each row's misreads, pair histogram and stream against ``choice_port`` on its seed.
+
+        Rows differ in their group sizes, true counts run past ``n_max``,
+        and at ``n_max`` 15 the pair index reaches 255.
+        """
+        model = ConfusionModel(
+            forward_c=data.draw(forward_matrices(n_max)),
+            forward_d=data.draw(forward_matrices(n_max)),
+            n_max=n_max,
+        )
+        pulses = data.draw(st.integers(0, 80))
+        counts = st.lists(st.integers(0, n_max + 3), min_size=pulses, max_size=pulses)
+        n_c = np.array([data.draw(counts) for _ in range(rows)], dtype=np.int64).reshape(rows, -1)
+        n_d = np.array([data.draw(counts) for _ in range(rows)], dtype=np.int64).reshape(rows, -1)
+        seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=rows, max_size=rows))
+        streams = [np.random.default_rng(seed) for seed in seeds]
+        uniforms = np.array([stream.random(2 * pulses) for stream in streams]).reshape(rows, -1)
+        reads_c, reads_d = model.column_reads
+        got_c = misread_rows(n_c, uniforms[:, :pulses], reads_c)
+        got_d = misread_rows(n_d, uniforms[:, pulses:], reads_d)
+        plan = ExperimentPlan(p=max(pulses, 1), noise=model, channel=model)
+        pairs = _Block(plan, got_c, got_d).pairs
+        for r, (seed, stream) in enumerate(zip(seeds, streams)):
+            oracle = np.random.default_rng(seed)
+            want_c = choice_port(n_c[r], model.forward_c, n_max, oracle)
+            want_d = choice_port(n_d[r], model.forward_d, n_max, oracle)
+            assert got_c.dtype == got_d.dtype == want_c.dtype
+            np.testing.assert_array_equal(got_c[r], want_c)
+            np.testing.assert_array_equal(got_d[r], want_d)
+            np.testing.assert_array_equal(pairs[r], pair_histogram(want_c, want_d, n_max))
+            assert stream.bit_generator.state == oracle.bit_generator.state
 
     @pytest.mark.parametrize(
         "pulses", [0, 1, 2 * detector._CHUNK + 7], ids=["empty", "one-pulse", "three-chunks"]

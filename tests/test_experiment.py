@@ -3,19 +3,28 @@
 import json
 import math
 from dataclasses import astuple
+from functools import cached_property
 
 import numpy as np
 import pytest
 
 import mzbayes.experiment as experiment
-import mzbayes.posterior as posterior
-from mzbayes.detector import ConfusionModel
-from mzbayes.estimators import FringeParams, noisy_classical_estimate
+from mzbayes.detector import ConfusionModel, apply_noise_counts
+from mzbayes.estimators import (
+    FringeParams,
+    UndefinedEstimateError,
+    classical_estimate,
+    ml_estimate,
+    noisy_classical_estimate,
+    ymk_mean_estimate,
+)
 from mzbayes.experiment import (
     ESTIMATOR_NAMES,
     ExperimentPlan,
     _aggregate,
+    _Block,
     _block_rows,
+    _draw_rows,
     _estimators,
     default_theta_grid,
     replica_rng,
@@ -29,6 +38,11 @@ from mzbayes.posterior import (
     credible_interval,
     posterior_mean,
 )
+
+
+def _draw_bytes(plan, rows):
+    """A draw budget that holds ``rows`` of the plan's replicas."""
+    return rows * 8 * plan.p * (2 if plan.noise is None else 4)
 
 
 def small_plan(**kwargs):
@@ -105,19 +119,25 @@ class TestPlan:
             assert all(table is plan.table for table in read)
 
     def test_estimators_share_one_reduction(self, monkeypatch):
-        # ideal Bayes, classical and fringe all read the port totals: once per replica
-        calls = []
-        port_totals = posterior.port_totals
-
-        def counted(n_c, n_d):
-            calls.append(None)
-            return port_totals(n_c, n_d)
-
-        monkeypatch.setattr(posterior, "port_totals", counted)
-        monkeypatch.setattr(experiment, "port_totals", counted)
-        plan = small_plan(estimators=("bayes", "classical", "fringe"))
-        scan(plan)
-        assert len(calls) == plan.replicas * plan.theta_grid.size
+        # ideal Bayes, classical and fringe read the port totals; noisy
+        # classical and fringe read the totals, and noisy Bayes and YMK the
+        # pair histogram: each once per draw block
+        for noisy, statistic in ((False, "totals"), (True, "totals"), (True, "pairs")):
+            calls = []
+            counted = cached_property(
+                lambda block, reduce=getattr(_Block, statistic).func, calls=calls: (
+                    calls.append(None) or reduce(block)
+                )
+            )
+            counted.__set_name__(_Block, statistic)
+            monkeypatch.setattr(_Block, statistic, counted)
+            regime = ConfusionModel.paper_regime() if noisy else None
+            estimators = ("bayes", "classical", "fringe") + (("ymk",) if noisy else ())
+            plan = small_plan(noise=regime, channel=regime, estimators=estimators)
+            monkeypatch.setattr(experiment, "_DRAW_BYTES", _draw_bytes(plan, rows=2))
+            assert _draw_rows(plan) == 2
+            scan(plan)
+            assert len(calls) == math.ceil(plan.replicas / 2) * plan.theta_grid.size
 
     def test_manifest_contents(self):
         plan = small_plan()
@@ -193,9 +213,10 @@ class TestScans:
         table = _estimators(plan)
         assert set(table) == set(ESTIMATOR_NAMES)
         n_c, n_d = plan.model.sample_counts(0.3 * math.pi, plan.p, np.random.default_rng(0))
+        block = _Block(plan, n_c[None], n_d[None])
         for name in ESTIMATOR_NAMES:
             estimator = table[name]
-            (value,), (dtheta,) = estimator.score(np.array([estimator.reduce(n_c, n_d)]))
+            (value,), (dtheta,) = estimator.score(estimator.reduce(block).astype(float))
             assert 0.0 <= value <= math.pi
             assert math.isnan(dtheta) == (name != "bayes")
 
@@ -223,6 +244,67 @@ class TestScans:
             want = _aggregate(float(theta), "fringe", values, np.full(replicas, math.nan))
             got = result.record(theta, "fringe")
             np.testing.assert_array_equal(astuple(got)[2:], astuple(want)[2:])
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["ideal", "noisy"])
+    @pytest.mark.parametrize("replicas", [1, 3, 5], ids=["one", "one-block", "block-and-rest"])
+    def test_draw_blocks_match_one_replica_at_a_time(self, monkeypatch, noisy, replicas):
+        # 3-replica draw blocks; the reference draws, misreads and reduces
+        # each replica on its own, through the per-pulse estimators
+        regime = ConfusionModel.paper_regime() if noisy else None
+        plan = small_plan(replicas=replicas, noise=regime, channel=regime,
+                          fringe=FringeParams(a=0.1, b=0.05, amplitude=1.0),
+                          estimators=ESTIMATOR_NAMES)
+        monkeypatch.setattr(experiment, "_DRAW_BYTES", _draw_bytes(plan, rows=3))
+        assert _draw_rows(plan) == min(3, replicas)
+        scored = {}
+        aggregate = experiment._aggregate
+
+        def recorded(theta, estimator, values, dthetas):
+            scored[theta, estimator] = values, dthetas
+            return aggregate(theta, estimator, values, dthetas)
+
+        monkeypatch.setattr(experiment, "_aggregate", recorded)
+        scan(plan)
+        bayes = _estimators(plan)["bayes"]
+        for phase_idx, theta in enumerate(plan.theta_grid):
+            runs = []
+            for r in range(replicas):
+                rng = replica_rng(plan.seed, phase_idx, r)
+                n_c, n_d = plan.model.sample_counts(theta, plan.p, rng)
+                if noisy:
+                    n_c, n_d = apply_noise_counts(n_c, n_d, plan.noise, rng)
+                runs.append((n_c, n_d))
+            assert any(np.any(n_c + n_d == 0) for n_c, n_d in runs)  # zero-photon shots
+            stats = np.array([plan.table.statistics(*run) for run in runs], dtype=float)
+            want = {
+                "bayes": bayes.score(stats),
+                "ml": [ml_estimate(*run, plan.table).phase for run in runs],
+                "classical": [classical_estimate(*run, plan.model.nbar) for run in runs],
+                "fringe": [noisy_classical_estimate(*run, plan.fringe) for run in runs],
+            }
+            for name, expected in want.items():
+                values, dthetas = scored[float(theta), name]
+                if name == "bayes":
+                    np.testing.assert_array_equal(dthetas, expected[1])
+                    expected = expected[0]
+                np.testing.assert_array_equal(values, expected)
+            ymk = [ymk_mean_estimate(*run) for run in runs]
+            np.testing.assert_allclose(scored[float(theta), "ymk"][0], ymk, rtol=1e-15, atol=0)
+
+    def test_noisy_replica_without_photons_is_undefined_for_ymk(self):
+        # one pulse per replica at pi/2: of three replicas, some read no photon
+        regime = ConfusionModel.paper_regime()
+        plan = small_plan(theta_grid=np.array([math.pi / 2]), p=1, replicas=3, seed=3,
+                          noise=regime, channel=regime, estimators=("ymk",))
+        photons = []
+        for r in range(plan.replicas):
+            rng = replica_rng(plan.seed, 0, r)
+            counts = plan.model.sample_counts(math.pi / 2, plan.p, rng)
+            n_c, n_d = apply_noise_counts(*counts, regime, rng)
+            photons.append(int(n_c[0] + n_d[0]))
+        assert 0 in photons and any(photons)
+        with pytest.raises(UndefinedEstimateError):
+            scan(plan)
 
     def test_degenerate_single_replica(self):
         result = scan(small_plan(replicas=1))

@@ -16,7 +16,6 @@ HOOKED = {
         "crlb_curve",
     ],
     "mzbayes.experiment": [
-        "apply_noise_counts",
         "noisy_log_likelihood_grid",
         "posterior_mean",
         "credible_interval",
