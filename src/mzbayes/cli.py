@@ -193,13 +193,16 @@ def _sized_by(keys: str):
     """Report an array too large to hold as a bad value of one of ``keys``.
 
     numpy raises ``MemoryError`` for an array the machine cannot hold, and
-    ``ValueError: Maximum allowed dimension exceeded`` (or ``size``) for
-    one beyond its own index range, before anything is allocated.
+    ``ValueError: Maximum allowed dimension exceeded`` (or ``size``), or
+    ``array is too big``, for one beyond its own index range, before
+    anything is allocated.
     """
     try:
         yield
     except (MemoryError, ValueError) as exc:
-        if isinstance(exc, ValueError) and not str(exc).startswith("Maximum allowed"):
+        if isinstance(exc, ValueError) and not str(exc).startswith(
+            ("Maximum allowed", "array is too big")
+        ):
             raise
         raise ConfigError(f"bad {keys}: too large to hold ({exc})") from exc
 

@@ -52,9 +52,15 @@ class FitError(RuntimeError):
     """Retrodictive-weight or fringe fit could not be carried out."""
 
 
+def _levels(n_max: int) -> int:
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    return n_max + 1
+
+
 def _validate_forward(K: np.ndarray, n_max: int, name: str) -> np.ndarray:
     K = np.asarray(K, dtype=float)
-    if K.shape != (n_max + 1, n_max + 1):
+    if K.shape != (_levels(n_max),) * 2:
         raise ValueError(f"{name} must be {(n_max + 1, n_max + 1)}, got {K.shape}")
     if not np.all((K >= 0.0) & (K <= 1.0)):
         raise ValueError(f"{name} entries must lie in [0, 1]")
@@ -84,13 +90,13 @@ class ConfusionModel:
 
     @classmethod
     def identity(cls, n_max: int = 4) -> "ConfusionModel":
-        eye = np.eye(n_max + 1)
+        eye = np.eye(_levels(n_max))
         return cls(forward_c=eye, forward_d=eye, n_max=n_max)
 
     @classmethod
     def paper_regime(cls, n_max: int = 4) -> "ConfusionModel":
         """Default synthetic noisy regime (both ports share one matrix)."""
-        K = np.zeros((n_max + 1, n_max + 1))
+        K = np.zeros((_levels(n_max),) * 2)
         K[0, 0] = 1.0
         for t in range(1, n_max + 1):
             g = _REGIME_FIDELITY[min(t, len(_REGIME_FIDELITY) - 1)]

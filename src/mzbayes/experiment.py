@@ -9,15 +9,15 @@ seed, so a rerun with the same plan draws the same counts. Bayes and ML
 read the plan's one likelihood table; a replica's counts enter it only
 through the per-port histograms or the port totals.
 
-A replica only draws: its Poisson counts and, on a noisy plan, the
-uniforms of its misreads, into buffers shared by a block of replicas.
-Each block is then reduced once, stacked: one misread of all its rows,
-each row's count sums (the port totals), and on a noisy plan one pair
-histogram per row, which gives the per-port histograms and YMK. Bayes
-scores a phase's replicas as stacked posteriors, and the classical and
-fringe estimators invert all of its mean count differences at once. ML,
-and YMK on an ideal plan (whose counts have no bound), estimate each row
-of a block on its own.
+A block of replicas is the scan's unit: each replica of the block draws
+its Poisson counts and, on a noisy plan, the uniforms of its misreads,
+into buffers shared by the block. The block is then misread, reduced and
+scored once, stacked: one misread of all its rows, each row's count sums
+(the port totals), and on a noisy plan one pair histogram per row, which
+gives the per-port histograms and YMK. Bayes scores the block as stacked
+posteriors, and the classical and fringe estimators invert all of its
+mean count differences at once. ML, and YMK on an ideal plan (whose
+counts have no bound), estimate each row of a block on its own.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass, field, fields
 from functools import cached_property, partial
-from operator import attrgetter
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -101,6 +100,10 @@ class ExperimentPlan:
             raise ValueError(f"need replicas >= 1, got {self.replicas}")
         if self.seed < 0:
             raise ValueError(f"need seed >= 0, got {self.seed}")
+        if self.p > 2.0**62 / self.model.nbar:  # a replica's int64 port totals must not wrap
+            raise ValueError(
+                f"need plan.p * model.nbar <= 2**62, got {self.p} * {self.model.nbar}"
+            )
         if not self.estimators or len(set(self.estimators)) < len(self.estimators):
             raise ValueError(
                 f"need distinct estimators, at least one, got {list(self.estimators)}"
@@ -147,24 +150,17 @@ def replica_rng(seed: int, phase_idx: int, replica_idx: int) -> np.random.Genera
     return np.random.default_rng([seed, phase_idx, replica_idx])
 
 
-# Every (rows x grid) float array of a Bayes block stays within this size,
-# so the scan's memory does not grow with the number of replicas.
-_BLOCK_BYTES = 256 * 1024
-# A draw block's buffers (both ports' counts and, on a noisy plan, the
-# uniforms) stay within this size together; the misreads' temporaries
-# take about as much again.
-_DRAW_BYTES = 512 * 1024
+# A block's draw buffers, and its (rows x grid) log likelihoods, each stay
+# within this size, so the scan's memory does not grow with the number of
+# replicas. The misreads' and the posteriors' temporaries take about as
+# much again.
+_BLOCK_BYTES = 512 * 1024
 
 
-def _block_rows(grid: PhaseGrid) -> int:
-    """Replicas per stacked posterior: 8 at 4096 nodes."""
-    return max(1, _BLOCK_BYTES // (8 * grid.n_points))
-
-
-def _draw_rows(plan: ExperimentPlan) -> int:
-    """Replicas per draw block: 16 noisy and 32 ideal at p = 1000."""
-    per_replica = 8 * plan.p * (2 if plan.noise is None else 4)
-    return max(1, min(plan.replicas, _DRAW_BYTES // per_replica))
+def _block_rows(plan: ExperimentPlan) -> int:
+    """Replicas per block: 16 at p = 1000 and 4096 nodes, ideal or noisy."""
+    per_replica = 8 * max(plan.grid.n_points, plan.p * (2 if plan.noise is None else 4))
+    return max(1, min(plan.replicas, _BLOCK_BYTES // per_replica))
 
 
 class _Draws:
@@ -236,24 +232,16 @@ class _Block:
         return np.array([estimate(n_c, n_d) for n_c, n_d in zip(self.n_c, self.n_d)])
 
 
-class _Estimator(NamedTuple):
-    """``reduce`` maps a block to one row per replica of what the estimator
-    reads of it; ``score`` maps a phase's stacked rows to per-replica
-    (values, dthetas), dtheta NaN where the estimator has none."""
-
-    reduce: Callable[[_Block], np.ndarray]
-    score: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-
-
 def _no_dtheta(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, np.full(values.shape, math.nan)
 
 
-def _estimators(plan: ExperimentPlan) -> dict[str, _Estimator]:
-    """Every estimator by name.
+def _estimators(plan: ExperimentPlan) -> dict[str, Callable]:
+    """Every estimator by name, each mapping a block to per-replica (values, dthetas).
 
-    Each entry looks its estimator up as a module global when called, so
-    a wrapper installed on that name sees every call.
+    dtheta is NaN where the estimator has none. Each entry looks its
+    estimator up as a module global when called, so a wrapper installed on
+    that name sees every call.
     """
     fringe = plan.fringe or FringeParams(amplitude=plan.model.nbar)
     ideal_fringe = FringeParams(amplitude=plan.model.nbar)
@@ -261,39 +249,34 @@ def _estimators(plan: ExperimentPlan) -> dict[str, _Estimator]:
     # One block's log likelihoods, rewritten by every block of the scan: a
     # fresh (rows x grid) array per block would grow and trim the heap each
     # time. The posteriors that read it stay inside ``bayes``.
-    block = _block_rows(plan.grid)
-    log_rows = np.empty((block, plan.grid.n_points))
+    log_rows = np.empty((_block_rows(plan), plan.grid.n_points))
 
-    def bayes(stats):
-        out = np.empty((2, len(stats)))
-        for start in range(0, len(stats), block):
-            chunk = stats[start : start + block]
-            log_density = plan.table.on_grid(chunk, out=log_rows[: len(chunk)])
-            post = Posterior.from_log_density(plan.grid, log_density)
-            out[:, start : start + block] = posterior_mean(post), credible_interval(post)
-        return out[0], out[1]
+    def bayes(block: _Block):
+        stats = block.statistics
+        log_density = plan.table.on_grid(stats, out=log_rows[: len(stats)])
+        post = Posterior.from_log_density(plan.grid, log_density)
+        return posterior_mean(post), credible_interval(post)
 
     def inversion(params):
-        return lambda totals: _no_dtheta(
-            invert_fringe((totals[:, 0] - totals[:, 1]) / plan.p, params)
+        return lambda block: _no_dtheta(
+            invert_fringe(np.subtract(*block.totals.T, dtype=float) / plan.p, params)
         )
 
     def ml(block: _Block):
-        return block.each_row(lambda n_c, n_d: ml_estimate(n_c, n_d, plan.table).phase)
+        return _no_dtheta(block.each_row(lambda n_c, n_d: ml_estimate(n_c, n_d, plan.table).phase))
 
     def ymk(block: _Block):
         # ideal counts have no bound, so an ideal replica has no fixed-width pair histogram
         if plan.noise is None:
-            return block.each_row(ymk_mean_estimate)
-        return ymk_pair_estimates(block.pairs, plan.noise.n_max)
+            return _no_dtheta(block.each_row(ymk_mean_estimate))
+        return _no_dtheta(ymk_pair_estimates(block.pairs, plan.noise.n_max))
 
-    totals = attrgetter("totals")
     return {
-        "bayes": _Estimator(attrgetter("statistics"), bayes),
-        "ml": _Estimator(ml, _no_dtheta),
-        "classical": _Estimator(totals, inversion(ideal_fringe)),
-        "fringe": _Estimator(totals, inversion(fringe)),
-        "ymk": _Estimator(ymk, _no_dtheta),
+        "bayes": bayes,
+        "ml": ml,
+        "classical": inversion(ideal_fringe),
+        "fringe": inversion(fringe),
+        "ymk": ymk,
     }
 
 
@@ -306,8 +289,7 @@ def run_estimation(
     """
     draws = _Draws(plan, 1)
     draws.draw(0, theta, rng)
-    bayes = _estimators(plan)["bayes"]
-    (mean,), (dtheta,) = bayes.score(bayes.reduce(draws.block(1)).astype(float))
+    (mean,), (dtheta,) = _estimators(plan)["bayes"](draws.block(1))
     return float(mean), float(dtheta)
 
 
@@ -371,19 +353,19 @@ def scan(plan: ExperimentPlan) -> ScanResult:
     """Every estimator of the plan over its replicas at each true phase."""
     table = _estimators(plan)
     chosen = [table[name] for name in plan.estimators]
-    rows = _draw_rows(plan)
+    rows = _block_rows(plan)
     draws = _Draws(plan, rows)
     records: list[ScanRecord] = []
     for phase_idx, theta in enumerate(plan.theta_grid):
-        reduced: list[list] = [[] for _ in chosen]
+        scored: list[list] = [[] for _ in chosen]
         for start in range(0, plan.replicas, rows):
             size = min(rows, plan.replicas - start)
             for row in range(size):
                 draws.draw(row, theta, replica_rng(plan.seed, phase_idx, start + row))
             block = draws.block(size)
-            for estimator, out in zip(chosen, reduced):
-                out.append(estimator.reduce(block))
-        for name, estimator, out in zip(plan.estimators, chosen, reduced):
-            values, dthetas = estimator.score(np.concatenate(out, dtype=float))
+            for estimator, out in zip(chosen, scored):
+                out.append(estimator(block))
+        for name, out in zip(plan.estimators, scored):
+            values, dthetas = (np.concatenate(part) for part in zip(*out))
             records.append(_aggregate(float(theta), name, values, dthetas))
     return ScanResult(records=tuple(records), plan=plan)

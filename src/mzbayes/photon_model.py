@@ -96,7 +96,8 @@ def _log_factorial(k) -> float:
 @cache
 def _log_factorials(n_max: int) -> np.ndarray:
     """``_log_factorial(k)`` for k = 0..n_max, read-only."""
-    table = np.array([_log_factorial(k) for k in range(n_max + 1)])
+    table = np.empty(n_max + 1)  # numpy rejects a size it cannot index before the loop
+    table[:] = [_log_factorial(k) for k in range(table.size)]
     table.flags.writeable = False
     return table
 

@@ -93,7 +93,8 @@ class Posterior:
     value per row. Each row is normalized, and its mean and credible
     interval integrated, on its own support window: the contiguous node
     range where its log density is above ``peak - _SUPPORT_CUT``, widened
-    by one node on each side. Outside it the density is below e^-40 of its
+    by one node on each side; where that cut rounds to the peak, the nodes
+    at the peak are the range. Outside it the density is below e^-40 of its
     peak and adds nothing a float64 sum resolves. ``_support`` spans every
     row's window, and each row's trapezoids outside its own are zero. The
     window is integrated once: running sums of mass and first moment give
@@ -131,7 +132,8 @@ class Posterior:
             raise DegenerateEvidenceError(
                 "posterior is zero (or undefined) at every grid node"
             )
-        above = rows > peak - _SUPPORT_CUT
+        # Where peak - _SUPPORT_CUT rounds to the peak, the float just below it cuts.
+        above = rows > np.minimum(peak - _SUPPORT_CUT, np.nextafter(peak, -np.inf))
         any_above = np.flatnonzero(above.any(axis=0))
         support = slice(max(any_above[0] - 1, 0), min(any_above[-1] + 2, grid.n_points))
         above = above[:, support]

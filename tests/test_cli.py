@@ -1,18 +1,24 @@
 """Command-line front end: configs, outputs, exit codes, idempotence."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mzbayes
-from mzbayes.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, load_config, main
+from mzbayes.cli import _SCHEMA, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, load_config, main
 from mzbayes.detector import RetrodictiveWeights
+from mzbayes.experiment import ESTIMATOR_NAMES
 
 
 _IDENTITY_WEIGHTS = json.loads(RetrodictiveWeights.identity().to_json())["weights"]
@@ -75,7 +81,8 @@ _NOT_A_LIST = {
 }
 
 # Sizes beyond numpy's array index range, which it rejects with
-# "Maximum allowed dimension/size exceeded" before allocating anything:
+# "Maximum allowed dimension/size exceeded", or with "array is too big"
+# where only the size in bytes is beyond it, before allocating anything:
 # (command, config, the keys the error names).
 _TOO_LARGE = {
     "scan-p-beyond-numpy": ("scan", {"plan": {"p": 1e30, "replicas": 1}}, "plan.p"),
@@ -92,7 +99,63 @@ _TOO_LARGE = {
         {"model": {"n_max": 1e30}, "noise": {"kind": "identity"}, "plan": {"replicas": 1}},
         "model.n_max",
     ),
+    # np.arange reads 2**63 + 1 as an empty range; the log-factorial table checks the size
+    "fisher-n-max-beyond-numpy": ("fisher", {"model": {"n_max": 2**63}}, "model.n_max"),
+    "scan-p-bytes-beyond-numpy": ("scan", {"plan": {"p": 2**61, "replicas": 1}}, "plan.p"),
+    "scan-grid-bytes-beyond-numpy": (
+        "scan", {"plan": {"grid_points": 2**61, "replicas": 1}}, "plan.grid_points",
+    ),
 }
+
+
+# Drawn config values, by key. Sizes are small or at least 2**63, past
+# numpy's index range: a valid but huge size would only make a run slow.
+# Every key may also get a value of the wrong kind.
+_SIZES = st.integers(-2, 6) | st.integers(2**63, 2**66)
+_ANGLES = st.lists(st.floats(-0.5, 1.5) | st.just(math.nan), max_size=4)
+_NUMBERS = st.floats() | st.integers(-2, 40)
+_VALUES = {
+    "model": {"nbar": _NUMBERS, "n_max": _SIZES},
+    "noise": {
+        "kind": st.sampled_from(["identity", "paper_regime", "matrix", "gremlins"]),
+        "n_max": _SIZES,
+        "forward_c": st.lists(st.lists(st.floats(-0.5, 1.5), max_size=3), max_size=3),
+        "forward_d": st.sampled_from([np.eye(5).tolist(), np.eye(2).tolist()]),
+    },
+    "calibration": {
+        "phases_pi": _ANGLES,
+        "pulses_per_phase": _SIZES,
+        "weights_file": st.just("no-such-weights.json"),
+    },
+    "plan": {
+        "theta_grid_pi": _ANGLES,
+        "p": _SIZES,
+        "replicas": st.integers(-1, 3),
+        "seed": _SIZES,
+        "grid_points": _SIZES,
+        "estimators": st.lists(st.sampled_from([*ESTIMATOR_NAMES, "psychic"]), max_size=3),
+    },
+    "fisher": {"theta_grid_pi": _ANGLES, "d_theta": _NUMBERS},
+    "output": {"dir": st.just("ignored")},
+}
+_WRONG_KIND = st.sampled_from([None, True, "1", [[1]], {"a": 1}, 2.5, math.inf])
+# Small sizes where the config leaves them out, so a valid run stays quick.
+_QUICK = {
+    "plan": {"theta_grid_pi": [0.5], "p": 5, "replicas": 2, "grid_points": 64},
+    "calibration": {"phases_pi": [0.1, 0.3, 0.5, 0.7, 0.9], "pulses_per_phase": 200},
+    "fisher": {"theta_grid_pi": [0.5]},
+}
+
+
+@st.composite
+def config_docs(draw):
+    """A few config keys set to drawn values."""
+    keys = draw(st.lists(st.sampled_from([(s, k) for s in _SCHEMA for k in _SCHEMA[s]]),
+                         min_size=1, max_size=3, unique=True))
+    doc = {}
+    for section, key in keys:
+        doc.setdefault(section, {})[key] = draw(_VALUES[section][key] | _WRONG_KIND)
+    return doc
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -197,6 +260,18 @@ class TestConfigErrors:
                          id="one-calibration-phase"),
             pytest.param("fisher", {"model": {"nbar": 30}}, id="fisher-nbar-beyond-n-max"),
             pytest.param("fisher", {"model": {"nbar": 1e6}}, id="fisher-huge-nbar"),
+            *(pytest.param(command, {"noise": {"kind": "paper_regime", "n_max": -1}},
+                           id=f"{command}-paper-regime-negative-n-max")
+              for command in ("calibrate", "scan", "fisher")),
+            pytest.param("scan",
+                         {"noise": {"kind": "identity", "n_max": -1}, "plan": {"replicas": 1}},
+                         id="scan-identity-negative-n-max"),
+            # 1000 pulses of 1e17 photons would wrap a port total past int64
+            pytest.param("scan",
+                         {"model": {"nbar": 1e17},
+                          "plan": {"p": 1000, "theta_grid_pi": [0.25], "replicas": 1,
+                                   "estimators": ["classical"]}},
+                         id="port-totals-beyond-int64"),
             *(pytest.param(command, doc, id=name)
               for name, (command, doc, _) in {
                   **_NON_FINITE, **_NOT_A_LIST, **_TOO_LARGE
@@ -363,6 +438,26 @@ class TestConfigErrors:
         assert run("scan", "bias", "--config", cfg, "--quiet") == EXIT_NUMERICAL
         assert capsys.readouterr().err.startswith("numerical failure:")
         assert not (out / "bias_scan.csv").exists()
+
+    @given(doc=config_docs())
+    @example(doc={"noise": {"kind": "paper_regime", "n_max": -1}})
+    @example(doc={"noise": {"kind": "identity", "n_max": -1}})
+    @example(doc={"model": {"nbar": 1e17}, "plan": {"p": 10, "estimators": ["bayes"]}})
+    @settings(max_examples=25, deadline=None)
+    def test_any_config_value_exits_cleanly(self, doc):
+        # every command ends in a documented exit code, never a traceback
+        assert set(_VALUES) == set(_SCHEMA)
+        assert all(set(_VALUES[s]) == set(_SCHEMA[s]) for s in _SCHEMA)
+        config = {s: {**_QUICK.get(s, {}), **doc.get(s, {})} for s in {*_QUICK, *doc}}
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write_config(Path(tmp), config)
+            for argv in (["calibrate"], ["scan", "bias"], ["fisher"]):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = run(*argv, "--config", cfg, "--out-dir", tmp, "--quiet")
+                assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)
+                if code != EXIT_OK:
+                    assert err.getvalue().startswith(("config error:", "numerical failure:"))
 
     def test_no_partial_outputs_on_failure(self, tmp_path):
         out = tmp_path / "out"

@@ -87,6 +87,19 @@ class TestConfusionModel:
         with pytest.raises(ValueError, match="forward_d"):
             ConfusionModel(forward_c=np.eye(5), forward_d=K)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            ConfusionModel.identity,
+            ConfusionModel.paper_regime,
+            lambda n_max: ConfusionModel(np.eye(1), np.eye(1), n_max=n_max),
+        ],
+        ids=["identity", "paper-regime", "matrix"],
+    )
+    def test_negative_n_max_rejected(self, build):
+        with pytest.raises(ValueError, match="n_max must be >= 0"):
+            build(-1)
+
     def test_identity_flag(self):
         assert ConfusionModel.identity().is_identity()
         assert not ConfusionModel.paper_regime().is_identity()

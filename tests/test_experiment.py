@@ -24,13 +24,13 @@ from mzbayes.experiment import (
     _aggregate,
     _Block,
     _block_rows,
-    _draw_rows,
     _estimators,
     default_theta_grid,
     replica_rng,
     run_estimation,
     scan,
 )
+from mzbayes.photon_model import InterferometerModel
 from mzbayes.posterior import (
     CountLikelihood,
     PhaseGrid,
@@ -40,9 +40,9 @@ from mzbayes.posterior import (
 )
 
 
-def _draw_bytes(plan, rows):
-    """A draw budget that holds ``rows`` of the plan's replicas."""
-    return rows * 8 * plan.p * (2 if plan.noise is None else 4)
+def _block_bytes(plan, rows):
+    """A block budget that holds ``rows`` of the plan's replicas."""
+    return rows * 8 * max(plan.grid.n_points, plan.p * (2 if plan.noise is None else 4))
 
 
 def small_plan(**kwargs):
@@ -91,6 +91,12 @@ class TestPlan:
         with pytest.raises(ValueError, match="come together"):
             small_plan(channel=ConfusionModel.identity())
 
+    def test_port_totals_fit_in_int64(self):
+        # p pulses at nbar photons each sum to about p * nbar per replica
+        with pytest.raises(ValueError, match=r"plan.p \* model.nbar <= 2\*\*62"):
+            small_plan(p=1000, model=InterferometerModel(nbar=1e17))
+        small_plan(p=4, model=InterferometerModel(nbar=2.0**60))
+
     def test_noise_requires_channel(self):
         with pytest.raises(ValueError, match="come together"):
             small_plan(noise=ConfusionModel.paper_regime())
@@ -114,14 +120,14 @@ class TestPlan:
             read.clear()
             scan(plan)
             # at each phase, one Bayes read per block of replicas and one ML read per replica
-            blocks = math.ceil(plan.replicas / _block_rows(plan.grid))
+            blocks = math.ceil(plan.replicas / _block_rows(plan))
             assert len(read) == (blocks + plan.replicas) * plan.theta_grid.size
             assert all(table is plan.table for table in read)
 
     def test_estimators_share_one_reduction(self, monkeypatch):
         # ideal Bayes, classical and fringe read the port totals; noisy
         # classical and fringe read the totals, and noisy Bayes and YMK the
-        # pair histogram: each once per draw block
+        # pair histogram: each once per block
         for noisy, statistic in ((False, "totals"), (True, "totals"), (True, "pairs")):
             calls = []
             counted = cached_property(
@@ -134,8 +140,8 @@ class TestPlan:
             regime = ConfusionModel.paper_regime() if noisy else None
             estimators = ("bayes", "classical", "fringe") + (("ymk",) if noisy else ())
             plan = small_plan(noise=regime, channel=regime, estimators=estimators)
-            monkeypatch.setattr(experiment, "_DRAW_BYTES", _draw_bytes(plan, rows=2))
-            assert _draw_rows(plan) == 2
+            monkeypatch.setattr(experiment, "_BLOCK_BYTES", _block_bytes(plan, rows=2))
+            assert _block_rows(plan) == 2
             scan(plan)
             assert len(calls) == math.ceil(plan.replicas / 2) * plan.theta_grid.size
 
@@ -215,16 +221,15 @@ class TestScans:
         n_c, n_d = plan.model.sample_counts(0.3 * math.pi, plan.p, np.random.default_rng(0))
         block = _Block(plan, n_c[None], n_d[None])
         for name in ESTIMATOR_NAMES:
-            estimator = table[name]
-            (value,), (dtheta,) = estimator.score(estimator.reduce(block).astype(float))
+            (value,), (dtheta,) = table[name](block)
             assert 0.0 <= value <= math.pi
             assert math.isnan(dtheta) == (name != "bayes")
 
-    @pytest.mark.parametrize("replicas", [1, 8, 11])
+    @pytest.mark.parametrize("replicas", [1, 16, 21])
     def test_blocks_match_one_replica_estimates(self, replicas):
-        # 4096 nodes give 8-row blocks: a short block, a full one, a full one and a remainder
+        # 4096 nodes give 16-row blocks: a short block, a full one, a full one and a remainder
         plan = small_plan(grid=PhaseGrid(), replicas=replicas, estimators=("bayes", "fringe"))
-        assert _block_rows(plan.grid) == 8
+        assert _block_rows(plan) == min(16, replicas)
         fringe = FringeParams(amplitude=plan.model.nbar)
         result = scan(plan)
         for phase_idx, theta in enumerate(plan.theta_grid):
@@ -248,14 +253,15 @@ class TestScans:
     @pytest.mark.parametrize("noisy", [False, True], ids=["ideal", "noisy"])
     @pytest.mark.parametrize("replicas", [1, 3, 5], ids=["one", "one-block", "block-and-rest"])
     def test_draw_blocks_match_one_replica_at_a_time(self, monkeypatch, noisy, replicas):
-        # 3-replica draw blocks; the reference draws, misreads and reduces
-        # each replica on its own, through the per-pulse estimators
+        # 3-replica blocks; the reference draws, misreads, reduces and
+        # scores each replica on its own, through the per-pulse estimators
+        # and one-row posteriors of the phase's stacked log likelihoods
         regime = ConfusionModel.paper_regime() if noisy else None
         plan = small_plan(replicas=replicas, noise=regime, channel=regime,
                           fringe=FringeParams(a=0.1, b=0.05, amplitude=1.0),
                           estimators=ESTIMATOR_NAMES)
-        monkeypatch.setattr(experiment, "_DRAW_BYTES", _draw_bytes(plan, rows=3))
-        assert _draw_rows(plan) == min(3, replicas)
+        monkeypatch.setattr(experiment, "_BLOCK_BYTES", _block_bytes(plan, rows=3))
+        assert _block_rows(plan) == min(3, replicas)
         scored = {}
         aggregate = experiment._aggregate
 
@@ -265,7 +271,6 @@ class TestScans:
 
         monkeypatch.setattr(experiment, "_aggregate", recorded)
         scan(plan)
-        bayes = _estimators(plan)["bayes"]
         for phase_idx, theta in enumerate(plan.theta_grid):
             runs = []
             for r in range(replicas):
@@ -275,9 +280,16 @@ class TestScans:
                     n_c, n_d = apply_noise_counts(n_c, n_d, plan.noise, rng)
                 runs.append((n_c, n_d))
             assert any(np.any(n_c + n_d == 0) for n_c, n_d in runs)  # zero-photon shots
-            stats = np.array([plan.table.statistics(*run) for run in runs], dtype=float)
+            stats = np.array([plan.table.statistics(*run) for run in runs])
+            posteriors = [
+                Posterior.from_log_density(plan.grid, log_density)
+                for log_density in plan.table.on_grid(stats)
+            ]
             want = {
-                "bayes": bayes.score(stats),
+                "bayes": (
+                    [posterior_mean(post) for post in posteriors],
+                    [credible_interval(post) for post in posteriors],
+                ),
                 "ml": [ml_estimate(*run, plan.table).phase for run in runs],
                 "classical": [classical_estimate(*run, plan.model.nbar) for run in runs],
                 "fringe": [noisy_classical_estimate(*run, plan.fringe) for run in runs],

@@ -14,6 +14,7 @@ from mzbayes.detector import ConfusionModel, exact_retrodictive_weights
 from mzbayes.experiment import ExperimentPlan
 from mzbayes.photon_model import InterferometerModel, Outcome
 from mzbayes.posterior import (
+    _SUPPORT_CUT,
     DegenerateEvidenceError,
     _cdf_at,
     _quantile,
@@ -427,6 +428,22 @@ class TestStackedPosteriors:
             assert abs(mean - full_grid_mean(one)) <= WINDOW_TOL
             assert abs(width - full_grid_interval(one)) <= WINDOW_TOL
         np.testing.assert_allclose(np.trapezoid(stack.density, GRID.nodes), 1.0, atol=1e-9)
+
+    def test_peak_where_the_cut_rounds_to_it(self):
+        # Near 7e17 floats are 128 apart, so peak - _SUPPORT_CUT rounds to
+        # the peak: its window still holds the peak, and the other rows of
+        # the stack keep their one-row bits
+        totals = ((5e17, 5e17), (700, 300), (3, 5))
+        rows = [IDEAL_TABLE.on_grid(np.array(t)) for t in totals]
+        peak = rows[0].max()
+        assert peak - _SUPPORT_CUT == peak
+        stack = Posterior.from_log_density(GRID, np.array(rows))
+        means, widths = posterior_mean(stack), credible_interval(stack)
+        assert abs(means[0] - math.pi / 2) <= GRID.spacing
+        assert 0.0 < widths[0] <= GRID.spacing
+        for row, mean, width in zip(rows, means, widths):
+            one = Posterior.from_log_density(GRID, row)
+            assert (mean, width) == (posterior_mean(one), credible_interval(one))
 
     def test_one_degenerate_row_fails_the_stack(self):
         rows = np.array([np.zeros(GRID.n_points), np.full(GRID.n_points, -np.inf)])

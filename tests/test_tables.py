@@ -64,8 +64,13 @@ INTERIOR = slice(1, -1)
 
 # Golden-section refinement stops at 1e-10 rad, and the log likelihood's
 # maximum is flat at float precision over ~1e-8 rad; 1e-6 rad is the
-# tolerance for ML estimates whose arithmetic order changed.
+# tolerance for ML estimates whose arithmetic order changed. A few photons
+# with the maximum at an edge can leave it flat over more than that (over
+# 5e-6 rad for 5 photons in 13 noisy pulses, all at port c): there two
+# estimates agree when the summed log likelihood is the same at both, to
+# ML_FLAT_REL, float rounding of a sum of negative terms.
 ML_TOL = 1e-6
+ML_FLAT_REL = 1e-14
 
 
 @st.composite
@@ -308,8 +313,8 @@ def ymk_reference(data):
     return sum(vals) / len(vals)
 
 
-def ml_reference(data, pair_log_likelihood, nodes):
-    """Per-pair loop: grid argmax of summed per-pulse log likelihoods, refined."""
+def pair_total(data, pair_log_likelihood):
+    """The summed per-pulse log likelihood of ``data`` at an array of phases, pair by pair."""
     unique = Counter((o.n_c, o.n_d) for o in data)
 
     def total(phis):
@@ -318,6 +323,12 @@ def ml_reference(data, pair_log_likelihood, nodes):
             out = out + count * pair_log_likelihood(phis, nc, nd)
         return out
 
+    return total
+
+
+def ml_reference(data, pair_log_likelihood, nodes):
+    """Per-pair loop: grid argmax of summed per-pulse log likelihoods, refined."""
+    total = pair_total(data, pair_log_likelihood)
     grid_total = total(nodes)
     finite = grid_total[np.isfinite(grid_total)]
     if finite.max() - finite.min() < 1e-12:
@@ -325,6 +336,13 @@ def ml_reference(data, pair_log_likelihood, nodes):
     i = int(np.argmax(grid_total))
     lo, hi = nodes[max(i - 1, 0)], nodes[min(i + 1, nodes.size - 1)]
     return golden_section_max(lambda phi: float(total(np.array([phi]))[0]), lo, hi), False
+
+
+def assert_same_ml_phase(phase, want, data, pair_log_likelihood):
+    """``phase`` is ``want`` to ML_TOL, or the log likelihood is as high at both."""
+    if abs(phase - want) > ML_TOL:
+        got, best = pair_total(data, pair_log_likelihood)(np.array([phase, want]))
+        assert got == pytest.approx(best, rel=ML_FLAT_REL, abs=0), (phase, want)
 
 
 def ideal_pair_log_likelihood(phis, nc, nd):
@@ -388,7 +406,7 @@ def test_ideal_ml_matches_outcome_loop(counts):
     est = ml_estimate(*counts, IDEAL_PLAN.table)
     phase, flat = ml_reference(outcomes(*counts), ideal_pair_log_likelihood, NODES)
     assert est.flat == flat
-    assert est.phase == pytest.approx(phase, abs=ML_TOL)
+    assert_same_ml_phase(est.phase, phase, outcomes(*counts), ideal_pair_log_likelihood)
 
 
 @given(counts=pulse_counts(noise=REGIME))
@@ -397,7 +415,7 @@ def test_noisy_ml_matches_outcome_loop(counts):
     est = ml_estimate(*counts, NOISY_PLAN.table)
     phase, flat = ml_reference(outcomes(*counts), noisy_pair_log_likelihood, NODES)
     assert est.flat == flat
-    assert est.phase == pytest.approx(phase, abs=ML_TOL)
+    assert_same_ml_phase(est.phase, phase, outcomes(*counts), noisy_pair_log_likelihood)
 
 
 def one_port_run(port, p=1000):
@@ -411,7 +429,7 @@ def one_port_run(port, p=1000):
 # channel a reported 0 may be a misread 1, so there they do not.
 PINNED_RUNS = [(one_port_run("c"), (0.0, False)), (one_port_run("d"), (math.pi, False))]
 FLAT_RUN = ((np.zeros(5, dtype=np.int64),) * 2, (math.pi / 2, True))
-BLOCK = _block_rows(IDEAL_PLAN.grid)
+BLOCK = _block_rows(IDEAL_PLAN)
 
 
 @st.composite
@@ -440,7 +458,7 @@ def test_stacked_ml_is_each_row_scored_alone(plan, pair_log_likelihood, data):
         alone = ml_estimate(*run, plan.table)
         want, want_flat = ml_reference(outcomes(*run), pair_log_likelihood, NODES)
         assert flat == alone.flat == want_flat
-        assert phase == pytest.approx(alone.phase, abs=ML_TOL)
-        assert phase == pytest.approx(want, abs=ML_TOL)
+        assert_same_ml_phase(phase, alone.phase, outcomes(*run), pair_log_likelihood)
+        assert_same_ml_phase(phase, want, outcomes(*run), pair_log_likelihood)
         if pinned is not None:
             assert (phase, flat) == pinned
