@@ -255,7 +255,8 @@ class TestScans:
     def test_draw_blocks_match_one_replica_at_a_time(self, monkeypatch, noisy, replicas):
         # 3-replica blocks; the reference draws, misreads, reduces and
         # scores each replica on its own, through the per-pulse estimators
-        # and one-row posteriors of the phase's stacked log likelihoods
+        # and one-row posteriors of log likelihoods stacked in the scan's
+        # blocks (on_grid's last bits depend on how many rows it stacks)
         regime = ConfusionModel.paper_regime() if noisy else None
         plan = small_plan(replicas=replicas, noise=regime, channel=regime,
                           fringe=FringeParams(a=0.1, b=0.05, amplitude=1.0),
@@ -281,9 +282,11 @@ class TestScans:
                 runs.append((n_c, n_d))
             assert any(np.any(n_c + n_d == 0) for n_c, n_d in runs)  # zero-photon shots
             stats = np.array([plan.table.statistics(*run) for run in runs])
+            block = _block_rows(plan)
             posteriors = [
                 Posterior.from_log_density(plan.grid, log_density)
-                for log_density in plan.table.on_grid(stats)
+                for start in range(0, replicas, block)
+                for log_density in plan.table.on_grid(stats[start:start + block])
             ]
             want = {
                 "bayes": (
