@@ -167,10 +167,11 @@ def _noise_from_config(cfg: dict) -> ConfusionModel | None:
     }
     if kind not in factories:
         raise ConfigError(f"unknown noise kind: {kind!r}")
-    try:
-        return factories[kind](**section)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad noise section: {exc}") from exc
+    with _sized_by("noise.n_max"):
+        try:
+            return factories[kind](**section)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad noise section: {exc}") from exc
 
 
 def _write_atomic(path: Path, content: str) -> None:
@@ -328,14 +329,15 @@ def cmd_fisher(
     section = cfg.get("fisher", {})
     thetas = section.get("theta_grid_pi", np.pi * np.linspace(0.02, 0.98, 49))
     pmf = plan.model.joint_pmf if noise is None else noisy_joint_pmf(noise, plan.model)
-    try:
-        fishers, bounds = crlb_curve(
-            pmf, thetas, plan.p, section.get("d_theta", DEFAULT_D_THETA)
-        )
-    except ValueError as exc:
-        raise ConfigError(
-            f"bad fisher inputs at model.n_max {plan.model.n_max}, nbar {plan.model.nbar}: {exc}"
-        ) from exc
+    with _sized_by("model.n_max"):
+        try:
+            fishers, bounds = crlb_curve(
+                pmf, thetas, plan.p, section.get("d_theta", DEFAULT_D_THETA)
+            )
+        except ValueError as exc:
+            raise ConfigError(
+                f"bad fisher inputs at model.n_max {plan.model.n_max}, nbar {plan.model.nbar}: {exc}"
+            ) from exc
     _emit_files(out_dir, {"crlb.csv": crlb_csv(thetas, fishers, bounds)})
     if not args.quiet:
         print(

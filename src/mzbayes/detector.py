@@ -239,25 +239,20 @@ def measured_port_distributions(
     return model.forward_c[:, fold] @ p_c, model.forward_d[:, fold] @ p_d
 
 
-def _check_reportable(n_c: np.ndarray, n_d: np.ndarray, n_max: int) -> None:
+def pair_histogram(n_c: np.ndarray, n_d: np.ndarray, n_max: int) -> np.ndarray:
+    """Counts of each measured pair, flattened at index ``nc * (n_max+1) + nd``.
+
+    A ``(rows, p)`` stack of runs gives one histogram per row, from one ``bincount``.
+    """
     if np.max(n_c, initial=0) > n_max or np.max(n_d, initial=0) > n_max:
         raise ValueError(f"measured counts exceed the reportable maximum {n_max}")
-
-
-def pair_histogram(n_c: np.ndarray, n_d: np.ndarray, n_max: int) -> np.ndarray:
-    """Counts of each measured pair, flattened at index ``nc * (n_max+1) + nd``."""
-    _check_reportable(n_c, n_d, n_max)
     bins = n_max + 1
-    return np.bincount(np.asarray(n_c) * bins + n_d, minlength=bins * bins)
-
-
-def port_histograms(n_c: np.ndarray, n_d: np.ndarray, n_max: int) -> np.ndarray:
-    """Per-port histograms of the reported counts, port c's bins first."""
-    _check_reportable(n_c, n_d, n_max)
-    bins = n_max + 1
-    return np.concatenate(
-        [np.bincount(n_c, minlength=bins), np.bincount(n_d, minlength=bins)]
-    )
+    index = np.asarray(n_c) * bins + n_d
+    if index.ndim == 1:
+        return np.bincount(index, minlength=bins * bins)
+    rows = len(index)
+    index = index + np.arange(0, rows * bins * bins, bins * bins)[:, None]
+    return np.bincount(index.ravel(), minlength=rows * bins * bins).reshape(rows, -1)
 
 
 def noisy_joint_pmf(model: ConfusionModel, ideal: InterferometerModel):
@@ -273,8 +268,9 @@ def noisy_log_likelihood_grid(model: ConfusionModel, ideal: InterferometerModel)
     """Callable phis -> per-port log P_fit(reported count | phi) rows.
 
     The joint likelihood factorizes over the ports, so the log likelihood
-    of a pulse sequence is ``port_histograms(...)`` times these
-    ``2 (n_max+1)`` rows (port c's counts 0..n_max, then port d's).
+    of a pulse sequence is its per-port histograms of reported counts
+    (port c's counts 0..n_max, then port d's) times these ``2 (n_max+1)``
+    rows, in that order.
     """
 
     def log_rows(phis: np.ndarray) -> np.ndarray:

@@ -4,7 +4,8 @@ Classical fringe inversion of the mean count difference, its noisy
 generalization with fitted fringe parameters, the per-shot YMK estimator
 arccos[(Nc-Nd)/(Nc+Nd)], and maximum likelihood by grid search with a
 stacked k-section refinement. Sequence estimators read a run's per-pulse
-counts as two integer arrays ``(n_c, n_d)``.
+counts as two integer arrays ``(n_c, n_d)``; maximum likelihood reads its
+statistics, as the likelihood table does.
 """
 
 from __future__ import annotations
@@ -188,11 +189,12 @@ def ml_estimates(stats, likelihood: CountLikelihood) -> MLEstimate:
     return MLEstimate(phase=np.where(flat, math.pi / 2.0, phase), flat=flat)
 
 
-def ml_estimate(n_c, n_d, likelihood: CountLikelihood) -> MLEstimate:
-    """Maximum-likelihood phase of one run: the one-row case of ``ml_estimates``.
+def ml_estimate(stats, likelihood: CountLikelihood) -> MLEstimate:
+    """Maximum-likelihood phase of one run's statistics: the one-row case of ``ml_estimates``.
 
-    ``likelihood`` reads the counts through its statistics: the port totals
-    for the ideal interferometer, per-port histograms behind a channel.
+    ``stats`` are the run's statistics of ``likelihood``: its port totals
+    (Nc, Nd) on the ideal interferometer, its per-port histograms behind a
+    channel.
     """
-    est = ml_estimates(likelihood.statistics(*_counts(n_c, n_d))[None], likelihood)
+    est = ml_estimates(np.asarray(stats)[None], likelihood)
     return MLEstimate(phase=float(est.phase[0]), flat=bool(est.flat[0]))

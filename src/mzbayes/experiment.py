@@ -7,24 +7,26 @@ when noise is configured), and repeat over independent replicas. Each
 (phase, replica) pair gets its own seeded stream derived from the master
 seed, so a rerun with the same plan draws the same counts. Bayes and ML
 read the plan's one likelihood table; a replica's counts enter it only
-through the per-port histograms or the port totals.
+through its statistics, the port totals or the per-port histograms, which
+the scan's block reduces once.
 
 A block of replicas is the scan's unit: each replica of the block draws
 its Poisson counts and, on a noisy plan, the uniforms of its misreads,
 into buffers shared by the block. The block is then misread, reduced and
 scored once, stacked: one misread of all its rows, each row's count sums
 (the port totals), and on a noisy plan one pair histogram per row, which
-gives the per-port histograms and YMK. Bayes scores the block as stacked
-posteriors, and the classical and fringe estimators invert all of its
-mean count differences at once. ML, and YMK on an ideal plan (whose
-counts have no bound), estimate each row of a block on its own.
+gives the per-port histograms and YMK. Bayes scores the block's
+statistics as stacked posteriors, and the classical and fringe
+estimators invert all of its mean count differences at once. ML scores
+each row of the block's statistics on its own, and YMK on an ideal plan
+(whose counts have no bound) each row of its counts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, field, fields
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -35,10 +37,10 @@ from mzbayes.detector import (
     ConfusionModel,
     misread_rows,
     noisy_log_likelihood_grid,
-    port_histograms,
+    pair_histogram,
 )
 # The traced benchmark's ML gate counts one ml_estimate call per replica,
-# so ML scores replicas one by one.
+# so ML scores a block's statistics one row at a time.
 from mzbayes.estimators import (
     FringeParams,
     invert_fringe,
@@ -121,14 +123,10 @@ class ExperimentPlan:
 
     @cached_property
     def table(self) -> CountLikelihood:
-        """The port totals, or the per-port histograms through the calibrated channel."""
+        """Log likelihood of the port totals, or of the per-port histograms through the channel."""
         if self.channel is None:
             return ideal_likelihood(self.grid)
-        return CountLikelihood(
-            noisy_log_likelihood_grid(self.channel, self.model),
-            partial(port_histograms, n_max=self.channel.n_max),
-            self.grid,
-        )
+        return CountLikelihood(noisy_log_likelihood_grid(self.channel, self.model), self.grid)
 
     def manifest(self) -> dict:
         return {
@@ -207,18 +205,14 @@ class _Block:
     @cached_property
     def pairs(self) -> np.ndarray:
         """Each row's ``pair_histogram`` (noisy plans, whose counts stop at n_max)."""
-        bins = self.plan.noise.n_max + 1
-        rows = len(self.n_c)
-        index = self.n_c * bins + self.n_d
-        index += np.arange(0, rows * bins * bins, bins * bins)[:, None]
-        return np.bincount(index.ravel(), minlength=rows * bins * bins).reshape(rows, -1)
+        return pair_histogram(self.n_c, self.n_d, self.plan.noise.n_max)
 
     @cached_property
     def totals(self) -> np.ndarray:
         """Each row's port totals (Nc, Nd)."""
         return np.stack([self.n_c.sum(axis=1), self.n_d.sum(axis=1)], axis=1)
 
-    @property
+    @cached_property
     def statistics(self) -> np.ndarray:
         """Each row's statistics of the plan's table: the totals, or the port histograms."""
         if self.plan.noise is None:
@@ -226,10 +220,6 @@ class _Block:
         bins = self.plan.noise.n_max + 1
         pairs = self.pairs.reshape(-1, bins, bins)
         return np.concatenate([pairs.sum(axis=2), pairs.sum(axis=1)], axis=1)
-
-    def each_row(self, estimate) -> np.ndarray:
-        """``estimate(n_c, n_d)`` of each row's measured counts."""
-        return np.array([estimate(n_c, n_d) for n_c, n_d in zip(self.n_c, self.n_d)])
 
 
 def _no_dtheta(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -263,12 +253,13 @@ def _estimators(plan: ExperimentPlan) -> dict[str, Callable]:
         )
 
     def ml(block: _Block):
-        return _no_dtheta(block.each_row(lambda n_c, n_d: ml_estimate(n_c, n_d, plan.table).phase))
+        return _no_dtheta(np.array([ml_estimate(s, plan.table).phase for s in block.statistics]))
 
     def ymk(block: _Block):
         # ideal counts have no bound, so an ideal replica has no fixed-width pair histogram
         if plan.noise is None:
-            return _no_dtheta(block.each_row(ymk_mean_estimate))
+            rows = zip(block.n_c, block.n_d)
+            return _no_dtheta(np.array([ymk_mean_estimate(n_c, n_d) for n_c, n_d in rows]))
         return _no_dtheta(ymk_pair_estimates(block.pairs, plan.noise.n_max))
 
     return {

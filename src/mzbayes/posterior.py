@@ -195,19 +195,14 @@ def ideal_log_rows(nodes: np.ndarray) -> np.ndarray:
         return 2.0 * np.log(np.stack([np.cos(nodes / 2.0), np.sin(nodes / 2.0)]))
 
 
-def port_totals(n_c: np.ndarray, n_d: np.ndarray) -> np.ndarray:
-    """Total counts (Nc, Nd) of a pulse sequence: the ideal sufficient statistic."""
-    return np.array([np.sum(n_c), np.sum(n_d)])
-
-
 class CountLikelihood:
     """Log likelihood linear in count statistics: ``log L(phi) = s . rows(phi)``.
 
     ``rows(phis)`` returns one log-likelihood row per statistic over an
-    array of phases, and ``statistics(n_c, n_d)`` reduces per-pulse count
-    arrays to the matching statistics ``s``. The rows are tabulated on
-    ``grid`` once, so each pulse sequence costs one histogram and one
-    matrix-vector product, and a stack of them one matrix product.
+    array of phases; a pulse sequence enters only through its statistics
+    ``s``, such as its port totals (Nc, Nd) on the ideal interferometer.
+    The rows are tabulated on ``grid`` once, so each pulse sequence costs
+    one matrix-vector product, and a stack of them one matrix product.
 
     A zero statistic is a count that never occurred, so it must not meet a
     -inf entry, a phase where that count is impossible: 0 * (-inf) would
@@ -216,14 +211,8 @@ class CountLikelihood:
     nonzero statistics meets -inf.
     """
 
-    def __init__(
-        self,
-        rows: Callable[[np.ndarray], np.ndarray],
-        statistics: Callable[[np.ndarray, np.ndarray], np.ndarray],
-        grid: PhaseGrid,
-    ):
+    def __init__(self, rows: Callable[[np.ndarray], np.ndarray], grid: PhaseGrid):
         self.rows = rows
-        self.statistics = statistics
         self.grid = grid
         self.table = rows(grid.nodes)
         impossible = np.isneginf(self.table)
@@ -262,7 +251,7 @@ class CountLikelihood:
 
 def ideal_likelihood(grid: PhaseGrid) -> CountLikelihood:
     """Ideal-interferometer log likelihood from the port totals (flat-prior posterior shape)."""
-    return CountLikelihood(ideal_log_rows, port_totals, grid)
+    return CountLikelihood(ideal_log_rows, grid)
 
 
 def single_shot_posterior(outcome: Outcome, grid: PhaseGrid) -> Posterior:

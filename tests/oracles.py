@@ -12,6 +12,10 @@ with one ``rng.choice`` per port, and ``choice_port`` draws a port's
 counts with one ``rng.choice`` per true count, ascending, the draw order
 of ``apply_noise_counts``.
 
+The statistics of a run: ``run_statistics`` reduces one run's per-pulse
+counts to what a plan's likelihood table reads, by port sums or per-port
+``np.bincount``, apart from the scan's stacked reduction.
+
 Maximum likelihood: ``golden_section_max`` is the scalar golden-section
 search that ML refinement used before it searched stacked rows, and
 ``log_count_density`` the one-run product of statistics and log rows
@@ -137,6 +141,18 @@ def golden_section_max(
             x1 = b - _INV_GOLDEN * (b - a)
             f1 = f(x1)
     return (a + b) / 2.0
+
+
+def run_statistics(plan, n_c, n_d) -> np.ndarray:
+    """One run's statistics of ``plan.table``: port sums, or per-port histograms.
+
+    An ideal plan reads the port totals (Nc, Nd); a plan with a channel
+    reads port c's histogram of reported counts 0..n_max, then port d's.
+    """
+    if plan.channel is None:
+        return np.array([np.sum(n_c), np.sum(n_d)])
+    bins = plan.channel.n_max + 1
+    return np.concatenate([np.bincount(n_c, minlength=bins), np.bincount(n_d, minlength=bins)])
 
 
 def log_count_density(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -314,9 +314,11 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "nbar" in err
 
-    # 1e15 pulses need 7.1 PiB per port, and 1e17 grid nodes 711 PiB per
-    # row, more than the 128 TiB a process maps by default, so the allocation
-    # fails at once under any overcommit policy.
+    # 1e15 pulses need 7.1 PiB per port, 1e17 grid nodes or counts 711 PiB
+    # per row, and 1e9 reportable counts 6.9 EiB per misread matrix, more
+    # than the 128 TiB a process maps by default and less than the 2**63
+    # bytes numpy can index, so the allocation fails at once under any
+    # overcommit policy.
     @pytest.mark.parametrize(
         "command, doc, named",
         [
@@ -329,6 +331,15 @@ class TestConfigErrors:
             pytest.param("scan", {"plan": {"p": 1e15, "replicas": 1}}, "plan.p", id="scan-p"),
             pytest.param("scan", {"plan": {"grid_points": 10**17, "replicas": 1}},
                          "plan.grid_points", id="scan-grid-points"),
+            *(pytest.param(command, {"noise": {"kind": "paper_regime", "n_max": 1e9}},
+                           "noise.n_max", id=f"{command}-paper-regime-n-max")
+              for command in ("calibrate", "scan", "fisher")),
+            pytest.param("scan", {"noise": {"kind": "identity", "n_max": 1e9}},
+                         "noise.n_max", id="scan-identity-n-max"),
+            pytest.param("fisher", {"model": {"n_max": 1e17}}, "model.n_max",
+                         id="fisher-n-max"),
+            pytest.param("fisher", {"model": {"n_max": 1e17}, "noise": {"kind": "identity"}},
+                         "model.n_max", id="fisher-identity-n-max"),
             *(pytest.param(*case, id=name) for name, case in _TOO_LARGE.items()),
         ],
     )
@@ -443,6 +454,9 @@ class TestConfigErrors:
     @example(doc={"noise": {"kind": "paper_regime", "n_max": -1}})
     @example(doc={"noise": {"kind": "identity", "n_max": -1}})
     @example(doc={"model": {"nbar": 1e17}, "plan": {"p": 10, "estimators": ["bayes"]}})
+    # sizes numpy can index but no process can hold, which _SIZES does not draw
+    @example(doc={"noise": {"kind": "paper_regime", "n_max": 1e9}})
+    @example(doc={"model": {"n_max": 1e17}})
     @settings(max_examples=25, deadline=None)
     def test_any_config_value_exits_cleanly(self, doc):
         # every command ends in a documented exit code, never a traceback

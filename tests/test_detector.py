@@ -31,7 +31,6 @@ from mzbayes.detector import (
     misread_rows,
     noisy_joint_pmf,
     pair_histogram,
-    port_histograms,
     simulate_calibration,
 )
 from mzbayes.experiment import ExperimentPlan, _Block
@@ -398,9 +397,11 @@ class TestNoisyLikelihood:
             assert pmf(phi).sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_out_of_range_measurement_rejected(self, regime, ideal_model):
-        # measured counts enter the noisy likelihood through their per-port histograms
+        # measured counts enter the noisy likelihood through the statistics
+        # of the scan's block, reduced from its pair histograms
+        plan = ExperimentPlan(p=1, noise=regime, channel=regime)
         with pytest.raises(ValueError):
-            port_histograms(np.array([5]), np.array([0]), regime.n_max)
+            _Block(plan, np.array([[5]]), np.array([[0]])).statistics
 
 
 class TestCalibration:

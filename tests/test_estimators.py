@@ -201,27 +201,29 @@ def loglik(grid):
 
 
 class TestML:
+    # ML reads a run's statistics; on an ideal table one pulse's are its counts [nc, nd]
     def test_analytic_single_shot_maximum(self, loglik):
         # argmax of cos^{2Nc}(phi/2) sin^{2Nd}(phi/2) is 2*arctan(sqrt(Nd/Nc))
         for nc, nd in [(1, 0), (1, 1), (3, 2), (2, 5)]:
-            est = ml_estimate([nc], [nd], loglik)
+            est = ml_estimate([nc, nd], loglik)
             assert not est.flat
             assert est.phase == pytest.approx(
                 2 * math.atan(math.sqrt(nd / nc)), abs=1e-6
             )
 
     def test_only_sine_port_pushes_to_pi(self, loglik):
-        est = ml_estimate([0], [3], loglik)
+        est = ml_estimate([0, 3], loglik)
         assert est.phase == pytest.approx(math.pi, abs=1e-6)
 
     def test_flat_likelihood_flagged(self, loglik):
-        est = ml_estimate([0], [0], loglik)
+        est = ml_estimate([0, 0], loglik)
         assert est.flat
         assert est.phase == math.pi / 2
 
     def test_requires_outcomes(self, loglik):
+        # statistics that are not the table's (Nc, Nd)
         with pytest.raises(ValueError):
-            ml_estimate([], [], loglik)
+            ml_estimate([], loglik)
 
     def test_asymptotic_agreement_with_bayes(self, loglik, ideal_model, grid):
         from mzbayes.posterior import credible_interval, posterior_mean
@@ -231,7 +233,7 @@ class TestML:
         rng = np.random.default_rng(25)
         n_c, n_d = ideal_model.sample_counts(theta, 1000, rng)
         data = [Outcome(int(a), int(b)) for a, b in zip(n_c, n_d)]
-        est = ml_estimate(n_c, n_d, loglik)
+        est = ml_estimate([n_c.sum(), n_d.sum()], loglik)
         post = accumulate(data, grid)
         assert abs(est.phase - posterior_mean(post)) < credible_interval(post) / 3
 
@@ -240,6 +242,6 @@ class TestML:
         for nc in range(9):
             for nd in range(9):
                 if 1 <= nc + nd <= 8:
-                    ml = ml_estimate([nc], [nd], loglik).phase
+                    ml = ml_estimate([nc, nd], loglik).phase
                     ymk = ymk_mean_estimate([nc], [nd])
                     assert abs(ml - ymk) < 2 * grid.spacing

@@ -38,6 +38,7 @@ from mzbayes.posterior import (
     credible_interval,
     posterior_mean,
 )
+from oracles import run_statistics
 
 
 def _block_bytes(plan, rows):
@@ -125,10 +126,13 @@ class TestPlan:
             assert all(table is plan.table for table in read)
 
     def test_estimators_share_one_reduction(self, monkeypatch):
-        # ideal Bayes, classical and fringe read the port totals; noisy
-        # classical and fringe read the totals, and noisy Bayes and YMK the
-        # pair histogram: each once per block
-        for noisy, statistic in ((False, "totals"), (True, "totals"), (True, "pairs")):
+        # ideal Bayes, ML, classical and fringe read the port totals; noisy
+        # classical and fringe read the totals, and noisy Bayes, ML and YMK
+        # the pair histogram; Bayes and ML read the table's statistics of
+        # either: each once per block
+        cases = [(False, "totals"), (False, "statistics"),
+                 (True, "totals"), (True, "pairs"), (True, "statistics")]
+        for noisy, statistic in cases:
             calls = []
             counted = cached_property(
                 lambda block, reduce=getattr(_Block, statistic).func, calls=calls: (
@@ -138,7 +142,7 @@ class TestPlan:
             counted.__set_name__(_Block, statistic)
             monkeypatch.setattr(_Block, statistic, counted)
             regime = ConfusionModel.paper_regime() if noisy else None
-            estimators = ("bayes", "classical", "fringe") + (("ymk",) if noisy else ())
+            estimators = ("bayes", "ml", "classical", "fringe") + (("ymk",) if noisy else ())
             plan = small_plan(noise=regime, channel=regime, estimators=estimators)
             monkeypatch.setattr(experiment, "_BLOCK_BYTES", _block_bytes(plan, rows=2))
             assert _block_rows(plan) == 2
@@ -237,7 +241,7 @@ class TestScans:
             for r in range(replicas):
                 rng = replica_rng(plan.seed, phase_idx, r)
                 n_c, n_d = plan.model.sample_counts(theta, plan.p, rng)
-                stats = plan.table.statistics(n_c, n_d)
+                stats = run_statistics(plan, n_c, n_d)
                 post = Posterior.from_log_density(plan.grid, plan.table.on_grid(stats))
                 bayes.append((posterior_mean(post), credible_interval(post)))
                 inverted.append(noisy_classical_estimate(n_c, n_d, fringe))
@@ -281,7 +285,7 @@ class TestScans:
                     n_c, n_d = apply_noise_counts(n_c, n_d, plan.noise, rng)
                 runs.append((n_c, n_d))
             assert any(np.any(n_c + n_d == 0) for n_c, n_d in runs)  # zero-photon shots
-            stats = np.array([plan.table.statistics(*run) for run in runs])
+            stats = np.array([run_statistics(plan, *run) for run in runs])
             block = _block_rows(plan)
             posteriors = [
                 Posterior.from_log_density(plan.grid, log_density)
@@ -293,7 +297,7 @@ class TestScans:
                     [posterior_mean(post) for post in posteriors],
                     [credible_interval(post) for post in posteriors],
                 ),
-                "ml": [ml_estimate(*run, plan.table).phase for run in runs],
+                "ml": [ml_estimate(row, plan.table).phase for row in stats],
                 "classical": [classical_estimate(*run, plan.model.nbar) for run in runs],
                 "fringe": [noisy_classical_estimate(*run, plan.fringe) for run in runs],
             }

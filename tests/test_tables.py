@@ -22,7 +22,6 @@ from mzbayes.detector import (
     measured_port_distributions,
     noisy_joint_pmf,
     pair_histogram,
-    port_histograms,
 )
 from mzbayes.estimators import (
     FringeParams,
@@ -44,6 +43,7 @@ from oracles import (
     log_posterior_fit,
     log_shape,
     normalization_constant,
+    run_statistics,
 )
 
 N_MAX = 4
@@ -125,7 +125,7 @@ def assert_same_log_density(got, want):
 @given(counts=pulse_counts(noise=None))
 @settings(max_examples=60, deadline=None)
 def test_ideal_bayes_table_matches_accumulate(counts):
-    stats = IDEAL_PLAN.table.statistics(*counts)
+    stats = run_statistics(IDEAL_PLAN, *counts)
     got = Posterior.from_log_density(IDEAL_PLAN.grid, IDEAL_PLAN.table.on_grid(stats))
     want = accumulate(outcomes(*counts), IDEAL_PLAN.grid)
     assert_same_log_density(got.log_density, want.log_density)
@@ -136,7 +136,7 @@ def test_ideal_bayes_table_matches_accumulate(counts):
 def test_noisy_table_matches_summed_noisy_joint_likelihood(counts):
     table = NOISY_PLAN.table
     nodes = NODES[[0, 1, 200, 511, 512, 900, GRID_POINTS - 2, GRID_POINTS - 1]]
-    got = table.on_grid(table.statistics(*counts))[np.searchsorted(NODES, nodes)]
+    got = table.on_grid(run_statistics(NOISY_PLAN, *counts))[np.searchsorted(NODES, nodes)]
     pmfs = [noisy_joint_pmf(REGIME, IDEAL)(phi) for phi in nodes]
     want = np.zeros(nodes.size)
     with np.errstate(divide="ignore"):
@@ -285,11 +285,27 @@ def test_ml_grid_rows_match_pointwise_rows():
 
 
 def test_histograms_reject_unreportable_counts():
-    for stats in (pair_histogram, port_histograms):
-        with pytest.raises(ValueError):
-            stats(np.array([N_MAX + 1]), np.array([0]), n_max=N_MAX)
-        with pytest.raises(ValueError):
-            stats(np.array([0]), np.array([N_MAX + 1]), n_max=N_MAX)
+    with pytest.raises(ValueError):
+        pair_histogram(np.array([N_MAX + 1]), np.array([0]), n_max=N_MAX)
+    with pytest.raises(ValueError):
+        pair_histogram(np.array([0]), np.array([N_MAX + 1]), n_max=N_MAX)
+
+
+def test_stacked_pair_histograms_are_each_rows():
+    # each row's pairs, and a count beyond n_max in any row at either port,
+    # which would otherwise land in the next row's or the next pair's bins
+    rows, pulses = 5, 37
+    n_c, n_d = np.random.default_rng(3).integers(0, N_MAX + 1, size=(2, rows, pulses))
+    stacked = pair_histogram(n_c, n_d, N_MAX)
+    assert stacked.shape == (rows, (N_MAX + 1) ** 2)
+    for r in range(rows):
+        np.testing.assert_array_equal(stacked[r], pair_histogram(n_c[r], n_d[r], N_MAX))
+        for port in (n_c, n_d):
+            saved = port[r, 7]
+            port[r, 7] = N_MAX + 1
+            with pytest.raises(ValueError, match="reportable maximum"):
+                pair_histogram(n_c, n_d, N_MAX)
+            port[r, 7] = saved
 
 
 # -- estimators against the per-pulse Outcome loops -----------------------------
@@ -403,7 +419,7 @@ def test_ml_returns_the_domain_edge_exactly(plan, port):
     # golden-section search alone stops ~2e-8 short of it.
     ones, zeros = np.ones(1000, dtype=np.int64), np.zeros(1000, dtype=np.int64)
     counts = (ones, zeros) if port == "c" else (zeros, ones)
-    est = ml_estimate(*counts, plan.table)
+    est = ml_estimate(run_statistics(plan, *counts), plan.table)
     assert est.phase == (0.0 if port == "c" else math.pi)
     assert not est.flat
 
@@ -411,7 +427,7 @@ def test_ml_returns_the_domain_edge_exactly(plan, port):
 @given(counts=pulse_counts(noise=None))
 @settings(max_examples=30, deadline=None)
 def test_ideal_ml_matches_outcome_loop(counts):
-    est = ml_estimate(*counts, IDEAL_PLAN.table)
+    est = ml_estimate(run_statistics(IDEAL_PLAN, *counts), IDEAL_PLAN.table)
     phase, flat = ml_reference(outcomes(*counts), ideal_pair_log_likelihood, NODES)
     assert est.flat == flat
     assert_same_ml_phase(est.phase, phase, outcomes(*counts), ideal_pair_log_likelihood)
@@ -421,7 +437,7 @@ def test_ideal_ml_matches_outcome_loop(counts):
 @example(counts=EDGE_RUN)
 @settings(max_examples=30, deadline=None)
 def test_noisy_ml_matches_outcome_loop(counts):
-    est = ml_estimate(*counts, NOISY_PLAN.table)
+    est = ml_estimate(run_statistics(NOISY_PLAN, *counts), NOISY_PLAN.table)
     phase, flat = ml_reference(outcomes(*counts), noisy_pair_log_likelihood, NODES)
     assert est.flat == flat
     assert_same_ml_phase(est.phase, phase, outcomes(*counts), noisy_pair_log_likelihood)
@@ -461,10 +477,10 @@ def test_stacked_ml_is_each_row_scored_alone(plan, pair_log_likelihood, data):
     # one-row score and the per-pair loop's, and the pinned rows are exact
     stack = data.draw(run_stacks(plan.noise))
     assert len(stack) > BLOCK
-    stats = np.array([plan.table.statistics(*run) for run, _ in stack])
+    stats = np.array([run_statistics(plan, *run) for run, _ in stack])
     stacked = ml_estimates(stats, plan.table)
     for (run, pinned), phase, flat in zip(stack, stacked.phase, stacked.flat):
-        alone = ml_estimate(*run, plan.table)
+        alone = ml_estimate(run_statistics(plan, *run), plan.table)
         want, want_flat = ml_reference(outcomes(*run), pair_log_likelihood, NODES)
         assert flat == alone.flat == want_flat
         assert_same_ml_phase(phase, alone.phase, outcomes(*run), pair_log_likelihood)
