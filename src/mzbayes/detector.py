@@ -512,17 +512,23 @@ class RetrodictiveWeights:
     def from_json(cls, text: str) -> "RetrodictiveWeights":
         obj = json.loads(text)
         n_max = int(obj["n_max"])
-        table = np.zeros((n_max + 1,) * 4)
-        for meas, dist in obj["weights"].items():
-            nc, nd = (int(s) for s in meas.strip("()").split(","))
-            for true, w in dist.items():
-                tc, td = (int(s) for s in true.strip("()").split(","))
-                table[nc, nd, tc, td] = float(w)
+        bins, weights = n_max + 1, obj["weights"]
+        table = np.zeros((bins * bins,) * 2)
+        # each pair key "(nc,nd)" that to_json writes, to its flat pair index
+        index = {f"({nc},{nd})": nc * bins + nd for nc in range(bins) for nd in range(bins)}
+        try:
+            for meas, dist in weights.items():
+                row = table[index[meas]]
+                for true, w in dist.items():
+                    row[index[true]] = float(w)
+        except KeyError as exc:
+            raise ValueError(f"weights key {exc.args[0]!r} is not a pair (nc,nd) of counts "
+                             f"0..{n_max}") from None
         nbar, channel = obj.get("nbar"), None
         if "forward_c" in obj or "forward_d" in obj:
             channel = ConfusionModel(obj["forward_c"], obj["forward_d"], n_max)
         nbar = None if nbar is None else float(nbar)
-        return cls(table=table, n_max=n_max, nbar=nbar, channel=channel)
+        return cls(table=table.reshape((bins,) * 4), n_max=n_max, nbar=nbar, channel=channel)
 
 
 def _em_step(
@@ -563,17 +569,29 @@ def _em_confusion(
     ports, _, n_bins = observed_counts.shape
     K = 0.5 * np.eye(n_bins) + 0.5 / n_bins
     K = np.repeat((K / K.sum(axis=0))[None], ports, axis=0)
-    fitted = np.empty_like(K)
+    # _em_step's arithmetic in buffers made once; K and K_new swap each step
+    K_new, product, fitted = np.empty_like(K), np.empty_like(K), np.empty_like(K)
+    p_m, ratio = np.empty_like(observed_counts), np.empty_like(observed_counts)
     done = np.zeros(ports, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(max_iter):
-            K_new = _em_step(K, observed_counts, true_dists)
-            stopped = ~done & (np.abs(K_new - K).max(axis=(1, 2)) < tol)
+            np.matmul(true_dists, K.swapaxes(-1, -2), out=p_m)
+            np.divide(observed_counts, p_m, out=ratio)
+            if not p_m.min() > 0.0:
+                ratio[~(p_m > 0.0)] = 0.0
+            np.matmul(ratio.swapaxes(-1, -2), true_dists, out=product)
+            np.multiply(K, product, out=K_new)
+            col_sums = K_new.sum(axis=-2, keepdims=True)
+            if np.any(col_sums <= 0.0):
+                raise FitError("degenerate confusion fit: unpopulated true count")
+            K_new /= col_sums
+            np.subtract(K_new, K, out=product)
+            stopped = ~done & (np.abs(product, out=product).max(axis=(1, 2)) < tol)
             fitted[stopped] = K_new[stopped]
             done |= stopped
             if done.all():
                 return fitted
-            K = K_new
+            K, K_new = K_new, K
     fitted[~done] = K[~done]
     return fitted
 

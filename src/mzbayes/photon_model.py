@@ -107,12 +107,13 @@ def _log_poisson_pmf(k, mu, log_k_factorial) -> np.ndarray:
     k = np.asarray(k, dtype=float)
     mu = np.asarray(mu, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = k * np.log(mu) - mu - log_k_factorial
-    # mu == 0: pmf is 1 at k=0, 0 otherwise
+        out = np.asarray(k * np.log(mu))  # an array even when k and mu are 0-d
+    out -= mu
+    out -= log_k_factorial
     zero = mu == 0.0
     if np.any(zero):
-        out = np.where(zero & (k == 0), 0.0, out)
-        out = np.where(zero & (k > 0), -np.inf, out)
+        # mu == 0: pmf is 1 at k=0, 0 otherwise
+        np.copyto(out, np.where(k == 0, 0.0, -np.inf), where=zero)
     return out
 
 
@@ -164,10 +165,10 @@ class InterferometerModel:
         column = (-1,) + (1,) * np.ndim(mu_c)
         k = np.arange(self.n_max + 1).reshape(column)
         log_k_factorial = _log_factorials(self.n_max).reshape(column)
-        return (
-            np.exp(_log_poisson_pmf(k, mu_c, log_k_factorial)),
-            np.exp(_log_poisson_pmf(k, mu_d, log_k_factorial)),
-        )
+        pmfs = tuple(_log_poisson_pmf(k, mu, log_k_factorial) for mu in (mu_c, mu_d))
+        for pmf in pmfs:
+            np.exp(pmf, out=pmf)
+        return pmfs
 
     def joint_pmf(self, phi: float) -> np.ndarray:
         """Truncated joint pmf over counts {0..n_max}^2 as a 2-D array."""

@@ -201,8 +201,8 @@ class CountLikelihood:
     ``rows(phis)`` returns one log-likelihood row per statistic over an
     array of phases; a pulse sequence enters only through its statistics
     ``s``, such as its port totals (Nc, Nd) on the ideal interferometer.
-    The rows are tabulated on ``grid`` once, so each pulse sequence costs
-    one matrix-vector product, and a stack of them one matrix product.
+    The rows are tabulated on ``grid`` once, so a pulse sequence, or a
+    stack of them, costs one matrix product.
 
     A zero statistic is a count that never occurred, so it must not meet a
     -inf entry, a phase where that count is impossible: 0 * (-inf) would
@@ -225,10 +225,21 @@ class CountLikelihood:
 
         ``stats`` is one vector of statistics, or a ``(rows, S)`` stack
         that gives one log likelihood per row. The result is written into
-        ``out`` when given, an array of the result's shape.
+        ``out`` when given, an array of the result's shape. A lone row is
+        scored as the first of two equal rows: numpy would take it through
+        a matrix-vector product, whose last bits differ from those of the
+        same row inside a stack.
         """
         stats = np.asarray(stats)
-        out = np.matmul(stats, self._finite_table, out=out)
+        if stats.ndim == 1 or len(stats) == 1:
+            pair = np.repeat(stats.reshape(1, -1), 2, axis=0)
+            lone = np.matmul(pair, self._finite_table)[0].reshape(stats.shape[:-1] + (-1,))
+            if out is None:
+                out = lone
+            else:
+                out[...] = lone
+        else:
+            out = np.matmul(stats, self._finite_table, out=out)
         hit = (stats != 0) @ self._impossible
         nodes = self._impossible_nodes
         out[..., nodes] = np.where(hit, -np.inf, out[..., nodes])

@@ -1,5 +1,10 @@
 """Closed-form references that tests compare the program against.
 
+The count law: ``port_pmfs_reference`` builds both ports' Poisson pmfs
+as ``InterferometerModel.port_pmfs`` did before it worked in place: the
+log pmf in fresh arrays, its zero-mean entries set by two whole-array
+``np.where`` passes, then ``np.exp``.
+
 The ideal posterior: ``log_shape`` is the closed-form log posterior of
 port totals, ``accumulate`` sums a pulse list's counts into one such
 shape, ``normalization_constant`` is that shape's normalizer through
@@ -35,8 +40,26 @@ import numpy as np
 from scipy.special import betainc, betaincinv, gammaln
 
 from mzbayes.detector import ConfusionModel, RetrodictiveWeights
-from mzbayes.photon_model import Outcome
+from mzbayes.photon_model import InterferometerModel, Outcome, _log_factorials
 from mzbayes.posterior import PhaseGrid, Posterior
+
+
+def port_pmfs_reference(model: InterferometerModel, phi) -> tuple[np.ndarray, np.ndarray]:
+    """Poisson pmfs of counts 0..n_max at ports c and d, by whole-array passes."""
+    mu_c, mu_d = model.output_means(phi)
+    column = (-1,) + (1,) * np.ndim(mu_c)
+    k = np.arange(model.n_max + 1, dtype=float).reshape(column)
+    log_k_factorial = _log_factorials(model.n_max).reshape(column)
+
+    def pmf(mu):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = k * np.log(mu) - mu - log_k_factorial
+        zero = mu == 0.0
+        out = np.where(zero & (k == 0), 0.0, out)
+        out = np.where(zero & (k > 0), -np.inf, out)
+        return np.exp(out)
+
+    return pmf(mu_c), pmf(mu_d)
 
 
 def normalization_constant(outcome: Outcome) -> float:

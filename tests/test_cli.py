@@ -33,6 +33,17 @@ _CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 _EYE = np.eye(5).tolist()
 _NAN_DIAGONAL = np.diag([math.nan, 1.0, 1.0, 1.0, 1.0]).tolist()
+# Weights files with a pair key that calibrate never writes, beside a valid
+# channel: one beyond n_max, and one negative that numpy would wrap to (4,0).
+_WEIGHTS_KEY_BEYOND_N_MAX = json.dumps(
+    {"n_max": 4, "nbar": 1.08, "forward_c": _EYE, "forward_d": _EYE,
+     "weights": {**_IDENTITY_WEIGHTS, "(9,9)": {"(9,9)": 1.0}}}
+)
+_WEIGHTS_NEGATIVE_KEY = json.dumps(
+    {"n_max": 4, "nbar": 1.08, "forward_c": _EYE, "forward_d": _EYE,
+     "weights": {**{k: v for k, v in _IDENTITY_WEIGHTS.items() if k != "(4,0)"},
+                 "(-1,0)": {"(4,0)": 1.0}}}
+)
 # Non-finite config values: (command, config, text the error names).
 _NON_FINITE = {
     "nan-theta-grid": ("scan", {"plan": {"theta_grid_pi": [0.5, math.nan]}}, "theta_grid"),
@@ -385,8 +396,11 @@ class TestConfigErrors:
             (_WEIGHTS, '{"a": 0.0, "b": NaN, "amplitude": 1.0}',
              "fringe parameters must be finite"),
             (_WEIGHTS, None, "forward_c"),
+            (_WEIGHTS_KEY_BEYOND_N_MAX, None, "'(9,9)'"),
+            (_WEIGHTS_NEGATIVE_KEY, None, "'(-1,0)'"),
         ],
-        ids=["no-weights-key", "not-json", "no-nbar", "nan-weight", "nan-fringe", "no-channel"],
+        ids=["no-weights-key", "not-json", "no-nbar", "nan-weight", "nan-fringe", "no-channel",
+             "key-beyond-n-max", "negative-key"],
     )
     def test_bad_weights_file_is_config_error(
         self, tmp_path, capsys, weights_text, fringe_text, named

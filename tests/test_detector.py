@@ -555,6 +555,25 @@ class TestRetrodictiveWeights:
         assert np.array_equal(back.channel.forward_c, fitted_weights.channel.forward_c)
         assert np.array_equal(back.channel.forward_d, fitted_weights.channel.forward_d)
 
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        n_max=st.integers(0, 5),
+        nbar=st.none() | st.floats(0.01, 10.0),
+        sparse=st.floats(0.0, 0.95),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_json_round_trip_keeps_any_table(self, seed, n_max, nbar, sparse):
+        gen = np.random.default_rng(seed)
+        bins = n_max + 1
+        table = gen.random((bins, bins, bins * bins))
+        table[gen.random(table.shape) < sparse] = 0.0
+        table[..., 0] += table.sum(axis=-1) == 0.0  # every measured pair keeps some mass
+        table /= table.sum(axis=-1, keepdims=True)
+        weights = RetrodictiveWeights(table=table.reshape((bins,) * 4), n_max=n_max, nbar=nbar)
+        back = RetrodictiveWeights.from_json(weights.to_json())
+        assert back.table.tobytes() == weights.table.tobytes()
+        assert (back.n_max, back.nbar, back.channel) == (n_max, nbar, None)
+
     def test_records_the_channel_it_inverts(self, regime, ideal_model):
         assert exact_retrodictive_weights(regime, ideal_model).channel is regime
         assert RetrodictiveWeights.identity(3).channel.is_identity()
@@ -670,6 +689,24 @@ def _einsum_em(observed_counts, true_dists, max_iter=5000, tol=1e-13):
     return K, max_iter
 
 
+def _em_step_loop(observed_counts, true_dists, max_iter=5000, tol=1e-13):
+    """The ports' EM fit as a loop of ``_em_step``, each port kept at its first step below tol."""
+    ports, _, n_bins = observed_counts.shape
+    K = 0.5 * np.eye(n_bins) + 0.5 / n_bins
+    K = np.repeat((K / K.sum(axis=0))[None], ports, axis=0)
+    fitted = [None] * ports
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            K_new = _em_step(K, observed_counts, true_dists)
+            for port in range(ports):
+                if fitted[port] is None and np.abs(K_new[port] - K[port]).max() < tol:
+                    fitted[port] = K_new[port]
+            if all(got is not None for got in fitted):
+                return np.stack(fitted)
+            K = K_new
+    return np.stack([K[port] if got is None else got for port, got in enumerate(fitted)])
+
+
 def _port_data(calib, ideal):
     """Stacked per-port observed histograms and folded true-count distributions."""
     true_c, true_d = measured_port_distributions(
@@ -725,6 +762,36 @@ class TestEmStep:
         assert oracle[0][1] != oracle[1][1] and max(it for _, it in oracle) < 5000
         for K, (want, _) in zip(fitted, oracle):
             np.testing.assert_allclose(K, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("tol", [1e-5, 1e-13])
+    def test_fit_is_the_loop_of_em_steps(self, noisy_calibration, ideal_model, tol):
+        # the fit's buffered loop repeats _em_step's arithmetic to the bit
+        observed, true_dists = _port_data(noisy_calibration, ideal_model)
+        want = _em_step_loop(observed, true_dists, tol=tol)
+        np.testing.assert_array_equal(_em_confusion(observed, true_dists, tol=tol), want)
+
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        bins=st.integers(1, 6),
+        phases=st.integers(1, 12),
+        max_iter=st.integers(1, 30),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_short_fits_are_the_loop_of_em_steps(self, seed, bins, phases, max_iter):
+        # zero true-count probabilities make some p_m zero, and some columns unpopulated
+        gen = np.random.default_rng(seed)
+        true_dists = gen.random((2, phases, bins))
+        true_dists[gen.random(true_dists.shape) < 0.3] = 0.0
+        true_dists /= np.maximum(true_dists.sum(axis=2, keepdims=True), 1e-300)
+        observed = np.floor(gen.random((2, phases, bins)) * 1000.0)
+        try:
+            want = _em_step_loop(observed, true_dists, max_iter, tol=1e-6)
+        except FitError:
+            with pytest.raises(FitError, match="unpopulated true count"):
+                _em_confusion(observed, true_dists, max_iter, tol=1e-6)
+            return
+        got = _em_confusion(observed, true_dists, max_iter, tol=1e-6)
+        np.testing.assert_array_equal(got, want)
 
     def test_unpopulated_true_count_is_a_fit_error(self, noisy_calibration, ideal_model):
         observed, true_dists = _port_data(noisy_calibration, ideal_model)

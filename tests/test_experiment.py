@@ -248,19 +248,39 @@ class TestScans:
             means, widths = np.array(bayes).T
             want = _aggregate(float(theta), "bayes", means, widths)
             got = result.record(theta, "bayes")
-            np.testing.assert_allclose(astuple(got)[2:], astuple(want)[2:], rtol=0, atol=1e-14)
+            np.testing.assert_array_equal(astuple(got)[2:], astuple(want)[2:])
             values = np.array(inverted)
             want = _aggregate(float(theta), "fringe", values, np.full(replicas, math.nan))
             got = result.record(theta, "fringe")
             np.testing.assert_array_equal(astuple(got)[2:], astuple(want)[2:])
 
     @pytest.mark.parametrize("noisy", [False, True], ids=["ideal", "noisy"])
+    def test_run_estimation_is_each_scanned_replica(self, monkeypatch, noisy):
+        # 17 replicas at 4096 nodes: a 16-row block, then the last replica alone
+        regime = ConfusionModel.paper_regime() if noisy else None
+        plan = small_plan(grid=PhaseGrid(), replicas=17, noise=regime, channel=regime,
+                          estimators=("bayes",))
+        assert _block_rows(plan) == 16
+        scored = {}
+        aggregate = experiment._aggregate
+
+        def recorded(theta, estimator, values, dthetas):
+            scored[theta] = values, dthetas
+            return aggregate(theta, estimator, values, dthetas)
+
+        monkeypatch.setattr(experiment, "_aggregate", recorded)
+        scan(plan)
+        for phase_idx, theta in enumerate(plan.theta_grid):
+            for r, scanned in enumerate(zip(*scored[theta])):
+                one = run_estimation(theta, plan, replica_rng(plan.seed, phase_idx, r))
+                assert one == scanned
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["ideal", "noisy"])
     @pytest.mark.parametrize("replicas", [1, 3, 5], ids=["one", "one-block", "block-and-rest"])
     def test_draw_blocks_match_one_replica_at_a_time(self, monkeypatch, noisy, replicas):
         # 3-replica blocks; the reference draws, misreads, reduces and
         # scores each replica on its own, through the per-pulse estimators
-        # and one-row posteriors of log likelihoods stacked in the scan's
-        # blocks (on_grid's last bits depend on how many rows it stacks)
+        # and one-row posteriors
         regime = ConfusionModel.paper_regime() if noisy else None
         plan = small_plan(replicas=replicas, noise=regime, channel=regime,
                           fringe=FringeParams(a=0.1, b=0.05, amplitude=1.0),
@@ -286,12 +306,8 @@ class TestScans:
                 runs.append((n_c, n_d))
             assert any(np.any(n_c + n_d == 0) for n_c, n_d in runs)  # zero-photon shots
             stats = np.array([run_statistics(plan, *run) for run in runs])
-            block = _block_rows(plan)
-            posteriors = [
-                Posterior.from_log_density(plan.grid, log_density)
-                for start in range(0, replicas, block)
-                for log_density in plan.table.on_grid(stats[start:start + block])
-            ]
+            posteriors = [Posterior.from_log_density(plan.grid, plan.table.on_grid(row))
+                          for row in stats]
             want = {
                 "bayes": (
                     [posterior_mean(post) for post in posteriors],

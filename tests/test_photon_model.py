@@ -16,6 +16,7 @@ from mzbayes.photon_model import (
     _log_factorial,
     _log_factorials,
 )
+from oracles import port_pmfs_reference
 
 NBAR = 1.08
 
@@ -166,6 +167,21 @@ class TestLikelihood:
             np.testing.assert_allclose(pmf, ref, rtol=5e-14, atol=0.0)
         assert mu_d[0] == 0.0
         np.testing.assert_array_equal(model.port_pmfs(phis)[1][:, 0], k[:, 0] == 0)
+
+    @pytest.mark.parametrize("n_max", [0, 1, 4, 25])
+    @pytest.mark.parametrize(
+        "phi",
+        [0.0, 0.3, math.pi / 2, math.pi,
+         np.linspace(0.0, math.pi, 4096), np.array([math.pi, 0.0, 1.0])],
+        ids=["zero", "interior", "half", "pi", "grid", "ends-first"],
+    )
+    def test_port_pmfs_are_the_whole_array_reference(self, phi, n_max):
+        # in place or in fresh arrays, the same operations in the same order
+        for nbar in (0.3, NBAR, 40.0):
+            model = InterferometerModel(nbar=nbar, n_max=n_max)
+            for got, want in zip(model.port_pmfs(phi), port_pmfs_reference(model, phi)):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
     def test_port_pmfs_of_a_phase_are_its_column(self, model):
         phis = np.linspace(0.0, math.pi, 7)

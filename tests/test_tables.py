@@ -35,7 +35,7 @@ from mzbayes.estimators import (
 )
 from mzbayes.experiment import ExperimentPlan, _block_rows
 from mzbayes.photon_model import InterferometerModel, Outcome
-from mzbayes.posterior import PhaseGrid, Posterior
+from mzbayes.posterior import CountLikelihood, PhaseGrid, Posterior
 from oracles import (
     accumulate,
     golden_section_max,
@@ -143,6 +143,23 @@ def test_noisy_table_matches_summed_noisy_joint_likelihood(counts):
         for outcome in outcomes(*counts):
             want = want + np.log([pmf[outcome.n_c, outcome.n_d] for pmf in pmfs])
     assert_same_log_density(got, want)
+
+
+@pytest.mark.parametrize("nodes", [512, 4096])
+@pytest.mark.parametrize("plan", [IDEAL_PLAN, NOISY_PLAN], ids=["ideal", "noisy"])
+def test_each_stacked_row_is_its_one_row_result(plan, nodes):
+    # a lone row, as a vector or a one-row stack, takes a stacked row's product
+    table = CountLikelihood(plan.table.rows, PhaseGrid(nodes))
+    rng = np.random.default_rng(nodes)
+    for rows in range(1, 18):
+        stats = rng.integers(0, 600, size=(rows, len(table.table)))
+        stats[rng.random(stats.shape) < 0.2] = 0
+        stack = table.on_grid(stats)
+        lone = np.empty((1, nodes))
+        for row, s in zip(stack, stats):
+            assert table.on_grid(s).tobytes() == row.tobytes()
+            assert table.on_grid(s[None], out=lone) is lone
+            assert lone.tobytes() == row.tobytes()
 
 
 @pytest.mark.parametrize("plan", [IDEAL_PLAN, NOISY_PLAN], ids=["ideal", "noisy"])
