@@ -17,6 +17,7 @@ creates no files and no output directory.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -242,9 +243,9 @@ def cmd_calibrate(
 
 
 def _load_calibration(
-    cfg: dict, out_dir: Path, nbar: float
+    cfg: dict, out_dir: Path, nbar: float, n_max: int
 ) -> tuple[ConfusionModel, FringeParams | None]:
-    """The channel (and fringe, if present) that ``calibrate`` fitted at ``nbar``."""
+    """The channel (and fringe, if present) that ``calibrate`` fitted at ``nbar`` and ``n_max``."""
     weights_file = cfg.get("calibration", {}).get("weights_file", out_dir / "weights.json")
     if not weights_file.is_file():
         raise ConfigError(
@@ -252,7 +253,7 @@ def _load_calibration(
             "run the calibrate command first"
         )
     try:
-        weights = RetrodictiveWeights.from_json(weights_file.read_text())
+        weights = RetrodictiveWeights.from_json(weights_file.read_text(), n_max)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"unreadable {weights_file}: {exc!r}") from exc
     fringe_file = weights_file.with_name("fringe.json")
@@ -282,7 +283,7 @@ def cmd_scan(
         if noise.is_identity():
             channel, fringe = noise, None
         else:
-            channel, fringe = _load_calibration(cfg, out_dir, plan.model.nbar)
+            channel, fringe = _load_calibration(cfg, out_dir, plan.model.nbar, noise.n_max)
         try:
             plan = replace(plan, noise=noise, channel=channel, fringe=fringe)
         except ValueError as exc:
@@ -347,7 +348,9 @@ def cmd_fisher(
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="mzbayes",
         description="Bayesian Mach-Zehnder phase estimation toolkit",
@@ -373,8 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
         if args.seed is not None:

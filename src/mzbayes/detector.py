@@ -16,7 +16,7 @@ import os
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import Sequence
 
@@ -26,6 +26,11 @@ from mzbayes._csv import csv_text
 from mzbayes.photon_model import InterferometerModel, PhaseDomainError, _check_phase
 
 _COLUMN_TOL = 1e-12
+# The channel fit stops once it is certified within this many nats of the
+# maximum log-likelihood per observed pulse (6.6e-6 nats for 33 x 200k
+# pulses), or raises FitError after _NEWTON_STEPS steps.
+_GAP_PER_PULSE = 1e-12
+_NEWTON_STEPS = 200
 # Phase nodes of the trapezoid that averages true-pair probabilities over [0, pi].
 _N_QUAD = 2001
 # Pulses per step of the misread channel and of a calibration phase's draws.
@@ -456,13 +461,16 @@ class RetrodictiveWeights:
     pairs given measured counts (nc, nd). ``nbar`` is the mean photon
     number the weights were derived at, or None when they do not depend
     on it (the identity weights). ``channel`` is the forward channel the
-    weights invert, or None when it is not known.
+    weights invert, or None when it is not known. ``fit`` holds each
+    port's channel-fit diagnostics when the weights were fitted here; the
+    JSON file records them, and reading it back leaves them out.
     """
 
     table: np.ndarray  # (n_max+1, n_max+1, n_max+1, n_max+1)
     n_max: int = 4
     nbar: float | None = None
     channel: ConfusionModel | None = None
+    fit: dict | None = None
 
     def __post_init__(self) -> None:
         if self.channel is not None and self.channel.n_max != self.n_max:
@@ -505,12 +513,18 @@ class RetrodictiveWeights:
         if self.channel is not None:
             doc["forward_c"] = self.channel.forward_c.tolist()
             doc["forward_d"] = self.channel.forward_d.tolist()
+        if self.fit is not None:
+            doc["fit"] = self.fit
         doc["weights"] = weights
         return json.dumps(doc, indent=2)
 
     @classmethod
-    def from_json(cls, text: str) -> "RetrodictiveWeights":
+    def from_json(cls, text: str, n_max: int | None = None) -> "RetrodictiveWeights":
+        """Weights from ``to_json`` text; given ``n_max``, a file for another is refused unread."""
         obj = json.loads(text)
+        if n_max is not None and int(obj["n_max"]) != n_max:
+            raise ValueError(f"weights for n_max {obj['n_max']}, but the noise model has "
+                             f"n_max {n_max}")
         n_max = int(obj["n_max"])
         bins, weights = n_max + 1, obj["weights"]
         table = np.zeros((bins * bins,) * 2)
@@ -531,86 +545,100 @@ class RetrodictiveWeights:
         return cls(table=table.reshape((bins,) * 4), n_max=n_max, nbar=nbar, channel=channel)
 
 
-def _em_step(
-    K: np.ndarray, observed_counts: np.ndarray, true_dists: np.ndarray
-) -> np.ndarray:
-    """One EM update of forward matrices ``K[..., m, t]``, leading axes stacked.
+def _fit_port(observed: np.ndarray, true_dists: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Maximum-likelihood forward matrix K[m, t] of one port, and how the fit went.
 
-    The E-step responsibility of true count t for reported m at phase j is
-    ``K[m, t] true_dists[j, t] / p_m[j, m]``; summed against the observed
-    counts it factors into ``K * (ratio.T @ true_dists)`` with
-    ``ratio = observed / p_m`` (0 where ``p_m`` is 0). Call it under
-    ``np.errstate(divide="ignore", invalid="ignore")``.
+    ``observed[j, m]`` counts reported value m at calibration phase j and
+    ``true_dists[j, t]`` is the law of the true count there; K maximises
+    ``f(K) = sum observed * log(true_dists @ K.T)`` over matrices whose
+    columns sum to 1. A reported count never observed gets 0 in every
+    column. The other rows are found by the log-barrier Newton method
+    (Boyd & Vandenberghe, *Convex Optimization*, 2004, ch. 11): each step
+    solves every row's block of the Hessian and the column sums through
+    one Schur complement, in steps scaled by K; it is cut back to keep K
+    positive and then until the barrier objective rises (Armijo). Once a
+    centring is done the barrier weight falls tenfold. f is concave, so
+    the Frank-Wolfe gap ``sum_t max_m G[m, t] - sum_m K[m, t] G[m, t]``
+    (G the gradient) bounds how far f(K) lies below its maximum; the fit
+    stops once that gap is at most ``_GAP_PER_PULSE`` nats per observed
+    pulse, and raises ``FitError`` if it cannot get there in
+    ``_NEWTON_STEPS`` steps.
     """
-    p_m = true_dists @ K.swapaxes(-1, -2)
-    ratio = np.where(p_m > 0.0, observed_counts / p_m, 0.0)
-    K_new = K * (ratio.swapaxes(-1, -2) @ true_dists)
-    col_sums = K_new.sum(axis=-2, keepdims=True)
-    if np.any(col_sums <= 0.0):
+    if not np.all(observed.sum(axis=1) @ true_dists > 0.0):
         raise FitError("degenerate confusion fit: unpopulated true count")
-    K_new /= col_sums
-    return K_new
+    seen = observed.sum(axis=0) > 0.0
+    obs, T = observed[:, seen], true_dists
+    rows, cols = obs.shape[1], T.shape[1]
+    tol = _GAP_PER_PULSE * observed.sum()
+    K = np.full((rows, cols), 1.0 / rows)
 
+    def gradient(K):
+        P = T @ K.T
+        G = (obs / P).T @ T
+        return P, G, float((K * (G.max(axis=0) - G)).sum())
 
-def _em_confusion(
-    observed_counts: np.ndarray,
-    true_dists: np.ndarray,
-    max_iter: int = 5000,
-    tol: float = 1e-13,
-) -> np.ndarray:
-    """Maximum-likelihood K of each port by EM over the latent true counts.
-
-    ``observed_counts[port, j, m]`` are per-phase histogram counts of the
-    reported value; ``true_dists[port, j, t]`` the known (folded Poisson)
-    distribution of the true count at phase j. The ports iterate together,
-    and each stops at its own first step below ``tol``. Column
-    stochasticity is preserved by the M-step.
-    """
-    ports, _, n_bins = observed_counts.shape
-    K = 0.5 * np.eye(n_bins) + 0.5 / n_bins
-    K = np.repeat((K / K.sum(axis=0))[None], ports, axis=0)
-    # _em_step's arithmetic in buffers made once; K and K_new swap each step
-    K_new, product, fitted = np.empty_like(K), np.empty_like(K), np.empty_like(K)
-    p_m, ratio = np.empty_like(observed_counts), np.empty_like(observed_counts)
-    done = np.zeros(ports, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(max_iter):
-            np.matmul(true_dists, K.swapaxes(-1, -2), out=p_m)
-            np.divide(observed_counts, p_m, out=ratio)
-            if not p_m.min() > 0.0:
-                ratio[~(p_m > 0.0)] = 0.0
-            np.matmul(ratio.swapaxes(-1, -2), true_dists, out=product)
-            np.multiply(K, product, out=K_new)
-            col_sums = K_new.sum(axis=-2, keepdims=True)
-            if np.any(col_sums <= 0.0):
-                raise FitError("degenerate confusion fit: unpopulated true count")
-            K_new /= col_sums
-            np.subtract(K_new, K, out=product)
-            stopped = ~done & (np.abs(product, out=product).max(axis=(1, 2)) < tol)
-            fitted[stopped] = K_new[stopped]
-            done |= stopped
-            if done.all():
-                return fitted
-            K, K_new = K_new, K
-    fitted[~done] = K[~done]
-    return fitted
+    P, G, gap = gradient(K)
+    mu, steps = gap / K.size, 0
+    while not gap <= tol:
+        if steps == _NEWTON_STEPS or not np.isfinite(gap):
+            raise FitError(f"not converged: gap {gap:.3g} nats after {steps} Newton steps, "
+                           f"tolerance {tol:.3g}")
+        steps += 1
+        A = T.T @ ((obs / P**2).T[:, :, None] * T)  # -Hessian of f, one block per row
+        B = K[:, :, None] * A * K[:, None, :] + mu * np.eye(cols)
+        # the gradient less the column sums' current multipliers, so that
+        # the step does not come from the difference of large numbers
+        g = K * (G - (K * G).sum(axis=0) - rows * mu) + mu
+        try:
+            X = np.linalg.solve(B, np.concatenate([g[:, :, None], K[:, :, None] * np.eye(cols)], 2))
+            d = X[:, :, 0] - X[:, :, 1:] @ np.linalg.solve(
+                (K[:, :, None] * X[:, :, 1:]).sum(axis=0), (K * X[:, :, 0]).sum(axis=0)
+            )
+        except np.linalg.LinAlgError as exc:
+            raise FitError(f"singular Newton system after {steps} steps: {exc}") from None
+        decrement = float(np.einsum("mt,mts,ms->", K * d, A, K * d) + mu * (d * d).sum())
+        alpha = min(1.0, 0.99 / max(-d.min(), 1e-300))
+        dP_P = (T @ (K * d).T) / P
+        while (obs * np.log1p(alpha * dP_P)).sum() + mu * np.log1p(alpha * d).sum() < (
+            1e-4 * alpha * decrement
+        ):
+            alpha *= 0.5
+            if alpha < 1e-20:
+                raise FitError(f"Newton step found no ascent after {steps} steps, gap {gap:.3g}")
+        K = K * (1.0 + alpha * d)
+        K /= K.sum(axis=0)
+        P, G, gap = gradient(K)
+        if decrement <= K.size * mu:
+            mu /= 10.0
+    fitted = np.zeros((len(seen), cols))
+    fitted[seen] = K
+    fit = {"newton_steps": steps, "gap_nats": gap,
+           "log_likelihood": float((obs * np.log(P)).sum()), "converged": True}
+    return fitted, fit
 
 
 def fit_confusion_model(
     calib: CalibrationData, ideal: InterferometerModel
-) -> ConfusionModel:
+) -> tuple[ConfusionModel, dict[str, dict]]:
     """Fit per-port forward confusion matrices from calibration histograms.
 
     The reported count distribution at each port is a mixture over the
     latent true count, P(m | phi) = sum_t K[m, t] * PoissonFolded(t;
-    mu(phi)), and K is estimated by EM (multinomial maximum likelihood)
-    across all calibration phases jointly.
+    mu(phi)), and each port's K is its multinomial maximum likelihood
+    across all calibration phases jointly (``_fit_port``). Returns the
+    channel and each port's fit diagnostics, keyed ``"c"`` and ``"d"``.
     """
     n_max = calib.n_max
-    true_c, true_d = _true_count_dists(calib.phases, ideal, n_max, FitError)
-    observed = np.stack([calib.counts.sum(axis=2), calib.counts.sum(axis=1)])
-    K_c, K_d = _em_confusion(observed.astype(float), np.stack([true_c, true_d]))
-    return ConfusionModel(forward_c=K_c, forward_d=K_d, n_max=n_max)
+    true_dists = _true_count_dists(calib.phases, ideal, n_max, FitError)
+    observed = (calib.counts.sum(axis=2), calib.counts.sum(axis=1))
+    forward, fit = [], {}
+    for port, obs, true in zip("cd", observed, true_dists):
+        try:
+            K, fit[port] = _fit_port(obs.astype(float), true)
+        except FitError as exc:
+            raise FitError(f"port {port} channel fit: {exc}") from None
+        forward.append(K)
+    return ConfusionModel(*forward, n_max=n_max), fit
 
 
 def fit_retrodictive_weights(
@@ -622,10 +650,12 @@ def fit_retrodictive_weights(
     the ideal densities span only the polynomials of degree 2*n_max in
     cos^2(phi/2), so distinct weight tables produce identical curves. The
     per-detector channel structure restores identifiability, so the fit
-    estimates each port's confusion matrix by EM on the per-port count
-    histograms and Bayes-inverts it under the flat phase prior.
+    estimates each port's confusion matrix by maximum likelihood on the
+    per-port count histograms and Bayes-inverts it under the flat phase
+    prior. The weights keep the fit's diagnostics (``fit``).
     """
-    return exact_retrodictive_weights(fit_confusion_model(calib, ideal), ideal)
+    model, fit = fit_confusion_model(calib, ideal)
+    return replace(exact_retrodictive_weights(model, ideal), fit=fit)
 
 
 def exact_retrodictive_weights(

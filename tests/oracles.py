@@ -26,6 +26,12 @@ search that ML refinement used before it searched stacked rows, and
 ``log_count_density`` the one-run product of statistics and log rows
 that skips zero statistics.
 
+The channel fit: ``em_fit`` is plain EM for one port's forward matrix,
+a loop of ``em_step``, the multiplicative update in matrix form, whose
+oracle is ``einsum_em_step``, the per-phase responsibilities summed
+against the observed counts. ``log_likelihood`` is the objective both
+fits raise.
+
 The retrodictive mixture: each measured pair's density is its
 retrodictive weights times the closed-form single-shot posteriors of the
 true pairs. Up to a constant it equals the calibrated channel's per-port
@@ -39,7 +45,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import betainc, betaincinv, gammaln
 
-from mzbayes.detector import ConfusionModel, RetrodictiveWeights
+from mzbayes.detector import ConfusionModel, FitError, RetrodictiveWeights
 from mzbayes.photon_model import InterferometerModel, Outcome, _log_factorials
 from mzbayes.posterior import PhaseGrid, Posterior
 
@@ -240,3 +246,47 @@ def log_posterior_fit(weights: RetrodictiveWeights, nodes: np.ndarray) -> np.nda
     density = np.sum(cos_pow * (mixture @ sin_pow), axis=1)
     with np.errstate(divide="ignore"):
         return np.log(density)
+
+
+def einsum_em_step(K, observed_counts, true_dists):
+    """One step of the per-phase responsibility EM for one port: the step oracle."""
+    joint = K[None, :, :] * true_dists[:, None, :]  # [phase, m, t]
+    p_m = joint.sum(axis=2, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        resp = np.nan_to_num(joint / p_m)
+    K_new = (observed_counts[:, :, None] * resp).sum(axis=0)
+    col_sums = K_new.sum(axis=0)
+    if np.any(col_sums <= 0.0):
+        raise FitError("degenerate confusion fit: unpopulated true count")
+    return K_new / col_sums
+
+
+def em_step(K, observed_counts, true_dists):
+    """One EM update of one port's K[m, t]: ``K * ((observed / p_m)ᵀ @ true)``, columns normalised.
+
+    ``ratio`` is 0 where ``p_m`` is 0.
+    """
+    p_m = true_dists @ K.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(p_m > 0.0, observed_counts / p_m, 0.0)
+    K_new = K * (ratio.T @ true_dists)
+    col_sums = K_new.sum(axis=0)
+    if np.any(col_sums <= 0.0):
+        raise FitError("degenerate confusion fit: unpopulated true count")
+    return K_new / col_sums
+
+
+def em_fit(observed_counts, true_dists, iterations):
+    """``iterations`` plain EM steps from K = (I + 1/n) / 2, its columns normalised."""
+    n_bins = observed_counts.shape[1]
+    K = 0.5 * np.eye(n_bins) + 0.5 / n_bins
+    K /= K.sum(axis=0)
+    for _ in range(iterations):
+        K = em_step(K, observed_counts, true_dists)
+    return K
+
+
+def log_likelihood(K, observed_counts, true_dists) -> float:
+    """``sum observed * log(true_dists @ K.T)`` over the observed cells."""
+    seen = observed_counts > 0
+    return float((observed_counts[seen] * np.log((true_dists @ K.T)[seen])).sum())

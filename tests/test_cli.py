@@ -16,9 +16,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mzbayes
-from mzbayes.cli import _SCHEMA, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, load_config, main
+from mzbayes.cli import (
+    _SCHEMA,
+    EXIT_CONFIG,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    build_parser,
+    load_config,
+    main,
+)
 from mzbayes.detector import RetrodictiveWeights
-from mzbayes.experiment import ESTIMATOR_NAMES
+from mzbayes.experiment import ESTIMATOR_NAMES, ExperimentPlan
 
 
 _IDENTITY_WEIGHTS = json.loads(RetrodictiveWeights.identity().to_json())["weights"]
@@ -39,6 +47,8 @@ _WEIGHTS_KEY_BEYOND_N_MAX = json.dumps(
     {"n_max": 4, "nbar": 1.08, "forward_c": _EYE, "forward_d": _EYE,
      "weights": {**_IDENTITY_WEIGHTS, "(9,9)": {"(9,9)": 1.0}}}
 )
+# A weights file whose (n_max+1)^4 table no machine can hold.
+_WEIGHTS_N_MAX_10000 = json.dumps({"n_max": 10000, "nbar": 1.08, "weights": _IDENTITY_WEIGHTS})
 _WEIGHTS_NEGATIVE_KEY = json.dumps(
     {"n_max": 4, "nbar": 1.08, "forward_c": _EYE, "forward_d": _EYE,
      "weights": {**{k: v for k, v in _IDENTITY_WEIGHTS.items() if k != "(4,0)"},
@@ -208,6 +218,27 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, {})
         with pytest.raises(SystemExit) as exc:
             run("scan", "wiggle", "--config", cfg)
+        assert exc.value.code == 2
+
+    def test_one_parser_serves_successive_calls(self, tmp_path, capsys):
+        # the parser is built once per process; no flag of one call leaks into the next
+        assert build_parser() is build_parser()
+        cfg = write_config(tmp_path, {"plan": {"theta_grid_pi": [0.5], "p": 10, "replicas": 2}})
+        assert run("fisher", "--config", cfg, "--out-dir", str(tmp_path / "a"), "--quiet") == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert run("scan", "bias", "--config", cfg, "--seed", "3",
+                   "--out-dir", str(tmp_path / "b")) == EXIT_OK
+        assert "wrote" in capsys.readouterr().out
+        assert (tmp_path / "a" / "crlb.csv").is_file() and not (tmp_path / "a" / "bias_scan.csv").exists()
+        manifest = json.loads((tmp_path / "b" / "bias_manifest.json").read_text())
+        assert manifest["seed"] == 3
+        # the next scan takes no --seed, so it runs at the plan's default seed
+        assert run("scan", "bias", "--config", cfg, "--out-dir", str(tmp_path / "c"), "--quiet") == EXIT_OK
+        assert capsys.readouterr().out == ""
+        manifest = json.loads((tmp_path / "c" / "bias_manifest.json").read_text())
+        assert manifest["seed"] == ExperimentPlan.seed != 3
+        with pytest.raises(SystemExit) as exc:
+            run("scan", "--config", cfg)
         assert exc.value.code == 2
 
     @pytest.mark.parametrize(
@@ -398,9 +429,10 @@ class TestConfigErrors:
             (_WEIGHTS, None, "forward_c"),
             (_WEIGHTS_KEY_BEYOND_N_MAX, None, "'(9,9)'"),
             (_WEIGHTS_NEGATIVE_KEY, None, "'(-1,0)'"),
+            (_WEIGHTS_N_MAX_10000, None, "n_max 10000, but the noise model has n_max 4"),
         ],
         ids=["no-weights-key", "not-json", "no-nbar", "nan-weight", "nan-fringe", "no-channel",
-             "key-beyond-n-max", "negative-key"],
+             "key-beyond-n-max", "negative-key", "n-max-10000"],
     )
     def test_bad_weights_file_is_config_error(
         self, tmp_path, capsys, weights_text, fringe_text, named

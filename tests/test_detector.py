@@ -1,5 +1,6 @@
 """Detector confusion channel, calibration, and retrodictive weights."""
 
+import json
 import math
 import sys
 import threading
@@ -21,8 +22,7 @@ from mzbayes.detector import (
     RetrodictiveWeights,
     _apply_port,
     _column_reads,
-    _em_confusion,
-    _em_step,
+    _fit_port,
     apply_noise_counts,
     exact_retrodictive_weights,
     fit_confusion_model,
@@ -36,7 +36,15 @@ from mzbayes.detector import (
 from mzbayes.experiment import ExperimentPlan, _Block
 from mzbayes.photon_model import InterferometerModel, Outcome
 from mzbayes.posterior import PhaseGrid, posterior_mean, single_shot_posterior
-from oracles import apply_noise, choice_port, posterior_fit
+from oracles import (
+    apply_noise,
+    choice_port,
+    einsum_em_step,
+    em_fit,
+    em_step,
+    log_likelihood,
+    posterior_fit,
+)
 
 
 # The fewest distinct phases that resolve the five true counts 0..4.
@@ -634,7 +642,7 @@ class TestFit:
 
     def test_fitted_channel_close_to_truth(self, noisy_calibration, regime,
                                            ideal_model):
-        fitted = fit_confusion_model(noisy_calibration, ideal_model)
+        fitted, _ = fit_confusion_model(noisy_calibration, ideal_model)
         assert np.abs(fitted.forward_c - regime.forward_c).max() < 0.05
         assert np.abs(fitted.forward_d - regime.forward_d).max() < 0.05
 
@@ -663,50 +671,6 @@ class TestFit:
             np.testing.assert_allclose(w.table[nc, nd], 1.0 / 25.0, atol=1e-12)
 
 
-def _einsum_em_step(K, observed_counts, true_dists):
-    """One step of the per-phase responsibility EM for one port: the step oracle."""
-    joint = K[None, :, :] * true_dists[:, None, :]  # [phase, m, t]
-    p_m = joint.sum(axis=2, keepdims=True)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        resp = np.nan_to_num(joint / p_m)
-    K_new = (observed_counts[:, :, None] * resp).sum(axis=0)
-    col_sums = K_new.sum(axis=0)
-    if np.any(col_sums <= 0.0):
-        raise FitError("degenerate confusion fit: unpopulated true count")
-    return K_new / col_sums
-
-
-def _einsum_em(observed_counts, true_dists, max_iter=5000, tol=1e-13):
-    """The one-port EM loop of the oracle step: the fitted K and its iteration count."""
-    n_bins = observed_counts.shape[1]
-    K = 0.5 * np.eye(n_bins) + 0.5 / n_bins
-    K /= K.sum(axis=0)
-    for iteration in range(1, max_iter + 1):
-        K_new = _einsum_em_step(K, observed_counts, true_dists)
-        if np.abs(K_new - K).max() < tol:
-            return K_new, iteration
-        K = K_new
-    return K, max_iter
-
-
-def _em_step_loop(observed_counts, true_dists, max_iter=5000, tol=1e-13):
-    """The ports' EM fit as a loop of ``_em_step``, each port kept at its first step below tol."""
-    ports, _, n_bins = observed_counts.shape
-    K = 0.5 * np.eye(n_bins) + 0.5 / n_bins
-    K = np.repeat((K / K.sum(axis=0))[None], ports, axis=0)
-    fitted = [None] * ports
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(max_iter):
-            K_new = _em_step(K, observed_counts, true_dists)
-            for port in range(ports):
-                if fitted[port] is None and np.abs(K_new[port] - K[port]).max() < tol:
-                    fitted[port] = K_new[port]
-            if all(got is not None for got in fitted):
-                return np.stack(fitted)
-            K = K_new
-    return np.stack([K[port] if got is None else got for port, got in enumerate(fitted)])
-
-
 def _port_data(calib, ideal):
     """Stacked per-port observed histograms and folded true-count distributions."""
     true_c, true_d = measured_port_distributions(
@@ -714,6 +678,12 @@ def _port_data(calib, ideal):
     )
     observed = np.stack([calib.counts.sum(axis=2), calib.counts.sum(axis=1)])
     return observed.astype(float), np.stack([true_c.T, true_d.T])
+
+
+def _gap(K, observed, true_dists):
+    """The Frank-Wolfe gap of K: how far at most its log likelihood is below the maximum."""
+    G = (observed / (true_dists @ K.T)).T @ true_dists
+    return float((G.max(axis=0) - (K * G).sum(axis=0)).sum())
 
 
 class TestEmStep:
@@ -725,6 +695,7 @@ class TestEmStep:
     )
     @settings(max_examples=200, deadline=None)
     def test_matrix_step_matches_einsum_step(self, seed, bins, phases, silent_row):
+        # the EM oracle's matrix step against its per-phase responsibilities
         gen = np.random.default_rng(seed)
         live = np.ones(bins, dtype=bool)
         if silent_row and bins > 1:
@@ -740,64 +711,89 @@ class TestEmStep:
         observed = np.floor(gen.random((phases, bins)) * 1000.0)
         assert live.all() or np.any(true_dists @ K.T == 0.0)
         try:
-            want = _einsum_em_step(K, observed, true_dists)
+            want = einsum_em_step(K, observed, true_dists)
         except FitError:
-            with pytest.raises(FitError), np.errstate(divide="ignore", invalid="ignore"):
-                _em_step(K, observed, true_dists)
+            with pytest.raises(FitError):
+                em_step(K, observed, true_dists)
             return
-        with np.errstate(divide="ignore", invalid="ignore"):
-            got = _em_step(K, observed, true_dists)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
-
-    def test_full_fit_matches_einsum_loop(self, noisy_calibration, ideal_model):
-        observed, true_dists = _port_data(noisy_calibration, ideal_model)
-        fitted = fit_confusion_model(noisy_calibration, ideal_model)
-        for K, obs, true in zip((fitted.forward_c, fitted.forward_d), observed, true_dists):
-            np.testing.assert_allclose(K, _einsum_em(obs, true)[0], rtol=0, atol=1e-12)
-
-    def test_each_port_stops_on_its_own_step(self, noisy_calibration, ideal_model):
-        observed, true_dists = _port_data(noisy_calibration, ideal_model)
-        fitted = _em_confusion(observed, true_dists, tol=1e-5)
-        oracle = [_einsum_em(obs, true, tol=1e-5) for obs, true in zip(observed, true_dists)]
-        assert oracle[0][1] != oracle[1][1] and max(it for _, it in oracle) < 5000
-        for K, (want, _) in zip(fitted, oracle):
-            np.testing.assert_allclose(K, want, rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("tol", [1e-5, 1e-13])
-    def test_fit_is_the_loop_of_em_steps(self, noisy_calibration, ideal_model, tol):
-        # the fit's buffered loop repeats _em_step's arithmetic to the bit
-        observed, true_dists = _port_data(noisy_calibration, ideal_model)
-        want = _em_step_loop(observed, true_dists, tol=tol)
-        np.testing.assert_array_equal(_em_confusion(observed, true_dists, tol=tol), want)
-
-    @given(
-        seed=st.integers(0, 2**64 - 1),
-        bins=st.integers(1, 6),
-        phases=st.integers(1, 12),
-        max_iter=st.integers(1, 30),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_short_fits_are_the_loop_of_em_steps(self, seed, bins, phases, max_iter):
-        # zero true-count probabilities make some p_m zero, and some columns unpopulated
-        gen = np.random.default_rng(seed)
-        true_dists = gen.random((2, phases, bins))
-        true_dists[gen.random(true_dists.shape) < 0.3] = 0.0
-        true_dists /= np.maximum(true_dists.sum(axis=2, keepdims=True), 1e-300)
-        observed = np.floor(gen.random((2, phases, bins)) * 1000.0)
-        try:
-            want = _em_step_loop(observed, true_dists, max_iter, tol=1e-6)
-        except FitError:
-            with pytest.raises(FitError, match="unpopulated true count"):
-                _em_confusion(observed, true_dists, max_iter, tol=1e-6)
-            return
-        got = _em_confusion(observed, true_dists, max_iter, tol=1e-6)
-        np.testing.assert_array_equal(got, want)
+        np.testing.assert_allclose(em_step(K, observed, true_dists), want, rtol=0, atol=1e-14)
 
     def test_unpopulated_true_count_is_a_fit_error(self, noisy_calibration, ideal_model):
         observed, true_dists = _port_data(noisy_calibration, ideal_model)
         true_dists[1, :, 3] = 0.0
         with pytest.raises(FitError, match="unpopulated true count"):
-            _em_confusion(observed, true_dists)
+            _fit_port(observed[1], true_dists[1])
+
+
+class TestChannelFit:
+    def test_matches_converged_em(self, ideal_model):
+        # at n_max 2 and 20k pulses per phase, plain EM converges within 20k steps
+        calib = simulate_calibration(
+            np.pi * np.linspace(0.02, 0.98, 33), 20_000, ConfusionModel.paper_regime(2),
+            ideal_model, np.random.default_rng([7, 0xCA11]),
+        )
+        fitted, fit = fit_confusion_model(calib, ideal_model)
+        for K, obs, true in zip((fitted.forward_c, fitted.forward_d), *_port_data(calib, ideal_model)):
+            em = em_fit(obs, true, 20_000)
+            assert _gap(em, obs, true) < 1e-6
+            np.testing.assert_allclose(K, em, rtol=0, atol=1e-6)
+        assert [port["converged"] for port in fit.values()] == [True, True]
+
+    def test_certified_on_the_shipped_calibration(self, noisy_calibration, ideal_model):
+        # 5000 plain EM steps leave both ports more than 0.1 nats short of the maximum
+        observed, true_dists = _port_data(noisy_calibration, ideal_model)
+        tol = detector._GAP_PER_PULSE * noisy_calibration.counts.sum()
+        assert tol == pytest.approx(6.6e-6)
+        for obs, true in zip(observed, true_dists):
+            K, fit = _fit_port(obs, true)
+            assert fit["converged"] and fit["gap_nats"] <= tol
+            assert _gap(K, obs, true) == pytest.approx(fit["gap_nats"], abs=1e-9)
+            assert fit["log_likelihood"] == pytest.approx(log_likelihood(K, obs, true), abs=1e-6)
+            assert fit["log_likelihood"] - log_likelihood(em_fit(obs, true, 5000), obs, true) > 0.1
+
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        bins=st.integers(1, 6),
+        phases=st.integers(1, 12),
+        silent=st.integers(0, 2),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_converges_or_raises_fit_error(self, seed, bins, phases, silent):
+        # phases too few to resolve the counts, zero true-count probabilities
+        # and reported counts never seen included
+        gen = np.random.default_rng(seed)
+        true_dists = gen.random((phases, bins))
+        true_dists[gen.random(true_dists.shape) < 0.3] = 0.0
+        true_dists[np.arange(phases), gen.integers(bins, size=phases)] += 0.1
+        true_dists /= true_dists.sum(axis=1, keepdims=True)
+        observed = np.floor(gen.random((phases, bins)) * 1000.0)
+        observed[:, gen.choice(bins, size=min(silent, bins - 1), replace=False)] = 0.0
+        try:
+            K, fit = _fit_port(observed, true_dists)
+        except FitError:
+            return
+        unseen = observed.sum(axis=0) == 0.0
+        assert np.all(K[unseen] == 0.0) and np.all(K >= 0.0)
+        np.testing.assert_allclose(K.sum(axis=0), 1.0, rtol=0, atol=detector._COLUMN_TOL)
+        assert fit["converged"] and fit["gap_nats"] <= detector._GAP_PER_PULSE * observed.sum()
+
+    def test_capped_fit_raises(self, noisy_calibration, ideal_model, monkeypatch):
+        observed, true_dists = _port_data(noisy_calibration, ideal_model)
+        monkeypatch.setattr(detector, "_NEWTON_STEPS", 5)
+        with pytest.raises(FitError, match="not converged: gap .* after 5 Newton steps"):
+            _fit_port(observed[0], true_dists[0])
+
+    def test_weights_record_the_fit(self, fitted_weights):
+        doc = json.loads(fitted_weights.to_json())
+        assert doc["fit"] == fitted_weights.fit
+        assert set(doc["fit"]) == {"c", "d"}
+        for port in doc["fit"].values():
+            assert set(port) == {"newton_steps", "gap_nats", "log_likelihood", "converged"}
+            assert port["converged"] is True
+        # reading the file back takes the weights and channel, not the diagnostics
+        back = RetrodictiveWeights.from_json(fitted_weights.to_json())
+        assert back.fit is None
+        np.testing.assert_array_equal(back.table, fitted_weights.table)
 
 
 def _scalar_retrodictive_table(model, ideal, n_quad=2001):
