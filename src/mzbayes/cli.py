@@ -243,9 +243,13 @@ def cmd_calibrate(
 
 
 def _load_calibration(
-    cfg: dict, out_dir: Path, nbar: float, n_max: int
+    cfg: dict, out_dir: Path, nbar: float, n_max: int, needs_fringe: bool
 ) -> tuple[ConfusionModel, FringeParams | None]:
-    """The channel (and fringe, if present) that ``calibrate`` fitted at ``nbar`` and ``n_max``."""
+    """The channel (and fringe, if present) that ``calibrate`` fitted at ``nbar`` and ``n_max``.
+
+    The fringe file must be present when ``needs_fringe``: the ideal fringe
+    would stand in for it without a word.
+    """
     weights_file = cfg.get("calibration", {}).get("weights_file", out_dir / "weights.json")
     if not weights_file.is_file():
         raise ConfigError(
@@ -263,6 +267,11 @@ def _load_calibration(
             fringe = FringeParams(**json.loads(fringe_file.read_text()))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"unreadable {fringe_file}: {exc!r}") from exc
+    elif needs_fringe:
+        raise ConfigError(
+            f"plan.estimators lists fringe but fringe file {fringe_file} is missing; "
+            "run the calibrate command first"
+        )
     if weights.nbar is None or weights.channel is None:
         raise ConfigError(
             f"{weights_file} does not record the nbar it was calibrated at and the "
@@ -283,7 +292,9 @@ def cmd_scan(
         if noise.is_identity():
             channel, fringe = noise, None
         else:
-            channel, fringe = _load_calibration(cfg, out_dir, plan.model.nbar, noise.n_max)
+            channel, fringe = _load_calibration(
+                cfg, out_dir, plan.model.nbar, noise.n_max, "fringe" in plan.estimators
+            )
         try:
             plan = replace(plan, noise=noise, channel=channel, fringe=fringe)
         except ValueError as exc:

@@ -666,6 +666,36 @@ class TestScanCommand:
         assert err.startswith("config error:") and "3.0" in err and "1.08" in err
         assert not (out / "bias_scan.csv").exists()
 
+    @pytest.mark.parametrize(
+        "noise, estimators, code",
+        [
+            ("paper_regime", ["fringe", "classical"], EXIT_CONFIG),
+            ("paper_regime", ["classical"], EXIT_OK),
+            ("identity", ["fringe", "classical"], EXIT_OK),
+        ],
+        ids=["fringe-listed", "fringe-not-listed", "identity"],
+    )
+    def test_missing_fringe_file(self, tmp_path, capsys, noise, estimators, code):
+        # without fringe.json a noisy fringe row would invert the ideal
+        # fringe, and equal the classical row; the identity channel's
+        # fringe is the ideal one
+        out = tmp_path / "out"
+        doc = {
+            "noise": {"kind": noise},
+            "calibration": {"pulses_per_phase": 5000},
+            "plan": {"theta_grid_pi": [0.25], "p": 100, "replicas": 2, "estimators": estimators},
+            "output": {"dir": str(out)},
+        }
+        cfg = write_config(tmp_path, doc)
+        assert run("calibrate", "--config", cfg, "--quiet") == EXIT_OK
+        (out / "fringe.json").unlink()
+        capsys.readouterr()
+        assert run("scan", "bias", "--config", cfg, "--quiet") == code
+        err = capsys.readouterr().err
+        if code == EXIT_CONFIG:
+            assert err.startswith("config error:") and str(out / "fringe.json") in err
+        assert (out / "bias_scan.csv").exists() == (code == EXIT_OK)
+
     def test_ideal_sensitivity_scan(self, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = write_config(

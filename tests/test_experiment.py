@@ -1,7 +1,11 @@
 """Monte Carlo harness: plans, seeding, scans, and result export."""
 
+import contextlib
 import json
 import math
+import multiprocessing
+import time
+import warnings
 from dataclasses import astuple
 from functools import cached_property
 
@@ -9,6 +13,7 @@ import numpy as np
 import pytest
 
 import mzbayes.experiment as experiment
+from mzbayes.cli import EXIT_NUMERICAL, main
 from mzbayes.detector import ConfusionModel, apply_noise_counts
 from mzbayes.estimators import (
     FringeParams,
@@ -44,6 +49,11 @@ from oracles import run_statistics
 def _block_bytes(plan, rows):
     """A block budget that holds ``rows`` of the plan's replicas."""
     return rows * 8 * max(plan.grid.n_points, plan.p * (2 if plan.noise is None else 4))
+
+
+def pin_workers(monkeypatch, workers):
+    """Make ``scan`` use ``workers`` processes, whatever the plan's size."""
+    monkeypatch.setattr(experiment, "_workers", lambda plan: workers)
 
 
 def small_plan(**kwargs):
@@ -109,6 +119,7 @@ class TestPlan:
 
     def test_ideal_plan_builds_one_table(self, monkeypatch):
         # Bayes and ML of a plan, ideal or noisy, read its one table
+        pin_workers(monkeypatch, 1)  # the calls are recorded in this process
         read = []
         on_grid = CountLikelihood.on_grid
         monkeypatch.setattr(
@@ -130,6 +141,7 @@ class TestPlan:
         # classical and fringe read the totals, and noisy Bayes, ML and YMK
         # the pair histogram; Bayes and ML read the table's statistics of
         # either: each once per block
+        pin_workers(monkeypatch, 1)  # the calls are recorded in this process
         cases = [(False, "totals"), (False, "statistics"),
                  (True, "totals"), (True, "pairs"), (True, "statistics")]
         for noisy, statistic in cases:
@@ -257,6 +269,7 @@ class TestScans:
     @pytest.mark.parametrize("noisy", [False, True], ids=["ideal", "noisy"])
     def test_run_estimation_is_each_scanned_replica(self, monkeypatch, noisy):
         # 17 replicas at 4096 nodes: a 16-row block, then the last replica alone
+        pin_workers(monkeypatch, 1)  # the calls are recorded in this process
         regime = ConfusionModel.paper_regime() if noisy else None
         plan = small_plan(grid=PhaseGrid(), replicas=17, noise=regime, channel=regime,
                           estimators=("bayes",))
@@ -281,6 +294,7 @@ class TestScans:
         # 3-replica blocks; the reference draws, misreads, reduces and
         # scores each replica on its own, through the per-pulse estimators
         # and one-row posteriors
+        pin_workers(monkeypatch, 1)  # the calls are recorded in this process
         regime = ConfusionModel.paper_regime() if noisy else None
         plan = small_plan(replicas=replicas, noise=regime, channel=regime,
                           fringe=FringeParams(a=0.1, b=0.05, amplitude=1.0),
@@ -375,3 +389,105 @@ class TestScans:
         assert doc["seed"] == 7 and doc["p"] == 50
         assert doc["nbar"] == 1.08 and doc["ideal_n_max"] == 25
         assert doc["grid_points"] == 512
+
+
+@contextlib.contextmanager
+def on_workers(monkeypatch, workers):
+    """Scans inside run on ``workers`` processes, with every warning an error.
+
+    Python 3.12 warns (DeprecationWarning) when a process with threads
+    forks. No worker may outlive a scan, whether it returns or raises.
+    """
+    pin_workers(monkeypatch, workers)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+    finally:
+        assert multiprocessing.active_children() == []
+
+
+class TestWorkers:
+    def test_worker_rule(self, monkeypatch):
+        monkeypatch.setattr(experiment, "_cpus", lambda: 4)
+        # the shipped ideal plan: 19 cells of 150 x 1000 pulses, 10 workers' worth
+        assert experiment._workers(ExperimentPlan(theta_grid=default_theta_grid())) == 4
+        # 2 * 150 * 2000 pulses fill two workers, 2 * 150 * 1000 one, and 1 * 2 * 2000 none
+        assert experiment._workers(ExperimentPlan(theta_grid=[0.5, 1.0], p=2000)) == 2
+        assert experiment._workers(ExperimentPlan(theta_grid=[0.5, 1.0], p=1000)) < 2
+        assert experiment._workers(ExperimentPlan(theta_grid=[0.5], p=2000, replicas=2)) < 2
+        assert experiment._workers(small_plan()) < 2
+        monkeypatch.setattr(experiment, "_PULSES_PER_WORKER", 1)
+        assert experiment._workers(small_plan()) == 2
+        monkeypatch.delattr(experiment.os, "fork")
+        assert experiment._workers(ExperimentPlan(theta_grid=default_theta_grid())) == 1
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["ideal", "noisy"])
+    def test_pool_scan_is_byte_identical(self, monkeypatch, noisy):
+        regime = ConfusionModel.paper_regime() if noisy else None
+        plan = small_plan(theta_grid=np.pi * np.array([0.2, 0.5, 0.8]), noise=regime,
+                          channel=regime, estimators=ESTIMATOR_NAMES)
+        # a cell scored in this process is recorded; a worker's record stays in the worker
+        here = []
+        score = experiment._CellScanner.__call__
+        monkeypatch.setattr(experiment._CellScanner, "__call__",
+                            lambda scanner, i: here.append(i) or score(scanner, i))
+        with on_workers(monkeypatch, 1):
+            one = scan(plan)
+        assert here == [0, 1, 2]
+        here.clear()
+        with on_workers(monkeypatch, 2):
+            two = scan(plan)
+        assert here == []
+        assert two.to_csv() == one.to_csv()
+        # and every bit, beyond the CSV's 12 digits
+        np.testing.assert_array_equal([astuple(rec)[2:] for rec in two.records],
+                                      [astuple(rec)[2:] for rec in one.records])
+
+    def test_unallocatable_buffers_reach_the_caller(self, monkeypatch):
+        # a worker builds its block buffers in its first task, so numpy's
+        # own error comes back, where a pool initializer's would break the pool
+        plan = small_plan(p=10**15, replicas=1)
+        with pytest.raises((MemoryError, ValueError), match="Unable to allocate|Maximum allowed"):
+            with on_workers(monkeypatch, 2):
+                scan(plan)
+
+    @staticmethod
+    def _cells_fail_out_of_order(monkeypatch):
+        """Cell 0 scores nothing, cell 1 scores (slowly), cell 2 fails at once."""
+        score = experiment._CellScanner.__call__
+
+        def cell(scanner, i):
+            if i == 0:
+                return []
+            if i == 2:
+                raise FloatingPointError("cell 2")
+            time.sleep(0.2)  # so cell 2 fails first
+            return score(scanner, i)
+
+        monkeypatch.setattr(experiment._CellScanner, "__call__", cell)
+
+    def test_first_failing_cell_reaches_the_caller(self, monkeypatch):
+        # at nbar 1e-9 no replica detects a photon, so cell 1's YMK is
+        # undefined; cell 2 fails earlier, but later in theta order
+        self._cells_fail_out_of_order(monkeypatch)
+        plan = small_plan(theta_grid=np.pi * np.array([0.25, 0.5, 0.75]), p=2,
+                          model=InterferometerModel(nbar=1e-9), estimators=("ymk",))
+        with pytest.raises(UndefinedEstimateError):
+            with on_workers(monkeypatch, 2):
+                scan(plan)
+
+    def test_failing_pool_scan_exits_3(self, monkeypatch, tmp_path, capsys):
+        self._cells_fail_out_of_order(monkeypatch)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "model": {"nbar": 1e-9},
+            "plan": {"theta_grid_pi": [0.25, 0.5, 0.75], "p": 2, "replicas": 5,
+                     "estimators": ["ymk"]},
+        }))
+        with on_workers(monkeypatch, 2):
+            code = main(["scan", "bias", "--config", str(cfg), "--out-dir",
+                         str(tmp_path / "out"), "--quiet"])
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("numerical failure:")
+        assert not (tmp_path / "out").exists()
