@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import json
 import math
 import os
@@ -226,13 +227,14 @@ def cmd_calibrate(
     except CalibrationError as exc:
         raise ConfigError(f"bad calibration section: {exc}") from exc
     weights = fit_retrodictive_weights(calib, plan.model)
-    fringe = fit_fringe(calib)
+    fringe_json = json.dumps(asdict(fit_fringe(calib)), indent=2) + "\n"
+    weights = replace(weights, fringe_sha256=hashlib.sha256(fringe_json.encode()).hexdigest())
     _emit_files(
         out_dir,
         {
             "weights.json": weights.to_json() + "\n",
             "calibration.csv": calib.to_csv(),
-            "fringe.json": json.dumps(asdict(fringe), indent=2) + "\n",
+            "fringe.json": fringe_json,
         },
     )
     worst, pair = weights.worst_diagonal()
@@ -248,7 +250,7 @@ def _load_calibration(
     """The channel (and fringe, if present) that ``calibrate`` fitted at ``nbar`` and ``n_max``.
 
     The fringe file must be present when ``needs_fringe``: the ideal fringe
-    would stand in for it without a word.
+    would stand in for it without a word. One that is present must have the sha256 the weights record.
     """
     weights_file = cfg.get("calibration", {}).get("weights_file", out_dir / "weights.json")
     if not weights_file.is_file():
@@ -263,10 +265,17 @@ def _load_calibration(
     fringe_file = weights_file.with_name("fringe.json")
     fringe = None
     if fringe_file.is_file():
+        data = fringe_file.read_bytes()
         try:
-            fringe = FringeParams(**json.loads(fringe_file.read_text()))
+            fringe = FringeParams(**json.loads(data))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"unreadable {fringe_file}: {exc!r}") from exc
+        if weights.fringe_sha256 is None:
+            raise ConfigError(f"{weights_file} does not record the sha256 of {fringe_file} "
+                              "(fringe_sha256); re-run the calibrate command")
+        if hashlib.sha256(data).hexdigest() != weights.fringe_sha256:
+            raise ConfigError(f"{fringe_file} is not the fringe file calibrated with "
+                              f"{weights_file}: its sha256 differs; re-run the calibrate command")
     elif needs_fringe:
         raise ConfigError(
             f"plan.estimators lists fringe but fringe file {fringe_file} is missing; "

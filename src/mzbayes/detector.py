@@ -12,16 +12,14 @@ how often each measured pair is read correctly.
 from __future__ import annotations
 
 import json
-import os
-import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
+from mzbayes import _pool
 from mzbayes._csv import csv_text
 from mzbayes.photon_model import InterferometerModel, PhaseDomainError, _check_phase
 
@@ -111,11 +109,7 @@ class ConfusionModel:
 
     @cached_property
     def column_reads(self) -> tuple[_Reads, _Reads]:
-        """Each port's ``_column_reads``, computed once for the misread channel.
-
-        ``cached_property`` takes no lock (Python 3.12 on), so code that
-        reads this from several threads computes it once beforehand.
-        """
+        """Each port's ``_column_reads``, computed once; a caller that forks computes it first."""
         return _column_reads(self.forward_c), _column_reads(self.forward_d)
 
     def is_identity(self) -> bool:
@@ -378,48 +372,6 @@ def _phase_bytes(pulses: int, n_max: int) -> int:
     return 4 * _pair_dtype(n_max).itemsize * pulses + 40 * min(pulses, _CHUNK)
 
 
-def _cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _workers(tasks: int, task_bytes: int) -> int:
-    """Threads for ``tasks`` independent tasks of ``task_bytes`` each.
-
-    One per usable CPU, at most one per task, and no more than fit in
-    ``_PHASES_BYTES``; always at least one.
-    """
-    return max(1, min(tasks, _cpus(), _PHASES_BYTES // task_bytes))
-
-
-def _map_phases(phase, phases: np.ndarray, streams: list, workers: int) -> list:
-    """``phase`` of each phase and its stream, in order, on ``workers`` threads.
-
-    Once a phase raises, no further phase starts, and the first of them in
-    phase order that raised has its exception re-raised.
-    """
-    failed = threading.Event()
-
-    def guarded(phi, stream):
-        # list() raises at the failed phase, so a skipped phase's None is never returned.
-        if failed.is_set():
-            return None
-        try:
-            return phase(phi, stream)
-        except BaseException:
-            failed.set()
-            raise
-
-    pool = ThreadPoolExecutor(workers)
-    try:
-        return list(pool.map(guarded, phases, streams))
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def simulate_calibration(
     phases: Sequence[float],
     pulses_per_phase: int,
@@ -432,8 +384,8 @@ def simulate_calibration(
     Phases too few to resolve the true counts are rejected before any
     draw. Each phase gets an independent child stream of ``rng``, so the
     result does not depend on the order phases run in, nor on the number
-    of threads that run them (one per usable CPU, as many as
-    ``_PHASES_BYTES`` holds).
+    of worker processes that run them (``_pool.map_cells``, with at most
+    as many phases in flight as ``_PHASES_BYTES`` holds).
     """
     phases = np.asarray(phases, dtype=float)
     if pulses_per_phase < 1:
@@ -443,11 +395,17 @@ def simulate_calibration(
     except PhaseDomainError as exc:
         raise CalibrationError(f"calibration {exc}") from None
     _true_count_dists(phases, ideal, model.n_max, CalibrationError)
-    phase = partial(
-        _calibration_phase, pulses=pulses_per_phase, reads=model.column_reads, ideal=ideal
+    streams, reads = rng.spawn(len(phases)), model.column_reads
+
+    def phase(j: int) -> np.ndarray:
+        return _calibration_phase(
+            phases[j], streams[j], pulses=pulses_per_phase, reads=reads, ideal=ideal
+        )
+
+    counts = _pool.map_cells(
+        phase, len(phases), len(phases) * pulses_per_phase,
+        most=_PHASES_BYTES // _phase_bytes(pulses_per_phase, model.n_max),
     )
-    workers = _workers(len(phases), _phase_bytes(pulses_per_phase, model.n_max))
-    counts = _map_phases(phase, phases, rng.spawn(len(phases)), workers)
     return CalibrationData(
         phases=phases, pulses_per_phase=pulses_per_phase, counts=np.stack(counts)
     )
@@ -464,6 +422,7 @@ class RetrodictiveWeights:
     weights invert, or None when it is not known. ``fit`` holds each
     port's channel-fit diagnostics when the weights were fitted here; the
     JSON file records them, and reading it back leaves them out.
+    ``fringe_sha256`` is the sha256 of the fringe file written beside them.
     """
 
     table: np.ndarray  # (n_max+1, n_max+1, n_max+1, n_max+1)
@@ -471,6 +430,7 @@ class RetrodictiveWeights:
     nbar: float | None = None
     channel: ConfusionModel | None = None
     fit: dict | None = None
+    fringe_sha256: str | None = None
 
     def __post_init__(self) -> None:
         if self.channel is not None and self.channel.n_max != self.n_max:
@@ -515,6 +475,8 @@ class RetrodictiveWeights:
             doc["forward_d"] = self.channel.forward_d.tolist()
         if self.fit is not None:
             doc["fit"] = self.fit
+        if self.fringe_sha256 is not None:
+            doc["fringe_sha256"] = self.fringe_sha256
         doc["weights"] = weights
         return json.dumps(doc, indent=2)
 
@@ -542,7 +504,8 @@ class RetrodictiveWeights:
         if "forward_c" in obj or "forward_d" in obj:
             channel = ConfusionModel(obj["forward_c"], obj["forward_d"], n_max)
         nbar = None if nbar is None else float(nbar)
-        return cls(table=table.reshape((bins,) * 4), n_max=n_max, nbar=nbar, channel=channel)
+        return cls(table=table.reshape((bins,) * 4), n_max=n_max, nbar=nbar, channel=channel,
+                   fringe_sha256=obj.get("fringe_sha256"))
 
 
 def _fit_port(observed: np.ndarray, true_dists: np.ndarray) -> tuple[np.ndarray, dict]:

@@ -21,28 +21,27 @@ estimators invert all of its mean count differences at once. ML scores
 each row of the block's statistics on its own, and YMK on an ideal plan
 (whose counts have no bound) each row of its counts.
 
-Each true phase is one cell of the scan, scored by ``_CellScanner``. A
-large scan maps its cells over forked worker processes (``_workers``),
-each with its own block buffers, and keeps their records in cell order;
-a small one scores them in-process. Either way each cell draws from its
-own replica streams, so the result does not depend on the worker count.
+Each true phase is one cell of the scan, scored by ``_CellScanner`` and
+mapped by ``_pool.map_cells``, as calibration's phases are: a large scan
+on forked worker processes, each with its own block buffers, a small one
+in-process. Each cell draws from its own replica streams, and its records
+are kept in cell order, so the result does not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import astuple, dataclass, field, fields
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
+from mzbayes import _pool
 from mzbayes._csv import csv_text
 from mzbayes._version import __version__ as _code_version
 from mzbayes.detector import (
     ConfusionModel,
-    _cpus,
     misread_rows,
     noisy_log_likelihood_grid,
     pair_histogram,
@@ -349,7 +348,13 @@ def _aggregate(
 
 
 class _CellScanner:
-    """One process's scorer of a plan's θ cells, with its own block buffers."""
+    """A plan's θ cells, each scored to its records: the task ``scan`` maps over its cells.
+
+    Its block buffers are allocated here, in the calling process, so one
+    too large to hold raises numpy's own error there; a forked worker
+    writes its own copy of their pages. The plan's table and its channel's
+    reads are built after them, before any fork, so that workers inherit them.
+    """
 
     def __init__(self, plan: ExperimentPlan):
         self.plan = plan
@@ -357,6 +362,9 @@ class _CellScanner:
         self.chosen = [table[name] for name in plan.estimators]
         self.rows = _block_rows(plan)
         self.draws = _Draws(plan, self.rows)
+        plan.table
+        if plan.noise is not None:
+            plan.noise.column_reads
 
     def __call__(self, phase_idx: int) -> list[ScanRecord]:
         """Every estimator's record at the plan's phase ``phase_idx``."""
@@ -377,85 +385,13 @@ class _CellScanner:
         return records
 
 
-# On a shared 2-vCPU x86-64 host a forked pool of two workers took 13-18 ms
-# to start and stop, and a scanned pulse about 110 ns, so a worker pays for
-# itself from about 2**18 pulses (29 ms).
-_PULSES_PER_WORKER = 2**18
-
-
-def _workers(plan: ExperimentPlan) -> int:
-    """Worker processes for a scan; below 2 the scan runs in-process.
-
-    One per usable CPU, at most one per θ cell, and each with at least
-    ``_PULSES_PER_WORKER`` pulses to draw. Workers are forked, so a
-    platform without ``fork`` gets none.
-    """
-    if not hasattr(os, "fork"):
-        return 1
-    cells = plan.theta_grid.size
-    return min(_cpus(), cells, cells * plan.replicas * plan.p // _PULSES_PER_WORKER)
-
-
-# A worker process's plan, and its scanner, built by the worker's first
-# task: a buffer too large to allocate then reaches the caller as its own
-# MemoryError, where in the pool's initializer it would only break the pool.
-# Neither is set in the process that calls scan.
-_worker_plan: ExperimentPlan | None = None
-_worker_scanner: _CellScanner | None = None
-
-
-def _start_worker(plan: ExperimentPlan) -> None:
-    global _worker_plan
-    _worker_plan = plan
-
-
-def _scan_cell(phase_idx: int) -> list[ScanRecord]:
-    global _worker_scanner
-    if _worker_scanner is None:
-        _worker_scanner = _CellScanner(_worker_plan)
-    return _worker_scanner(phase_idx)
-
-
-def _map_on_workers(plan: ExperimentPlan, workers: int) -> list[list[ScanRecord]]:
-    """Each θ cell's records, in cell order, scored on ``workers`` forked processes.
-
-    Fork hands each worker the plan, its table and its channel's reads
-    without pickling them, where spawn would import numpy and mzbayes again
-    in each worker; a task carries only its cell's index. Fork is safe
-    while the calling process runs no other thread (calibration joins its
-    threads before it returns). The first cell in order that raised has
-    its exception re-raised, and no worker outlives the call.
-    """
-    # Imported here: at module level they would add about 17 ms to every command.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # Built once, before the fork, rather than once per worker.
-    plan.table
-    if plan.noise is not None:
-        plan.noise.column_reads
-    pool = ProcessPoolExecutor(
-        workers,
-        multiprocessing.get_context("fork"),
-        initializer=_start_worker,
-        initargs=(plan,),
-    )
-    try:
-        return list(pool.map(_scan_cell, range(plan.theta_grid.size)))
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
 def scan(plan: ExperimentPlan) -> ScanResult:
     """Every estimator of the plan over its replicas at each true phase.
 
-    The θ cells run in-process, or on ``_workers(plan)`` worker processes.
+    The θ cells run in-process, or on worker processes (``_pool.map_cells``).
     Each cell draws from its own replica streams and its records are kept
     in cell order, so the result does not depend on the number of workers.
     """
-    workers = _workers(plan)
-    if workers < 2:
-        cells = map(_CellScanner(plan), range(plan.theta_grid.size))
-    else:
-        cells = _map_on_workers(plan, workers)
-    return ScanResult(records=tuple(rec for records in cells for rec in records), plan=plan)
+    cells = plan.theta_grid.size
+    records = _pool.map_cells(_CellScanner(plan), cells, cells * plan.replicas * plan.p)
+    return ScanResult(records=tuple(rec for cell in records for rec in cell), plan=plan)

@@ -5,9 +5,14 @@ calibration + scan bundle) are session-scoped so the acceptance criteria
 and the module tests share one computation.
 """
 
+import contextlib
+import multiprocessing
+import warnings
+
 import numpy as np
 import pytest
 
+from mzbayes import _pool
 from mzbayes.detector import (
     ConfusionModel,
     fit_retrodictive_weights,
@@ -21,6 +26,39 @@ MASTER_SEED = 7
 NBAR = 1.08
 PULSES = 1000
 REPLICAS = 150
+
+
+@pytest.fixture
+def pin_workers(monkeypatch):
+    """``pin_workers(n)`` makes every cell map (scan or calibration) use n workers, whatever its size.
+
+    A call recorded in the test process records nothing that a worker
+    process makes, so tests that record calls pin one worker.
+    """
+    return lambda workers: monkeypatch.setattr(
+        _pool, "workers", lambda cells, pulses, most=None: workers
+    )
+
+
+@pytest.fixture
+def on_workers(pin_workers):
+    """``with on_workers(n):`` runs every cell map inside on n workers, with every warning an error.
+
+    Python 3.12 warns (DeprecationWarning) when a process with threads
+    forks. No worker may outlive a map, whether it returns or raises.
+    """
+
+    @contextlib.contextmanager
+    def pinned(workers):
+        pin_workers(workers)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                yield
+        finally:
+            assert multiprocessing.active_children() == []
+
+    return pinned
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,8 @@ port totals, ``accumulate`` sums a pulse list's counts into one such
 shape, ``normalization_constant`` is that shape's normalizer through
 log-gamma, and ``beta_moments`` gives the exact flat-prior posterior
 mean and credible half-width from the Beta law of cos^2(phi/2), with no
-grid.
+grid. ``expected_bayes_moments`` sums it against the Poisson laws of the
+port totals: the expected Bayes bias and half-width, with no replicas.
 
 The misread channel: ``apply_noise`` pushes one ``Outcome`` through it
 with one ``rng.choice`` per port, and ``choice_port`` draws a port's
@@ -39,6 +40,7 @@ likelihood wherever no true count is folded into ``n_max``;
 ``tests/test_tables.py`` pins down where it does not.
 """
 
+import functools
 import math
 from typing import Callable, Sequence
 
@@ -111,43 +113,71 @@ def accumulate(outcomes: Sequence[Outcome], grid: PhaseGrid) -> Posterior:
     return Posterior.from_log_density(grid, log_shape(total, grid.nodes))
 
 
-# Gauss-Legendre nodes for the mean's integral over the posterior's window.
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(200)
-# Tail mass left outside that window on each side.
+# Tail mass left outside the window of the mean's integral on each side.
 _TAIL = 1e-20
 
 
-def _phase_quantile(nc: int, nd: int, q: float) -> float:
+@functools.cache
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(nodes)
+
+
+def _phase_quantile(nc, nd, q):
     """Phase below which the flat-prior posterior of (nc, nd) has mass q."""
-    return 2.0 * math.asin(math.sqrt(betaincinv(nd + 0.5, nc + 0.5, q)))
+    return 2.0 * np.arcsin(np.sqrt(betaincinv(nd + 0.5, nc + 0.5, q)))
 
 
-def beta_moments(nc: int, nd: int, level: float = 0.6827) -> tuple[float, float]:
+def beta_moments(nc, nd, level: float = 0.6827, nodes: int = 200):
     """Exact flat-prior posterior (mean, credible half-width) of port totals (nc, nd).
 
     Under a flat prior x = cos^2(phi/2) is Beta(nc + 1/2, nd + 1/2), so the
     posterior cdf of phi is ``betainc(nd + 1/2, nc + 1/2, sin^2(phi/2))``
     and its quantiles come from ``betaincinv``. The mean is
-    ``integral_0^pi (1 - cdf) dphi``: the window's lower end plus fixed-node
-    Gauss-Legendre over the window, which holds all but 1e-20 of the mass
-    on each side. The interval is equal-tail around the mean, with the
-    clamped-end rule of ``credible_interval``.
+    ``integral_0^pi (1 - cdf) dphi``: the window's lower end plus
+    ``nodes``-point Gauss-Legendre over the window, which holds all but
+    1e-20 of the mass on each side. The interval is equal-tail around the
+    mean, with the clamped-end rule of ``credible_interval``. ``nc`` and
+    ``nd`` may be arrays of one shape, for one mean and width per pair.
     """
+    nc, nd = np.asarray(nc, dtype=float), np.asarray(nd, dtype=float)
+    gl_x, gl_w = _gauss_legendre(nodes)
     lo_end = _phase_quantile(nc, nd, _TAIL)
-    hi_end = 2.0 * math.acos(math.sqrt(betaincinv(nc + 0.5, nd + 0.5, _TAIL)))
+    hi_end = 2.0 * np.arccos(np.sqrt(betaincinv(nc + 0.5, nd + 0.5, _TAIL)))
     half = (hi_end - lo_end) / 2.0
-    phis = lo_end + half * (_GL_X + 1.0)
-    survival = betainc(nc + 0.5, nd + 0.5, np.cos(phis / 2.0) ** 2)
-    mean = lo_end + half * float(_GL_W @ survival)
-    mass_at_mean = float(betainc(nd + 0.5, nc + 0.5, math.sin(mean / 2.0) ** 2))
+    phis = lo_end[..., None] + half[..., None] * (gl_x + 1.0)
+    survival = betainc(nc[..., None] + 0.5, nd[..., None] + 0.5, np.cos(phis / 2.0) ** 2)
+    mean = lo_end + half * (survival @ gl_w)
+    mass_at_mean = betainc(nd + 0.5, nc + 0.5, np.sin(mean / 2.0) ** 2)
     lo, hi = mass_at_mean - level / 2.0, mass_at_mean + level / 2.0
-    if lo <= 0.0:
-        a, b = 0.0, _phase_quantile(nc, nd, level)
-    elif hi >= 1.0:
-        a, b = _phase_quantile(nc, nd, 1.0 - level), math.pi
-    else:
-        a, b = _phase_quantile(nc, nd, lo), _phase_quantile(nc, nd, hi)
-    return mean, (b - a) / 2.0
+    # an interval that would cross an end of [0, pi] stops there: mass 0 is
+    # phase 0, and mass 1 phase pi
+    a = np.where(lo <= 0.0, 0.0, np.where(hi >= 1.0, 1.0 - level, lo))
+    b = np.where(lo <= 0.0, level, np.where(hi >= 1.0, 1.0, hi))
+    width = (_phase_quantile(nc, nd, b) - _phase_quantile(nc, nd, a)) / 2.0
+    return mean[()], width[()]
+
+
+def expected_bayes_moments(theta: float, p: int, nbar: float) -> tuple[float, float]:
+    """Expected ideal Bayes (bias, dtheta) at true phase theta over p pulses, with no replicas.
+
+    Nc and Nd are independent Poisson counts with means p nbar cos^2(theta/2)
+    and p nbar sin^2(theta/2), and the posterior of a pulse sequence reads
+    only them. So the expectations are ``beta_moments`` of each pair summed
+    against their joint law, all pairs at once. The pairs left out each
+    have probability below 1e-11, and together less than 1e-8; 32 nodes
+    hold each mean to about 1e-12.
+    """
+    pmfs = []
+    for mu in p * nbar * np.array([math.cos(theta / 2.0) ** 2, math.sin(theta / 2.0) ** 2]):
+        k = np.arange(int(mu + 12.0 * math.sqrt(mu) + 12.0))
+        pmfs.append(np.exp(k * math.log(mu) - mu - gammaln(k + 1.0)))
+    joint = np.outer(*pmfs)
+    nc, nd = np.nonzero(joint >= 1e-11)
+    weights = joint[nc, nd]
+    if not 1.0 - weights.sum() < 1e-8:
+        raise ValueError(f"pairs kept hold {weights.sum()!r} of the mass")
+    mean, width = beta_moments(nc, nd, nodes=32)
+    return float(weights @ mean) - theta, float(weights @ width)
 
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

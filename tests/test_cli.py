@@ -1,6 +1,7 @@
 """Command-line front end: configs, outputs, exit codes, idempotence."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -8,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +127,11 @@ _TOO_LARGE = {
     "scan-p-bytes-beyond-numpy": ("scan", {"plan": {"p": 2**61, "replicas": 1}}, "plan.p"),
     "scan-grid-bytes-beyond-numpy": (
         "scan", {"plan": {"grid_points": 2**61, "replicas": 1}}, "plan.grid_points",
+    ),
+    # the default plan is large enough for worker processes; the scan's
+    # buffers are allocated before its table's nodes, and before any fork
+    "scan-grid-points-2-63-default-plan": (
+        "scan", {"plan": {"grid_points": 2**63}}, "plan.grid_points",
     ),
 }
 
@@ -695,6 +702,57 @@ class TestScanCommand:
         if code == EXIT_CONFIG:
             assert err.startswith("config error:") and str(out / "fringe.json") in err
         assert (out / "bias_scan.csv").exists() == (code == EXIT_OK)
+
+    def test_pipeline_on_workers_leaves_no_thread(self, tmp_path, on_workers):
+        # calibrate, then scan, in this process, each map on two forked
+        # workers; on_workers checks that no worker outlives them
+        cfg = write_config(tmp_path, {
+            "noise": {"kind": "paper_regime"},
+            "calibration": {"pulses_per_phase": 5000},
+            "plan": {"theta_grid_pi": [0.25, 0.5], "p": 100, "replicas": 4},
+            "output": {"dir": str(tmp_path / "out")},
+        })
+        with on_workers(2):
+            assert run("calibrate", "--config", cfg, "--quiet") == EXIT_OK
+            assert run("scan", "bias", "--config", cfg, "--quiet") == EXIT_OK
+        assert threading.active_count() == 1
+
+    @pytest.mark.parametrize("change", ["edited", "other-seed", "weights-without-digest"])
+    def test_fringe_file_not_from_the_weights_calibration(self, tmp_path, capsys, change):
+        # a fringe.json that the weights do not record would be read with
+        # them without a word
+        out, other = tmp_path / "out", tmp_path / "other"
+        doc = {
+            "noise": {"kind": "paper_regime"},
+            "calibration": {"pulses_per_phase": 5000},
+            "plan": {"theta_grid_pi": [0.25], "p": 100, "replicas": 2,
+                     "estimators": ["fringe", "classical"]},
+            "output": {"dir": str(out)},
+        }
+        cfg = write_config(tmp_path, doc)
+        assert run("calibrate", "--config", cfg, "--quiet") == EXIT_OK
+        weights = json.loads((out / "weights.json").read_text())
+        fringe = (out / "fringe.json").read_bytes()
+        assert weights["fringe_sha256"] == hashlib.sha256(fringe).hexdigest()
+        if change == "edited":
+            params = json.loads(fringe)
+            params["a"] += 0.01
+            (out / "fringe.json").write_text(json.dumps(params, indent=2) + "\n")
+        elif change == "other-seed":
+            assert run("calibrate", "--config", cfg, "--seed", "8", "--out-dir", str(other),
+                       "--quiet") == EXIT_OK
+            (out / "fringe.json").write_bytes((other / "fringe.json").read_bytes())
+        else:
+            del weights["fringe_sha256"]
+            (out / "weights.json").write_text(json.dumps(weights, indent=2) + "\n")
+        capsys.readouterr()
+        assert run("scan", "bias", "--config", cfg, "--quiet") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "re-run the calibrate command" in err
+        assert str(out / "weights.json") in err and str(out / "fringe.json") in err
+        reason = "does not record" if change == "weights-without-digest" else "sha256 differs"
+        assert reason in err
+        assert not (out / "bias_scan.csv").exists()
 
     def test_ideal_sensitivity_scan(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -2,8 +2,7 @@
 
 import json
 import math
-import sys
-import threading
+import multiprocessing
 import time
 import tracemalloc
 from dataclasses import replace
@@ -14,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson
 
-from mzbayes import detector
+from mzbayes import _pool, detector
 from mzbayes.detector import (
     CalibrationError,
     ConfusionModel,
@@ -313,10 +312,10 @@ class TestChannelDraws:
     @pytest.mark.parametrize(
         "model", [ConfusionModel.paper_regime(), _random_channel(11)], ids=["paper-regime", "dense"]
     )
-    def test_calibration_matches_choice_oracle(self, model, ideal_model, monkeypatch):
+    def test_calibration_matches_choice_oracle(self, model, ideal_model, monkeypatch, pin_workers):
         """Five phases x 50k pulses: sample_counts then choice_port on the same spawned streams."""
         _assert_calibration_matches_oracle(
-            monkeypatch, FIVE_PHASES, 50_000, model, ideal_model, seed=[7, 0xCA11]
+            monkeypatch, pin_workers, FIVE_PHASES, 50_000, model, ideal_model, seed=[7, 0xCA11]
         )
 
     @pytest.mark.parametrize(
@@ -329,20 +328,24 @@ class TestChannelDraws:
         ids=["across-chunk-edges", "folded-above-n-max", "256-pairs"],
     )
     def test_calibration_chunks_match_choice_oracle(
-        self, phases, pulses, model, nbar, monkeypatch
+        self, phases, pulses, model, nbar, monkeypatch, pin_workers
     ):
         """Chunked, folded draws: a pulse count that is no multiple of the chunk,
         true counts above ``n_max``, and pair indices up to 255."""
         ideal = InterferometerModel(nbar=nbar)
-        _assert_calibration_matches_oracle(monkeypatch, phases, pulses, model, ideal, seed=3)
+        _assert_calibration_matches_oracle(
+            monkeypatch, pin_workers, phases, pulses, model, ideal, seed=3
+        )
 
 
-def _assert_calibration_matches_oracle(monkeypatch, phases, pulses, model, ideal, seed):
+def _assert_calibration_matches_oracle(monkeypatch, pin_workers, phases, pulses, model, ideal,
+                                       seed):
     """``simulate_calibration`` against ``sample_counts`` then ``choice_port`` per spawned stream.
 
-    The streams are recorded through the per-phase helper and matched to
-    the oracle's by spawn key, since the phases may finish in any order.
+    The streams are recorded through the per-phase helper, so the phases
+    run in this process, and matched to the oracle's by spawn key.
     """
+    pin_workers(1)
     streams = []
     phase = detector._calibration_phase
 
@@ -467,30 +470,27 @@ class TestCalibration:
         assert len(rows) == 1 + 5 * 25
 
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_counts_do_not_depend_on_worker_count(self, regime, ideal_model, monkeypatch, workers):
+    def test_counts_do_not_depend_on_worker_count(
+        self, regime, ideal_model, on_workers, workers
+    ):
         phases = np.pi * np.linspace(0.02, 0.98, 9)
         want = simulate_calibration(phases, 3000, regime, ideal_model, np.random.default_rng(4))
-        monkeypatch.setattr(detector, "_workers", lambda tasks, task_bytes: min(tasks, workers))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
-        try:
+        with on_workers(workers):
             got = simulate_calibration(phases, 3000, regime, ideal_model, np.random.default_rng(4))
-        finally:
-            sys.setswitchinterval(interval)
         np.testing.assert_array_equal(got.counts, want.counts)
 
-    def test_peak_memory_per_pulse(self, ideal_model, monkeypatch):
-        """The tracemalloc peak of 2 phases x 400k pulses, both in flight, stays below 24 B
-        per pulse of a phase.
+    def test_peak_memory_per_pulse(self, ideal_model, pin_workers):
+        """The tracemalloc peak of a phase of 400k pulses, run in this process, stays below
+        24 B per pulse, and within ``_phase_bytes``.
 
-        Measured at 14.5 B with both phases in flight and 8.6 B with one; a
-        phase that holds its int64 counts, int64 misreads and pulse-sized
-        channel temporaries peaks at about 55 B per pulse on its own.
+        Measured at 8.6 B with one phase in flight; a phase that holds its
+        int64 counts, int64 misreads and pulse-sized channel temporaries
+        peaks at about 55 B per pulse on its own.
         """
         K = np.array([[0.9, 0.2], [0.1, 0.8]])
         model = ConfusionModel(forward_c=K, forward_d=K, n_max=1)
         pulses = 400_000
-        monkeypatch.setattr(detector, "_workers", lambda tasks, task_bytes: tasks)
+        pin_workers(1)
         tracemalloc.start()
         try:
             simulate_calibration([0.8, 2.0], pulses, model, ideal_model, np.random.default_rng(3))
@@ -498,43 +498,45 @@ class TestCalibration:
         finally:
             tracemalloc.stop()
         assert peak / pulses < 24
+        assert peak <= detector._phase_bytes(pulses, model.n_max)
 
     def test_phases_in_flight_stay_within_budget(self, regime, ideal_model, monkeypatch):
-        """However many CPUs, 16 phases x 200k pulses peak within ``_PHASES_BYTES``.
-
-        Measured at 4.3-4.5 MB with the two phases the budget lets in flight,
-        and at 20 MB with one thread per phase.
-        """
-        monkeypatch.setattr(detector, "_cpus", lambda: 64)
+        """However many CPUs, 16 phases x 200k pulses get no more workers than
+        ``_PHASES_BYTES`` holds phases of ``_phase_bytes``."""
+        monkeypatch.setattr(_pool, "_cpus", lambda: 64)
+        chosen, rule = [], _pool.workers
+        # the phases then run in this process, and draw nothing
+        monkeypatch.setattr(_pool, "workers", lambda *args: chosen.append(rule(*args)) or 1)
+        monkeypatch.setattr(detector, "_calibration_phase",
+                            lambda phi, stream, **kwargs: np.zeros((5, 5), dtype=np.int64))
         phases = np.pi * np.linspace(0.02, 0.98, 16)
-        tracemalloc.start()
-        try:
-            simulate_calibration(phases, 200_000, regime, ideal_model, np.random.default_rng(3))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= detector._PHASES_BYTES
+        simulate_calibration(phases, 200_000, regime, ideal_model, np.random.default_rng(3))
+        budget = detector._PHASES_BYTES // detector._phase_bytes(200_000, regime.n_max)
+        assert 2 <= chosen[0] <= budget
 
-    def test_failing_phase_stops_the_phases_not_started(self, regime, ideal_model, monkeypatch):
+    def test_failing_phase_stops_the_phases_not_started(
+        self, regime, ideal_model, monkeypatch, on_workers, tmp_path
+    ):
+        # each call leaves a file, which a worker process can; phase 1 stays
+        # in flight until phase 0 has raised and its worker has seen it
         phases = np.pi * np.linspace(0.02, 0.98, 33)
-        calls, raised = [], threading.Event()
+        raised = multiprocessing.get_context("fork").Event()
 
         def failing(phi, stream, **kwargs):
-            calls.append(phi)
+            (tmp_path / str(np.flatnonzero(phases == phi)[0])).touch()
             if phi == phases[0]:
                 raised.set()
                 raise RuntimeError("phase 0 failed")
-            # stay in flight until phase 0 has raised and its thread has seen it
             raised.wait(timeout=5.0)
             time.sleep(0.05)
             return np.zeros((5, 5), dtype=np.int64)
 
         monkeypatch.setattr(detector, "_calibration_phase", failing)
-        monkeypatch.setattr(detector, "_workers", lambda tasks, task_bytes: 2)
         with pytest.raises(RuntimeError, match="phase 0 failed"):
-            simulate_calibration(phases, 100, regime, ideal_model, np.random.default_rng(0))
-        assert phases[0] in calls
-        assert len(calls) <= 2
+            with on_workers(2):
+                simulate_calibration(phases, 100, regime, ideal_model, np.random.default_rng(0))
+        calls = sorted(int(path.name) for path in tmp_path.iterdir())
+        assert 0 in calls and len(calls) <= 2
 
 
 class TestRetrodictiveWeights:

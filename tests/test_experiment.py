@@ -6,13 +6,14 @@ import math
 import multiprocessing
 import time
 import warnings
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from functools import cached_property
 
 import numpy as np
 import pytest
 
 import mzbayes.experiment as experiment
+from mzbayes import _pool
 from mzbayes.cli import EXIT_NUMERICAL, main
 from mzbayes.detector import ConfusionModel, apply_noise_counts
 from mzbayes.estimators import (
@@ -43,17 +44,12 @@ from mzbayes.posterior import (
     credible_interval,
     posterior_mean,
 )
-from oracles import run_statistics
+from oracles import expected_bayes_moments, run_statistics
 
 
 def _block_bytes(plan, rows):
     """A block budget that holds ``rows`` of the plan's replicas."""
     return rows * 8 * max(plan.grid.n_points, plan.p * (2 if plan.noise is None else 4))
-
-
-def pin_workers(monkeypatch, workers):
-    """Make ``scan`` use ``workers`` processes, whatever the plan's size."""
-    monkeypatch.setattr(experiment, "_workers", lambda plan: workers)
 
 
 def small_plan(**kwargs):
@@ -117,9 +113,9 @@ class TestPlan:
             channel=ConfusionModel.identity(),
         )
 
-    def test_ideal_plan_builds_one_table(self, monkeypatch):
+    def test_ideal_plan_builds_one_table(self, monkeypatch, pin_workers):
         # Bayes and ML of a plan, ideal or noisy, read its one table
-        pin_workers(monkeypatch, 1)  # the calls are recorded in this process
+        pin_workers(1)  # the calls are recorded in this process
         read = []
         on_grid = CountLikelihood.on_grid
         monkeypatch.setattr(
@@ -136,12 +132,12 @@ class TestPlan:
             assert len(read) == (blocks + plan.replicas) * plan.theta_grid.size
             assert all(table is plan.table for table in read)
 
-    def test_estimators_share_one_reduction(self, monkeypatch):
+    def test_estimators_share_one_reduction(self, monkeypatch, pin_workers):
         # ideal Bayes, ML, classical and fringe read the port totals; noisy
         # classical and fringe read the totals, and noisy Bayes, ML and YMK
         # the pair histogram; Bayes and ML read the table's statistics of
         # either: each once per block
-        pin_workers(monkeypatch, 1)  # the calls are recorded in this process
+        pin_workers(1)  # the calls are recorded in this process
         cases = [(False, "totals"), (False, "statistics"),
                  (True, "totals"), (True, "pairs"), (True, "statistics")]
         for noisy, statistic in cases:
@@ -267,9 +263,9 @@ class TestScans:
             np.testing.assert_array_equal(astuple(got)[2:], astuple(want)[2:])
 
     @pytest.mark.parametrize("noisy", [False, True], ids=["ideal", "noisy"])
-    def test_run_estimation_is_each_scanned_replica(self, monkeypatch, noisy):
+    def test_run_estimation_is_each_scanned_replica(self, monkeypatch, pin_workers, noisy):
         # 17 replicas at 4096 nodes: a 16-row block, then the last replica alone
-        pin_workers(monkeypatch, 1)  # the calls are recorded in this process
+        pin_workers(1)  # the calls are recorded in this process
         regime = ConfusionModel.paper_regime() if noisy else None
         plan = small_plan(grid=PhaseGrid(), replicas=17, noise=regime, channel=regime,
                           estimators=("bayes",))
@@ -290,11 +286,13 @@ class TestScans:
 
     @pytest.mark.parametrize("noisy", [False, True], ids=["ideal", "noisy"])
     @pytest.mark.parametrize("replicas", [1, 3, 5], ids=["one", "one-block", "block-and-rest"])
-    def test_draw_blocks_match_one_replica_at_a_time(self, monkeypatch, noisy, replicas):
+    def test_draw_blocks_match_one_replica_at_a_time(
+        self, monkeypatch, pin_workers, noisy, replicas
+    ):
         # 3-replica blocks; the reference draws, misreads, reduces and
         # scores each replica on its own, through the per-pulse estimators
         # and one-row posteriors
-        pin_workers(monkeypatch, 1)  # the calls are recorded in this process
+        pin_workers(1)  # the calls are recorded in this process
         regime = ConfusionModel.paper_regime() if noisy else None
         plan = small_plan(replicas=replicas, noise=regime, channel=regime,
                           fringe=FringeParams(a=0.1, b=0.05, amplitude=1.0),
@@ -378,6 +376,16 @@ class TestScans:
                 continue
             assert rec.sd_est == pytest.approx(rec.mean_dtheta, rel=0.20)
 
+    def test_ideal_bayes_moments_match_their_expectation(self, ideal_scan):
+        # The conftest ideal scan's phases, seed and replicas at p = 100: its
+        # exact expectations sum about 80k count pairs in all, where p = 1000
+        # would take about a second per phase.
+        plan = replace(ideal_scan.plan, p=100, estimators=("bayes",))
+        for rec in scan(plan).records:
+            bias, dtheta = expected_bayes_moments(rec.theta, plan.p, plan.model.nbar)
+            assert abs(rec.bias - bias) <= 4 * rec.sd_est / math.sqrt(plan.replicas)
+            assert abs(rec.mean_dtheta - dtheta) <= 4 * rec.sd_dtheta / math.sqrt(plan.replicas)
+
     def test_csv_and_manifest_export(self):
         result = scan(small_plan())
         rows = result.to_csv().strip().splitlines()
@@ -391,39 +399,31 @@ class TestScans:
         assert doc["grid_points"] == 512
 
 
-@contextlib.contextmanager
-def on_workers(monkeypatch, workers):
-    """Scans inside run on ``workers`` processes, with every warning an error.
-
-    Python 3.12 warns (DeprecationWarning) when a process with threads
-    forks. No worker may outlive a scan, whether it returns or raises.
-    """
-    pin_workers(monkeypatch, workers)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            yield
-    finally:
-        assert multiprocessing.active_children() == []
-
-
 class TestWorkers:
     def test_worker_rule(self, monkeypatch):
-        monkeypatch.setattr(experiment, "_cpus", lambda: 4)
+        monkeypatch.setattr(_pool, "_cpus", lambda: 4)
         # the shipped ideal plan: 19 cells of 150 x 1000 pulses, 10 workers' worth
-        assert experiment._workers(ExperimentPlan(theta_grid=default_theta_grid())) == 4
+        assert _pool.workers(19, 19 * 150 * 1000) == 4
         # 2 * 150 * 2000 pulses fill two workers, 2 * 150 * 1000 one, and 1 * 2 * 2000 none
-        assert experiment._workers(ExperimentPlan(theta_grid=[0.5, 1.0], p=2000)) == 2
-        assert experiment._workers(ExperimentPlan(theta_grid=[0.5, 1.0], p=1000)) < 2
-        assert experiment._workers(ExperimentPlan(theta_grid=[0.5], p=2000, replicas=2)) < 2
-        assert experiment._workers(small_plan()) < 2
-        monkeypatch.setattr(experiment, "_PULSES_PER_WORKER", 1)
-        assert experiment._workers(small_plan()) == 2
-        monkeypatch.delattr(experiment.os, "fork")
-        assert experiment._workers(ExperimentPlan(theta_grid=default_theta_grid())) == 1
+        assert _pool.workers(2, 2 * 150 * 2000) == 2
+        assert _pool.workers(2, 2 * 150 * 1000) < 2
+        assert _pool.workers(1, 1 * 2 * 2000) < 2
+        # a cap below the CPUs holds, down to none at all
+        assert _pool.workers(19, 19 * 150 * 1000, most=3) == 3
+        assert _pool.workers(19, 19 * 150 * 1000, most=0) < 2
+        monkeypatch.setattr(_pool, "_PULSES_PER_WORKER", 1)
+        assert _pool.workers(2, 2 * 5 * 50) == 2
+        monkeypatch.delattr(_pool.os, "fork")
+        assert _pool.workers(19, 19 * 150 * 1000) == 1
+
+    def test_scan_asks_for_its_cells_and_pulses(self, monkeypatch):
+        asked = []
+        monkeypatch.setattr(_pool, "workers", lambda *args: asked.append(args) or 1)
+        scan(small_plan())
+        assert asked == [(2, 2 * 5 * 50, None)]
 
     @pytest.mark.parametrize("noisy", [False, True], ids=["ideal", "noisy"])
-    def test_pool_scan_is_byte_identical(self, monkeypatch, noisy):
+    def test_pool_scan_is_byte_identical(self, monkeypatch, on_workers, noisy):
         regime = ConfusionModel.paper_regime() if noisy else None
         plan = small_plan(theta_grid=np.pi * np.array([0.2, 0.5, 0.8]), noise=regime,
                           channel=regime, estimators=ESTIMATOR_NAMES)
@@ -432,11 +432,11 @@ class TestWorkers:
         score = experiment._CellScanner.__call__
         monkeypatch.setattr(experiment._CellScanner, "__call__",
                             lambda scanner, i: here.append(i) or score(scanner, i))
-        with on_workers(monkeypatch, 1):
+        with on_workers(1):
             one = scan(plan)
         assert here == [0, 1, 2]
         here.clear()
-        with on_workers(monkeypatch, 2):
+        with on_workers(2):
             two = scan(plan)
         assert here == []
         assert two.to_csv() == one.to_csv()
@@ -444,12 +444,12 @@ class TestWorkers:
         np.testing.assert_array_equal([astuple(rec)[2:] for rec in two.records],
                                       [astuple(rec)[2:] for rec in one.records])
 
-    def test_unallocatable_buffers_reach_the_caller(self, monkeypatch):
-        # a worker builds its block buffers in its first task, so numpy's
-        # own error comes back, where a pool initializer's would break the pool
+    def test_unallocatable_buffers_reach_the_caller(self, on_workers):
+        # the scanner allocates its block buffers before any worker starts,
+        # so numpy's own error reaches the caller
         plan = small_plan(p=10**15, replicas=1)
         with pytest.raises((MemoryError, ValueError), match="Unable to allocate|Maximum allowed"):
-            with on_workers(monkeypatch, 2):
+            with on_workers(2):
                 scan(plan)
 
     @staticmethod
@@ -467,17 +467,57 @@ class TestWorkers:
 
         monkeypatch.setattr(experiment._CellScanner, "__call__", cell)
 
-    def test_first_failing_cell_reaches_the_caller(self, monkeypatch):
+    def test_first_failing_cell_reaches_the_caller(self, monkeypatch, on_workers):
         # at nbar 1e-9 no replica detects a photon, so cell 1's YMK is
         # undefined; cell 2 fails earlier, but later in theta order
         self._cells_fail_out_of_order(monkeypatch)
         plan = small_plan(theta_grid=np.pi * np.array([0.25, 0.5, 0.75]), p=2,
                           model=InterferometerModel(nbar=1e-9), estimators=("ymk",))
         with pytest.raises(UndefinedEstimateError):
-            with on_workers(monkeypatch, 2):
+            with on_workers(2):
                 scan(plan)
 
-    def test_failing_pool_scan_exits_3(self, monkeypatch, tmp_path, capsys):
+    def test_failing_cell_stops_the_cells_not_started(self, monkeypatch, on_workers, tmp_path):
+        # each call leaves a file, which a worker process can; cell 1 stays
+        # in flight until cell 0 has raised and its worker has seen it
+        raised = multiprocessing.get_context("fork").Event()
+
+        def cell(scanner, i):
+            (tmp_path / str(i)).touch()
+            if i == 0:
+                raised.set()
+                raise RuntimeError("cell 0 failed")
+            raised.wait(timeout=5.0)
+            time.sleep(0.05)
+            return []
+
+        monkeypatch.setattr(experiment._CellScanner, "__call__", cell)
+        with pytest.raises(RuntimeError, match="cell 0 failed"):
+            with on_workers(2):
+                scan(small_plan(theta_grid=np.pi * np.linspace(0.1, 0.9, 9)))
+        calls = sorted(int(path.name) for path in tmp_path.iterdir())
+        assert 0 in calls and len(calls) <= 2
+
+    def test_only_cells_after_a_failed_one_are_skipped(self, monkeypatch):
+        # a worker that takes cell 1 only once cell 2 has failed on another
+        # still runs it, so the first failing cell in order is re-raised
+        # whatever the timing
+        ran = []
+
+        def task(cell):
+            ran.append(cell)
+            if cell == 2:
+                raise FloatingPointError("cell 2")
+            return cell
+
+        monkeypatch.setattr(_pool, "_task", task)
+        monkeypatch.setattr(_pool, "_failed", multiprocessing.get_context("fork").Value("q", 4))
+        with pytest.raises(FloatingPointError):
+            _pool._run_cell(2)
+        assert _pool._run_cell(1) == 1 and _pool._run_cell(3) is None
+        assert ran == [2, 1]
+
+    def test_failing_pool_scan_exits_3(self, monkeypatch, on_workers, tmp_path, capsys):
         self._cells_fail_out_of_order(monkeypatch)
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({
@@ -485,7 +525,7 @@ class TestWorkers:
             "plan": {"theta_grid_pi": [0.25, 0.5, 0.75], "p": 2, "replicas": 5,
                      "estimators": ["ymk"]},
         }))
-        with on_workers(monkeypatch, 2):
+        with on_workers(2):
             code = main(["scan", "bias", "--config", str(cfg), "--out-dir",
                          str(tmp_path / "out"), "--quiet"])
         assert code == EXIT_NUMERICAL
