@@ -135,55 +135,19 @@ def _column_reads(K: np.ndarray) -> _Reads:
     )
 
 
-def _apply_port(counts: np.ndarray, reads: _Reads, rng: np.random.Generator) -> np.ndarray:
-    """Misread each count: one uniform per pulse against its column's cdf edges.
-
-    The uniforms are drawn group by group in ascending true count ``t``
-    and compared as ``rng.choice(n_max + 1, p=K[:, t])`` compares them, so
-    the reported counts and the generator's final state are those of
-    ``choice``. ``reads`` is ``_column_reads(K)``. Each group is read
-    ``_CHUNK`` pulses at a time, in pulse order, so the temporaries do not
-    grow with the pulse count and the uniforms are those of one call.
-
-    Calibration misreads its 200k-pulse phases here rather than through
-    ``misread_rows``, because drawing each group's uniforms where they are
-    read is faster at that size: 2.3 ms per port, against 6.0 ms for one
-    draw of all the uniforms handed out by ``misread_rows`` (in-process
-    ``timeit`` minimum on a shared 2-vCPU x86-64 host).
-    """
-    flat = np.ravel(counts)
-    out = np.empty_like(flat)
-    chunks = [(flat[i : i + _CHUNK], out[i : i + _CHUNK]) for i in range(0, flat.size, _CHUNK)]
-    n_max, seen = len(reads) - 1, 0
-    for t, (base, edges) in enumerate(reads):
-        for chunk, reported in chunks:
-            # counts above n_max fold into the n_max column
-            where = np.flatnonzero(chunk == t if t < n_max else chunk >= t)
-            if where.size:
-                u = rng.random(where.size)
-                read = base
-                for edge in edges:
-                    read = read + (u >= edge)
-                reported[where] = read
-                seen += where.size
-    if seen != flat.size:
-        raise ValueError("true counts must be >= 0")
-    return out.reshape(np.shape(counts))
-
-
 def misread_rows(counts: np.ndarray, uniforms: np.ndarray, reads: _Reads) -> np.ndarray:
     """Misread rows of one port's true counts, each row with its own pre-drawn uniforms.
 
     ``counts`` and ``uniforms`` are ``(rows, pulses)``; ``reads`` is
     ``_column_reads(K)``. Each row's uniforms are handed out in stable
     order of its folded true counts (count ``n_max`` and above last) and
-    read against their column's cdf edges. ``_apply_port`` draws a row's
-    uniforms in that order, so when ``uniforms[r]`` are the next draws of
-    a stream, row r reads what ``_apply_port`` (and ``rng.choice``) read
-    on that stream. One stable sort of (row, folded count) keys orders
-    every row at once. The scan misreads its blocks of replicas here, a
-    row per replica; a calibration phase's 200k pulses go through
-    ``_apply_port``, which is faster at that size.
+    read against their column's cdf edges. ``apply_noise_counts`` draws a
+    run's uniforms in that order, so when ``uniforms[r]`` are the next
+    draws of a stream, row r reads what ``apply_noise_counts`` (and
+    ``rng.choice``) read on that stream. One stable sort of (row, folded
+    count) keys orders every row at once. The scan misreads its blocks of
+    replicas here, a row per replica, whose uniforms are drawn with the
+    replica's Poisson counts, before the block is read.
     """
     counts = np.asarray(counts)
     if counts.size and counts.min() < 0:
@@ -210,17 +174,38 @@ def apply_noise_counts(
     model: ConfusionModel,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The misread channel on one run's per-pulse counts (port c first): one row of ``misread_rows``.
+    """The misread channel on one run's per-pulse counts: port c's, then port d's.
 
-    It draws port c's uniforms, then port d's, in one ``rng.random`` call.
+    Each port draws one uniform per pulse, group by group in ascending
+    true count ``t``, and compares it as ``rng.choice(n_max + 1, p=K[:,
+    t])`` does, so the reported counts and the generator's final state are
+    those of ``choice``. Counts above ``n_max`` fold into the ``n_max``
+    column. Each group is read ``_CHUNK`` pulses at a time, in pulse order,
+    so the temporaries do not grow with the pulse count and the uniforms
+    are those of one call. Drawing each group's uniforms where it is read
+    is the fast form at calibration's 200k pulses per phase;
+    ``misread_rows`` reads the same uniforms drawn beforehand.
     """
-    n_c, n_d = np.asarray(n_c), np.asarray(n_d)
-    uniforms = rng.random(n_c.size + n_d.size)
-    reads_c, reads_d = model.column_reads
-    return (
-        misread_rows(n_c.reshape(1, -1), uniforms[None, : n_c.size], reads_c).reshape(n_c.shape),
-        misread_rows(n_d.reshape(1, -1), uniforms[None, n_c.size :], reads_d).reshape(n_d.shape),
-    )
+    reported = []
+    for counts, reads in zip((n_c, n_d), model.column_reads):
+        flat = np.ravel(counts)
+        out = np.empty_like(flat)
+        chunks = [(flat[i : i + _CHUNK], out[i : i + _CHUNK]) for i in range(0, flat.size, _CHUNK)]
+        seen = 0
+        for t, (base, edges) in enumerate(reads):
+            for chunk, read_out in chunks:
+                where = np.flatnonzero(chunk == t if t < model.n_max else chunk >= t)
+                if where.size:
+                    u = rng.random(where.size)
+                    read = base
+                    for edge in edges:
+                        read = read + (u >= edge)
+                    read_out[where] = read
+                    seen += where.size
+        if seen != flat.size:
+            raise ValueError("true counts must be >= 0")
+        reported.append(out.reshape(np.shape(counts)))
+    return reported[0], reported[1]
 
 
 def measured_port_distributions(
@@ -332,20 +317,19 @@ def _calibration_phase(
     phi: float,
     stream: np.random.Generator,
     pulses: int,
-    reads: tuple[_Reads, _Reads],
+    model: ConfusionModel,
     ideal: InterferometerModel,
 ) -> np.ndarray:
     """One phase's ``(n_max+1, n_max+1)`` pair histogram, drawn from ``stream``.
 
     The draws are those of ``sample_counts`` then ``apply_noise_counts``:
-    port c's Poisson counts, port d's, then each port's misreads. The
-    counts are drawn ``_CHUNK`` pulses at a time (consecutive calls use the
-    stream as one call does) and kept folded at ``n_max`` in
-    ``_pair_dtype``; the channel reads a count above ``n_max`` as
-    ``n_max``, so folding changes no read.
+    port c's Poisson counts, port d's, then each port's misreads, which
+    ``apply_noise_counts`` itself makes. The counts are drawn ``_CHUNK``
+    pulses at a time (consecutive calls use the stream as one call does)
+    and kept folded at ``n_max`` in ``_pair_dtype``; the channel reads a
+    count above ``n_max`` as ``n_max``, so folding changes no read.
     """
-    n_max = len(reads[0]) - 1
-    bins = n_max + 1
+    n_max = model.n_max
     folded = []
     for mu in ideal.output_means(phi):
         port = np.empty(pulses, _pair_dtype(n_max))
@@ -353,13 +337,12 @@ def _calibration_phase(
             chunk = port[start : start + _CHUNK]
             np.minimum(stream.poisson(mu, chunk.size), n_max, out=chunk, casting="unsafe")
         folded.append(port)
-    m_c = _apply_port(folded[0], reads[0], stream)
-    m_d = _apply_port(folded[1], reads[1], stream)
+    m_c, m_d = apply_noise_counts(*folded, model, stream)
     hist = sum(
         pair_histogram(m_c[start : start + _CHUNK], m_d[start : start + _CHUNK], n_max)
         for start in range(0, pulses, _CHUNK)
     )
-    return hist.reshape(bins, bins)
+    return hist.reshape(n_max + 1, n_max + 1)
 
 
 def _phase_bytes(pulses: int, n_max: int) -> int:
@@ -395,11 +378,12 @@ def simulate_calibration(
     except PhaseDomainError as exc:
         raise CalibrationError(f"calibration {exc}") from None
     _true_count_dists(phases, ideal, model.n_max, CalibrationError)
-    streams, reads = rng.spawn(len(phases)), model.column_reads
+    streams = rng.spawn(len(phases))
+    model.column_reads  # built once, before any worker forks
 
     def phase(j: int) -> np.ndarray:
         return _calibration_phase(
-            phases[j], streams[j], pulses=pulses_per_phase, reads=reads, ideal=ideal
+            phases[j], streams[j], pulses=pulses_per_phase, model=model, ideal=ideal
         )
 
     counts = _pool.map_cells(

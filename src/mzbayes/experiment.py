@@ -80,6 +80,8 @@ class ExperimentPlan:
     The plan holds the model and grid a scan reads, and builds its one
     likelihood table on first use. ``noise``, the channel the simulation
     draws from, comes with ``channel``, the calibrated one the estimators read.
+    ``fringe``, the fringe the ``fringe`` estimator inverts, defaults to the
+    ideal one, and must be given for that estimator behind a non-identity channel.
     """
 
     theta_grid: np.ndarray = field(default_factory=default_theta_grid)
@@ -127,6 +129,11 @@ class ExperimentPlan:
                 f"noise model n_max {self.noise.n_max} does not match the "
                 f"calibrated channel's n_max {self.channel.n_max}"
             )
+        if "fringe" in self.estimators and self.fringe is None and not (
+            self.channel is None or self.channel.is_identity()
+        ):
+            # the ideal fringe would stand in for the calibrated one: classical by another name
+            raise ValueError("the fringe estimator behind a misread channel needs a fitted fringe")
 
     @cached_property
     def table(self) -> CountLikelihood:

@@ -36,6 +36,9 @@ class PhaseGrid:
     def __post_init__(self) -> None:
         if self.n_points < 2:
             raise ValueError(f"grid needs >= 2 points, got {self.n_points}")
+        most = np.iinfo(np.intp).max  # numpy's index range
+        if self.n_points > most:
+            raise ValueError(f"grid needs <= {most} points, got {self.n_points}")
 
     @cached_property
     def nodes(self) -> np.ndarray:

@@ -33,6 +33,11 @@ oracle is ``einsum_em_step``, the per-phase responsibilities summed
 against the observed counts. ``log_likelihood`` is the objective both
 fits raise.
 
+The noisy scan's asymptotics: ``asymptotic_cell`` gives, with no Monte
+Carlo, the phase the noisy posterior concentrates at as p grows, its
+half-width, and the replica spread of its mean, from each port's law of
+reported counts and that law's exact phase derivatives.
+
 The retrodictive mixture: each measured pair's density is its
 retrodictive weights times the closed-form single-shot posteriors of the
 true pairs. Up to a constant it equals the calibrated channel's per-port
@@ -45,7 +50,9 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.special import betainc, betaincinv, gammaln
+from scipy.stats import poisson
 
 from mzbayes.detector import ConfusionModel, FitError, RetrodictiveWeights
 from mzbayes.photon_model import InterferometerModel, Outcome, _log_factorials
@@ -320,3 +327,84 @@ def log_likelihood(K, observed_counts, true_dists) -> float:
     """``sum observed * log(true_dists @ K.T)`` over the observed cells."""
     seen = observed_counts > 0
     return float((observed_counts[seen] * np.log((true_dists @ K.T)[seen])).sum())
+
+
+# Half-widths of the posterior that must lie inside (0, pi) on either side
+# of theta* for ``asymptotic_cell``: a normal law holds 3e-7 of its mass
+# beyond 5 sds. At p = 1000 under the paper regime theta/pi = 0.1 lies 6.0
+# half-widths from 0, and 0.05 only 2.9.
+EDGE_WIDTHS = 5.0
+
+
+def _reported_laws(channel: ConfusionModel, model: InterferometerModel, phi: float):
+    """Each port's law of reported counts at ``phi``, with its first and second phase derivatives.
+
+    The true count at a port is Poisson with mean mu(phi), nbar cos^2(phi/2)
+    at c and nbar sin^2(phi/2) at d, cut at ``model.n_max`` and folded into
+    the channel's ``n_max``. d P_k / d mu = P_{k-1} - P_k, and the channel
+    is linear, so the derivatives are exact.
+    """
+    k = np.arange(model.n_max + 1)
+    fold = np.minimum(k, channel.n_max)
+    laws = []
+    for K, mu, sign in (
+        (channel.forward_c, model.nbar * math.cos(phi / 2.0) ** 2, -1.0),
+        (channel.forward_d, model.nbar * math.sin(phi / 2.0) ** 2, 1.0),
+    ):
+        pmf = poisson.pmf(k, mu)
+        below = np.concatenate([[0.0], pmf[:-1]])  # P_{k-1}
+        below2 = np.concatenate([[0.0, 0.0], pmf[:-2]])  # P_{k-2}
+        d_mu, d2_mu = (sign * model.nbar / 2.0 * f(phi) for f in (math.sin, math.cos))
+        d1 = d_mu * (below - pmf)
+        d2 = d2_mu * (below - pmf) + d_mu**2 * (below2 - 2.0 * below + pmf)
+        laws.append(tuple(K[:, fold] @ x for x in (pmf, d1, d2)))
+    return laws
+
+
+def asymptotic_cell(
+    true_channel: ConfusionModel,
+    fit_channel: ConfusionModel,
+    model: InterferometerModel,
+    theta: float,
+    p: int,
+) -> tuple[float, float, float]:
+    """(theta*, posterior half-width, replica sd of the posterior mean) as p grows, at ``theta``.
+
+    The counts are drawn through ``true_channel`` and read through
+    ``fit_channel``. With l(phi) = log P_fit(m_c|phi) + log P_fit(m_d|phi)
+    the per-pulse log likelihood, the posterior concentrates at the
+    theta* where E_true[l'] = 0 (the least cross-entropy). With
+    H = -E_true[l''(theta*)] and J = Var_true[l'(theta*)], its half-width
+    tends to 1/sqrt(pH) and the spread of its mean to sqrt(J/p)/H: the
+    sandwich form of White (Econometrica 50:1, 1982), the misspecified
+    Bernstein-von Mises theorem of Kleijn & van der Vaart (Electron. J.
+    Stat. 6:354, 2012). With the true channel H = J = F, the CRLB.
+
+    Near the ends of the domain the posterior meets them and the
+    asymptotics do not apply: a cell where theta* +- ``EDGE_WIDTHS``
+    half-widths leaves (0, pi) raises ``ValueError``.
+    """
+    truth = [law for law, _, _ in _reported_laws(true_channel, model, theta)]
+
+    def scores(phi):
+        """Per port: the true law, the score l', and l'' on the reported counts."""
+        out = []
+        for q, (law, d1, d2) in zip(truth, _reported_laws(fit_channel, model, phi)):
+            seen = q > 0.0
+            s = d1[seen] / law[seen]
+            out.append((q[seen], s, d2[seen] / law[seen] - s**2))
+        return out
+
+    theta_star = brentq(
+        lambda phi: sum(q @ s for q, s, _ in scores(phi)), theta - 0.05, theta + 0.05, xtol=1e-15
+    )
+    at_star = scores(theta_star)
+    H = -sum(q @ s2 for q, _, s2 in at_star)
+    J = sum(q @ s**2 - (q @ s) ** 2 for q, s, _ in at_star)
+    half_width = 1.0 / math.sqrt(p * H)
+    if not EDGE_WIDTHS * half_width < theta_star < math.pi - EDGE_WIDTHS * half_width:
+        raise ValueError(
+            f"theta {theta:.6g}: theta* +- {EDGE_WIDTHS:g} half-widths leaves (0, pi); "
+            "the asymptotics do not apply"
+        )
+    return theta_star, half_width, math.sqrt(J / p) / H

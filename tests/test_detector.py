@@ -19,8 +19,6 @@ from mzbayes.detector import (
     ConfusionModel,
     FitError,
     RetrodictiveWeights,
-    _apply_port,
-    _column_reads,
     _fit_port,
     apply_noise_counts,
     exact_retrodictive_weights,
@@ -146,6 +144,8 @@ class TestApplyNoise:
         n_c, n_d = np.array([1, -1]), np.array([0, 0])
         with pytest.raises(ValueError, match=">= 0"):
             apply_noise_counts(n_c, n_d, regime, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=">= 0"):
+            misread_rows(n_c[None], np.zeros((1, 2)), regime.column_reads[0])
 
     def test_vectorized_matches_scalar_distribution(self, off_by_one):
         # same channel statistics whichever API draws the counts
@@ -297,7 +297,7 @@ class TestChannelDraws:
     @settings(max_examples=200, deadline=None)
     def test_reads_equal_searchsorted_at_every_edge(self, data, n_max):
         K = data.draw(forward_matrices(n_max))
-        reads = _column_reads(K)
+        model = ConfusionModel(forward_c=K, forward_d=K, n_max=n_max)
         for t in range(n_max + 1):
             cdf = K[:, t].cumsum()  # as rng.choice builds it
             cdf /= cdf[-1]
@@ -306,7 +306,8 @@ class TestChannelDraws:
                 [cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0), [0.0, 1.0 - 2.0**-53]]
             )
             u = probes[(probes >= 0.0) & (probes < 1.0)]
-            got = _apply_port(np.full(u.size, t), reads, _Uniforms(u))
+            # port d has no pulses, so port c's reads take every uniform
+            got, _ = apply_noise_counts(np.full(u.size, t), np.zeros(0, int), model, _Uniforms(u))
             np.testing.assert_array_equal(got, cdf.searchsorted(u, side="right"))
 
     @pytest.mark.parametrize(

@@ -104,6 +104,19 @@ class TestPlan:
             small_plan(p=1000, model=InterferometerModel(nbar=1e17))
         small_plan(p=4, model=InterferometerModel(nbar=2.0**60))
 
+    def test_noisy_fringe_needs_its_fitted_fringe(self):
+        # the ideal fringe would stand in for it: classical under another name
+        regime = ConfusionModel.paper_regime()
+        with pytest.raises(ValueError, match="a fitted fringe"):
+            small_plan(noise=regime, channel=regime, estimators=("bayes", "fringe"))
+        small_plan(noise=regime, channel=regime, estimators=("bayes", "classical"))
+        small_plan(noise=regime, channel=regime, fringe=FringeParams(amplitude=0.8),
+                   estimators=("fringe",))
+        # an ideal plan, and an identity channel, keep the ideal fringe
+        small_plan(estimators=("fringe",))
+        identity = ConfusionModel.identity()
+        small_plan(noise=identity, channel=identity, estimators=("fringe",))
+
     def test_noise_requires_channel(self):
         with pytest.raises(ValueError, match="come together"):
             small_plan(noise=ConfusionModel.paper_regime())
@@ -150,8 +163,9 @@ class TestPlan:
             counted.__set_name__(_Block, statistic)
             monkeypatch.setattr(_Block, statistic, counted)
             regime = ConfusionModel.paper_regime() if noisy else None
+            fringe = FringeParams(amplitude=0.8) if noisy else None  # a noisy plan's fitted fringe
             estimators = ("bayes", "ml", "classical", "fringe") + (("ymk",) if noisy else ())
-            plan = small_plan(noise=regime, channel=regime, estimators=estimators)
+            plan = small_plan(noise=regime, channel=regime, fringe=fringe, estimators=estimators)
             monkeypatch.setattr(experiment, "_BLOCK_BYTES", _block_bytes(plan, rows=2))
             assert _block_rows(plan) == 2
             scan(plan)
@@ -425,8 +439,9 @@ class TestWorkers:
     @pytest.mark.parametrize("noisy", [False, True], ids=["ideal", "noisy"])
     def test_pool_scan_is_byte_identical(self, monkeypatch, on_workers, noisy):
         regime = ConfusionModel.paper_regime() if noisy else None
+        fringe = FringeParams(amplitude=0.8) if noisy else None  # a noisy plan's fitted fringe
         plan = small_plan(theta_grid=np.pi * np.array([0.2, 0.5, 0.8]), noise=regime,
-                          channel=regime, estimators=ESTIMATOR_NAMES)
+                          channel=regime, fringe=fringe, estimators=ESTIMATOR_NAMES)
         # a cell scored in this process is recorded; a worker's record stays in the worker
         here = []
         score = experiment._CellScanner.__call__

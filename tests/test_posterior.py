@@ -91,6 +91,12 @@ class TestPhaseGrid:
         with pytest.raises(ValueError):
             PhaseGrid(1)
 
+    def test_points_beyond_numpy_index_range_rejected(self):
+        # its nodes could not be indexed: the grid refuses it, not np.linspace
+        with pytest.raises(ValueError, match="<= 9223372036854775807 points"):
+            PhaseGrid(2**63)
+        assert PhaseGrid(2**63 - 1).n_points == 2**63 - 1
+
 
 class TestSingleShot:
     def test_vacuum_outcome_gives_uniform(self, grid):
