@@ -23,17 +23,17 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def workers(cells: int, pulses: int, most: int | None = None) -> int:
+def workers(cells: int, pulses: int) -> int:
     """Worker processes for ``cells`` cells that draw ``pulses`` pulses in all.
 
-    One per usable CPU, at most one per cell and at most ``most``, and
-    each with at least ``_PULSES_PER_WORKER`` pulses to draw; below 2 the
-    cells run in-process. Workers are forked, so a platform without
-    ``fork`` gets none.
+    One per usable CPU, at most one per cell, and each with at least
+    ``_PULSES_PER_WORKER`` pulses to draw; below 2 the cells run
+    in-process. Workers are forked, so a platform without ``fork`` gets
+    none.
     """
     if not hasattr(os, "fork"):
         return 1
-    return min(_cpus(), cells, cells if most is None else most, pulses // _PULSES_PER_WORKER)
+    return min(_cpus(), cells, pulses // _PULSES_PER_WORKER)
 
 
 # A worker process's task and the pool's first failed cell (the cell count
@@ -61,11 +61,11 @@ def _run_cell(cell: int):
         raise
 
 
-def map_cells(task: Callable, cells: int, pulses: int, most: int | None = None) -> list:
+def map_cells(task: Callable, cells: int, pulses: int) -> list:
     """``task`` of each cell index ``0 .. cells - 1``, in cell order.
 
-    The cells run in-process, or on ``workers(cells, pulses, most)``
-    forked processes. Fork hands each worker ``task``, with everything it
+    The cells run in-process, or on ``workers(cells, pulses)`` forked
+    processes. Fork hands each worker ``task``, with everything it
     was built from, without pickling it, where spawn would import numpy
     and mzbayes again in each worker; a call carries only its cell's
     index. Fork is safe while the calling process runs no other thread,
@@ -74,7 +74,7 @@ def map_cells(task: Callable, cells: int, pulses: int, most: int | None = None) 
     with its own type, even if a later one raised first; no worker
     outlives the call.
     """
-    n = workers(cells, pulses, most)
+    n = workers(cells, pulses)
     if n < 2:
         return [task(cell) for cell in range(cells)]
     # Imported here: at module level they would add about 17 ms to every command.

@@ -7,7 +7,8 @@ emitted CSVs are in units of pi. Subcommands:
   scan         run a bias or sensitivity Monte Carlo scan
   fisher       tabulate Fisher information and the CRLB over a theta grid
 
-Exit codes: 0 success, 2 config/usage error, 3 numerical or fit failure.
+Exit codes: 0 success, 2 config/usage error (an output directory that
+cannot be made or written to among them), 3 numerical or fit failure.
 Every command checks the ``model``, ``noise`` and ``plan`` sections; the
 others are checked by the command that reads them. Outputs are written
 atomically (temp file + rename) once all are rendered; a failing command
@@ -186,9 +187,12 @@ def _write_atomic(path: Path, content: str) -> None:
 def _emit_files(out_dir: Path, files: dict[str, str]) -> None:
     # All contents are rendered before anything is written, so an earlier
     # failure leaves no partial outputs and no output directory.
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, content in files.items():
-        _write_atomic(out_dir / name, content)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, content in files.items():
+            _write_atomic(out_dir / name, content)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output directory {out_dir}: {exc}") from exc
 
 
 @contextmanager

@@ -33,9 +33,6 @@ _NEWTON_STEPS = 200
 _N_QUAD = 2001
 # Pulses per step of the misread channel and of a calibration phase's draws.
 _CHUNK = 1 << 16
-# The calibration phases in flight hold at most this much together (two
-# 200k-pulse phases), so calibration memory does not grow with the CPUs.
-_PHASES_BYTES = 8 * 1024 * 1024
 # Per true count t of one port: (base, interior cdf edges), see _column_reads.
 _Reads = tuple[tuple[int, tuple[float, ...]], ...]
 
@@ -345,16 +342,6 @@ def _calibration_phase(
     return hist.reshape(n_max + 1, n_max + 1)
 
 
-def _phase_bytes(pulses: int, n_max: int) -> int:
-    """Bytes one ``_calibration_phase`` holds at its peak, rounded up.
-
-    Its counts and misreads at both ports, plus a chunk's temporaries:
-    the tracemalloc peak of a phase is at most 32.5 bytes per pulse of a
-    chunk above its four pulse-sized arrays.
-    """
-    return 4 * _pair_dtype(n_max).itemsize * pulses + 40 * min(pulses, _CHUNK)
-
-
 def simulate_calibration(
     phases: Sequence[float],
     pulses_per_phase: int,
@@ -367,8 +354,8 @@ def simulate_calibration(
     Phases too few to resolve the true counts are rejected before any
     draw. Each phase gets an independent child stream of ``rng``, so the
     result does not depend on the order phases run in, nor on the number
-    of worker processes that run them (``_pool.map_cells``, with at most
-    as many phases in flight as ``_PHASES_BYTES`` holds).
+    of worker processes that run them (``_pool.map_cells``, under the
+    scan's worker rule).
     """
     phases = np.asarray(phases, dtype=float)
     if pulses_per_phase < 1:
@@ -386,10 +373,7 @@ def simulate_calibration(
             phases[j], streams[j], pulses=pulses_per_phase, model=model, ideal=ideal
         )
 
-    counts = _pool.map_cells(
-        phase, len(phases), len(phases) * pulses_per_phase,
-        most=_PHASES_BYTES // _phase_bytes(pulses_per_phase, model.n_max),
-    )
+    counts = _pool.map_cells(phase, len(phases), len(phases) * pulses_per_phase)
     return CalibrationData(
         phases=phases, pulses_per_phase=pulses_per_phase, counts=np.stack(counts)
     )

@@ -36,7 +36,7 @@ def pin_workers(monkeypatch):
     process makes, so tests that record calls pin one worker.
     """
     return lambda workers: monkeypatch.setattr(
-        _pool, "workers", lambda cells, pulses, most=None: workers
+        _pool, "workers", lambda cells, pulses: workers
     )
 
 

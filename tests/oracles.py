@@ -11,7 +11,9 @@ shape, ``normalization_constant`` is that shape's normalizer through
 log-gamma, and ``beta_moments`` gives the exact flat-prior posterior
 mean and credible half-width from the Beta law of cos^2(phi/2), with no
 grid. ``expected_bayes_moments`` sums it against the Poisson laws of the
-port totals: the expected Bayes bias and half-width, with no replicas.
+port totals: the expected Bayes bias and half-width, and the exact sd of
+the Bayes mean, with no replicas; ``expected_classical_moments`` sums the
+classical estimate over the same pairs.
 
 The misread channel: ``apply_noise`` pushes one ``Outcome`` through it
 with one ``rng.choice`` per port, and ``choice_port`` draws a port's
@@ -164,15 +166,12 @@ def beta_moments(nc, nd, level: float = 0.6827, nodes: int = 200):
     return mean[()], width[()]
 
 
-def expected_bayes_moments(theta: float, p: int, nbar: float) -> tuple[float, float]:
-    """Expected ideal Bayes (bias, dtheta) at true phase theta over p pulses, with no replicas.
+def _count_pairs(theta: float, p: int, nbar: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The port totals (Nc, Nd) of p pulses at true phase theta that matter, and their weights.
 
     Nc and Nd are independent Poisson counts with means p nbar cos^2(theta/2)
-    and p nbar sin^2(theta/2), and the posterior of a pulse sequence reads
-    only them. So the expectations are ``beta_moments`` of each pair summed
-    against their joint law, all pairs at once. The pairs left out each
-    have probability below 1e-11, and together less than 1e-8; 32 nodes
-    hold each mean to about 1e-12.
+    and p nbar sin^2(theta/2). The pairs left out each have probability
+    below 1e-11, and together less than 1e-8.
     """
     pmfs = []
     for mu in p * nbar * np.array([math.cos(theta / 2.0) ** 2, math.sin(theta / 2.0) ** 2]):
@@ -183,8 +182,39 @@ def expected_bayes_moments(theta: float, p: int, nbar: float) -> tuple[float, fl
     weights = joint[nc, nd]
     if not 1.0 - weights.sum() < 1e-8:
         raise ValueError(f"pairs kept hold {weights.sum()!r} of the mass")
+    return nc, nd, weights
+
+
+def _mean_and_sd(weights: np.ndarray, values: np.ndarray) -> tuple[float, float]:
+    mean = float(weights @ values)
+    return mean, math.sqrt(float(weights @ (values - mean) ** 2))
+
+
+def expected_bayes_moments(theta: float, p: int, nbar: float) -> tuple[float, float, float]:
+    """Expected ideal Bayes (bias, dtheta) at true phase theta over p pulses, and the exact
+    sd of the Bayes mean, with no replicas.
+
+    The posterior of a pulse sequence reads only its port totals, so the
+    moments are ``beta_moments`` of each pair of ``_count_pairs`` summed
+    against their joint law, all pairs at once; 32 nodes hold each mean to
+    about 1e-12.
+    """
+    nc, nd, weights = _count_pairs(theta, p, nbar)
     mean, width = beta_moments(nc, nd, nodes=32)
-    return float(weights @ mean) - theta, float(weights @ width)
+    expected, sd = _mean_and_sd(weights, mean)
+    return expected - theta, float(weights @ width), sd
+
+
+def expected_classical_moments(theta: float, p: int, nbar: float) -> tuple[float, float]:
+    """Expected bias and exact sd of the ideal classical estimate at true phase theta.
+
+    The estimate of p pulses is ``arccos(clip((Nc - Nd) / (p nbar), -1, 1))``,
+    summed over the pairs of ``_count_pairs``.
+    """
+    nc, nd, weights = _count_pairs(theta, p, nbar)
+    estimates = np.arccos(np.clip((nc - nd) / (p * nbar), -1.0, 1.0))
+    expected, sd = _mean_and_sd(weights, estimates)
+    return expected - theta, sd
 
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

@@ -535,6 +535,22 @@ class TestConfigErrors:
         assert run("fisher", "--config", cfg) == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("below", [False, True], ids=["a-file", "below-a-file"])
+    @pytest.mark.parametrize("argv", [["calibrate"], ["scan", "bias"], ["fisher"]],
+                             ids=["calibrate", "scan-bias", "fisher"])
+    def test_unusable_output_directory_is_config_error(self, tmp_path, capsys, argv, below):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "out" if below else blocker
+        # the path below a file comes from output.dir, the file itself from --out-dir
+        cfg = write_config(tmp_path, {**_QUICK, "output": {"dir": str(out)}})
+        extra = [] if below else ["--out-dir", str(out)]
+        assert run(*argv, "--config", cfg, *extra) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(out) in err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["blocker", "config.json"]
+        assert blocker.read_text() == ""
+
 
 class TestFisherCommand:
     @pytest.mark.parametrize("name", ["ideal", "noisy"])

@@ -482,7 +482,7 @@ class TestCalibration:
 
     def test_peak_memory_per_pulse(self, ideal_model, pin_workers):
         """The tracemalloc peak of a phase of 400k pulses, run in this process, stays below
-        24 B per pulse, and within ``_phase_bytes``.
+        24 B per pulse.
 
         Measured at 8.6 B with one phase in flight; a phase that holds its
         int64 counts, int64 misreads and pulse-sized channel temporaries
@@ -499,21 +499,20 @@ class TestCalibration:
         finally:
             tracemalloc.stop()
         assert peak / pulses < 24
-        assert peak <= detector._phase_bytes(pulses, model.n_max)
 
-    def test_phases_in_flight_stay_within_budget(self, regime, ideal_model, monkeypatch):
-        """However many CPUs, 16 phases x 200k pulses get no more workers than
-        ``_PHASES_BYTES`` holds phases of ``_phase_bytes``."""
+    def test_calibration_asks_for_its_phases_and_pulses(self, regime, ideal_model, monkeypatch):
+        """Calibration takes the scan's worker rule: 33 phases x 200k pulses get 25
+        workers of 64 CPUs."""
         monkeypatch.setattr(_pool, "_cpus", lambda: 64)
-        chosen, rule = [], _pool.workers
+        asked, rule = [], _pool.workers
         # the phases then run in this process, and draw nothing
-        monkeypatch.setattr(_pool, "workers", lambda *args: chosen.append(rule(*args)) or 1)
+        monkeypatch.setattr(_pool, "workers", lambda *args: asked.append(args) or 1)
         monkeypatch.setattr(detector, "_calibration_phase",
                             lambda phi, stream, **kwargs: np.zeros((5, 5), dtype=np.int64))
-        phases = np.pi * np.linspace(0.02, 0.98, 16)
+        phases = np.pi * np.linspace(0.02, 0.98, 33)
         simulate_calibration(phases, 200_000, regime, ideal_model, np.random.default_rng(3))
-        budget = detector._PHASES_BYTES // detector._phase_bytes(200_000, regime.n_max)
-        assert 2 <= chosen[0] <= budget
+        assert asked == [(33, 33 * 200_000)]
+        assert rule(*asked[0]) == 25
 
     def test_failing_phase_stops_the_phases_not_started(
         self, regime, ideal_model, monkeypatch, on_workers, tmp_path

@@ -11,6 +11,7 @@ from functools import cached_property
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 import mzbayes.experiment as experiment
 from mzbayes import _pool
@@ -44,12 +45,25 @@ from mzbayes.posterior import (
     credible_interval,
     posterior_mean,
 )
-from oracles import expected_bayes_moments, run_statistics
+from oracles import expected_bayes_moments, expected_classical_moments, run_statistics
 
 
 def _block_bytes(plan, rows):
     """A block budget that holds ``rows`` of the plan's replicas."""
     return rows * 8 * max(plan.grid.n_points, plan.p * (2 if plan.noise is None else 4))
+
+
+def _sd_band(replicas: int, rows: int, level: float = 1e-3) -> tuple[float, float]:
+    """Bounds on sd_est / exact sd for ``rows`` rows of ``replicas`` normal estimates.
+
+    (replicas - 1) sd_est^2 / sd^2 is chi-square with replicas - 1 degrees
+    of freedom; each row's two-sided band holds ``level`` / ``rows`` of
+    it, so that all rows fall inside with probability at least
+    1 - ``level`` (Bonferroni).
+    """
+    dof = replicas - 1
+    tail = level / rows / 2.0
+    return tuple(math.sqrt(chi2.ppf(q, dof) / dof) for q in (tail, 1.0 - tail))
 
 
 def small_plan(**kwargs):
@@ -390,15 +404,33 @@ class TestScans:
                 continue
             assert rec.sd_est == pytest.approx(rec.mean_dtheta, rel=0.20)
 
-    def test_ideal_bayes_moments_match_their_expectation(self, ideal_scan):
-        # The conftest ideal scan's phases, seed and replicas at p = 100: its
-        # exact expectations sum about 80k count pairs in all, where p = 1000
-        # would take about a second per phase.
-        plan = replace(ideal_scan.plan, p=100, estimators=("bayes",))
-        for rec in scan(plan).records:
-            bias, dtheta = expected_bayes_moments(rec.theta, plan.p, plan.model.nbar)
+    @pytest.fixture(scope="class")
+    def p100_scan(self, ideal_scan):
+        # The conftest ideal scan's phases, seed, replicas and estimators at
+        # p = 100: its exact Bayes expectations sum about 80k count pairs in
+        # all, where p = 1000 would take about a second per phase.
+        return scan(replace(ideal_scan.plan, p=100))
+
+    def test_ideal_bayes_moments_match_their_expectation(self, p100_scan):
+        plan = p100_scan.plan
+        rows = [rec for rec in p100_scan.records if rec.estimator == "bayes"]
+        # all rows' sd_est in their chi-square bands at family-wise level 1e-3
+        lo, hi = _sd_band(plan.replicas, len(rows))
+        for rec in rows:
+            bias, dtheta, sd = expected_bayes_moments(rec.theta, plan.p, plan.model.nbar)
             assert abs(rec.bias - bias) <= 4 * rec.sd_est / math.sqrt(plan.replicas)
             assert abs(rec.mean_dtheta - dtheta) <= 4 * rec.sd_dtheta / math.sqrt(plan.replicas)
+            assert lo <= rec.sd_est / sd <= hi
+
+    def test_ideal_classical_moments_match_their_expectation(self, p100_scan):
+        plan = p100_scan.plan
+        rows = [rec for rec in p100_scan.records if rec.estimator == "classical"]
+        assert len(rows) == len(plan.theta_grid)
+        lo, hi = _sd_band(plan.replicas, len(rows))
+        for rec in rows:
+            bias, sd = expected_classical_moments(rec.theta, plan.p, plan.model.nbar)
+            assert abs(rec.bias - bias) <= 4 * rec.sd_est / math.sqrt(plan.replicas)
+            assert lo <= rec.sd_est / sd <= hi
 
     def test_csv_and_manifest_export(self):
         result = scan(small_plan())
@@ -422,9 +454,6 @@ class TestWorkers:
         assert _pool.workers(2, 2 * 150 * 2000) == 2
         assert _pool.workers(2, 2 * 150 * 1000) < 2
         assert _pool.workers(1, 1 * 2 * 2000) < 2
-        # a cap below the CPUs holds, down to none at all
-        assert _pool.workers(19, 19 * 150 * 1000, most=3) == 3
-        assert _pool.workers(19, 19 * 150 * 1000, most=0) < 2
         monkeypatch.setattr(_pool, "_PULSES_PER_WORKER", 1)
         assert _pool.workers(2, 2 * 5 * 50) == 2
         monkeypatch.delattr(_pool.os, "fork")
@@ -434,7 +463,7 @@ class TestWorkers:
         asked = []
         monkeypatch.setattr(_pool, "workers", lambda *args: asked.append(args) or 1)
         scan(small_plan())
-        assert asked == [(2, 2 * 5 * 50, None)]
+        assert asked == [(2, 2 * 5 * 50)]
 
     @pytest.mark.parametrize("noisy", [False, True], ids=["ideal", "noisy"])
     def test_pool_scan_is_byte_identical(self, monkeypatch, on_workers, noisy):
