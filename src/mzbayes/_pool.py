@@ -9,9 +9,12 @@ from __future__ import annotations
 import os
 from typing import Callable
 
-# On a shared 2-vCPU x86-64 host a forked pool of two workers took 13-18 ms
-# to start and stop, and a scanned pulse about 110 ns, so a worker pays for
-# itself from about 2**18 pulses (29 ms).
+# On a shared 2-vCPU x86-64 host (Intel Xeon, numpy 2.4) a pulse of an
+# ideal Bayes and classical scan cost 85-100 ns, and a forked pool of two
+# workers 7-10 ms to start and stop. Over such a scan two workers lost to
+# one process at 2**18 pulses in all, broke about even at 2**19 and won at
+# 2**20 (69-77 against 90-99 ms), so a worker pays for itself from about
+# 2**18 pulses of its own.
 _PULSES_PER_WORKER = 2**18
 
 

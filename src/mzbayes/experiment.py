@@ -5,10 +5,11 @@ pulses, (optionally) push them through the detector confusion channel,
 accumulate the Bayesian posterior (through the calibrated misread channel
 when noise is configured), and repeat over independent replicas. Each
 (phase, replica) pair gets its own seeded stream derived from the master
-seed, so a rerun with the same plan draws the same counts. Bayes and ML
-read the plan's one likelihood table; a replica's counts enter it only
-through its statistics, the port totals or the per-port histograms, which
-the scan's block reduces once.
+seed, ``replica_rng``'s, so a rerun with the same plan draws the same
+counts; the scan derives the seeds of a run of replicas in one pass.
+Bayes and ML read the plan's one likelihood table; a replica's counts
+enter it only through its statistics, the port totals or the per-port
+histograms, which the scan's block reduces once.
 
 A block of replicas is the scan's unit: each replica of the block draws
 its Poisson counts and, on a noisy plan, the uniforms of its misreads,
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, field, fields
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -158,8 +159,115 @@ class ExperimentPlan:
 
 
 def replica_rng(seed: int, phase_idx: int, replica_idx: int) -> np.random.Generator:
-    """Independent stream for one (phase, replica) cell of a scan."""
+    """Independent stream for one (phase, replica) cell of a scan.
+
+    The scan builds the same streams, state for state, from the seed words
+    that ``_replica_seed_words`` derives for a run of replicas at once.
+    """
     return np.random.default_rng([seed, phase_idx, replica_idx])
+
+
+# numpy's SeedSequence (O'Neill's seed_seq_fe) hashes its entropy into a
+# pool of four uint32 words, then the pool into the generator's state, each
+# hash with the next constant of a chain that does not depend on the data.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _uint32_words(n: int) -> list[int]:
+    """SeedSequence's entropy words of a non-negative int, least significant first."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+@cache
+def _hash_chain(init: int, mult: int, hashes: int) -> np.ndarray:
+    """The column of constants ``init * mult**i`` mod 2**32 for i = 0 .. hashes."""
+    chain = [init]
+    for _ in range(hashes):
+        chain.append(chain[-1] * mult & _MASK32)
+    chain = np.array(chain, dtype=np.uint32)[:, None]
+    chain.flags.writeable = False  # shared by every call
+    return chain
+
+
+def _hashmix(values: np.ndarray, chain: np.ndarray, k: int, rows: int) -> np.ndarray:
+    """Hashes ``k .. k + rows - 1`` of the chain, one per row of ``values``."""
+    values = (values ^ chain[k : k + rows]) * chain[k + 1 : k + rows + 1]
+    return values ^ (values >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    mixed = _MIX_L * x - _MIX_R * y
+    return mixed ^ (mixed >> 16)
+
+
+def _replica_seed_words(seed: int, phase_idx: int, start: int, count: int) -> np.ndarray:
+    """PCG64's seed words of replicas ``start .. start + count - 1``, one ``(4,)`` row each.
+
+    Row k is ``SeedSequence([seed, phase_idx, start + k]).generate_state(4,
+    np.uint64)``, the state ``replica_rng`` seeds. SeedSequence's steps run
+    on a ``(4, count)`` pool of uint32 words, one column per replica. The
+    run must not straddle a multiple of 2**32, so that only the low word of
+    the replica index varies along it.
+    """
+    head = _uint32_words(seed) + _uint32_words(phase_idx)
+    low, *high = _uint32_words(start)
+    words = len(head) + 1 + len(high)
+    entropy = np.zeros((max(4, words), count), dtype=np.uint32)  # short entropy hashes as zeros
+    entropy[: len(head)] = np.array(head, dtype=np.uint32)[:, None]
+    entropy[len(head)] = low + np.arange(count, dtype=np.uint32)
+    entropy[len(head) + 1 : words] = np.array(high, dtype=np.uint32)[:, None]
+    chain = _hash_chain(_INIT_A, _MULT_A, 16 + 4 * (len(entropy) - 4))
+    pool = _hashmix(entropy[:4], chain, 0, 4)
+    k = 4
+    for src in range(4):  # each word into each other word, in order
+        dst = [i for i in range(4) if i != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], chain, k, 3))
+        k += 3
+    for word in entropy[4:]:  # entropy past the pool, into every word
+        pool = _mix(pool, _hashmix(word, chain, k, 4))
+        k += 4
+    state = _hashmix(np.tile(pool, (2, 1)), _hash_chain(_INIT_B, _MULT_B, 8), 0, 8)
+    # numpy reads the eight uint32 words as four little-endian uint64s
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+@cache
+def _seed_words_type() -> type:
+    """The ``ISeedSequence`` that hands ``PCG64`` one replica's derived seed words.
+
+    Built on first use: numpy imports numpy.random when it is first used,
+    and importing it with this module would add about 10 ms to every command.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"holds PCG64's 4 uint64 seed words, not {n_words} of {dtype}")
+            return self.words
+
+    return SeedWords
+
+
+# Replicas whose seed words are derived at once: a power of two, so that a
+# run of them starts at a multiple of its length and never straddles 2**32.
+_SEED_RUN = 4096
+
+
+def _replica_rngs(seed: int, phase_idx: int, replicas: int):
+    """``replica_rng(seed, phase_idx, j)`` for j = 0 .. replicas - 1, each built when taken."""
+    seed_words = _seed_words_type()
+    for start in range(0, replicas, _SEED_RUN):
+        for words in _replica_seed_words(seed, phase_idx, start, min(_SEED_RUN, replicas - start)):
+            yield np.random.Generator(np.random.PCG64(seed_words(words)))
 
 
 # A block's draw buffers, and its (rows x grid) log likelihoods, each stay
@@ -378,10 +486,11 @@ class _CellScanner:
         plan, rows = self.plan, self.rows
         theta = plan.theta_grid[phase_idx]
         scored: list[list] = [[] for _ in self.chosen]
+        rngs = _replica_rngs(plan.seed, phase_idx, plan.replicas)
         for start in range(0, plan.replicas, rows):
             size = min(rows, plan.replicas - start)
             for row in range(size):
-                self.draws.draw(row, theta, replica_rng(plan.seed, phase_idx, start + row))
+                self.draws.draw(row, theta, next(rngs))
             block = self.draws.block(size)
             for estimator, out in zip(self.chosen, scored):
                 out.append(estimator(block))

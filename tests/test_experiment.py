@@ -11,6 +11,8 @@ from functools import cached_property
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 import mzbayes.experiment as experiment
@@ -206,6 +208,40 @@ class TestSeeding:
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.sampled_from([0, 7, 2**32 - 1, 2**32, 2**64 + 3, 2**100]),
+        phase_idx=st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**33]), st.integers(0, 2**33)),
+        replica_idx=st.one_of(
+            st.sampled_from([0, 1, 4095, 4096, 4097, 2**32 - 1, 2**32, 2**32 + 1]),
+            st.integers(0, 2**33),
+        ),
+        run_log2=st.integers(0, 12),
+        data=st.data(),
+    )
+    def test_derived_streams_are_replica_rngs(self, seed, phase_idx, replica_idx, run_log2, data):
+        # the run holding replica_idx, as the scan aligns it, cut short at a random end
+        length = 2**run_log2
+        start = replica_idx - replica_idx % length
+        count = data.draw(st.integers(replica_idx - start + 1, length), label="count")
+        words = experiment._replica_seed_words(seed, phase_idx, start, count)
+        assert words.shape == (count, 4) and words.dtype == np.uint64
+        seed_words = experiment._seed_words_type()
+        for j in {start, replica_idx, start + count - 1}:
+            derived = np.random.Generator(np.random.PCG64(seed_words(words[j - start])))
+            reference = np.random.default_rng([seed, phase_idx, j])
+            assert derived.bit_generator.state == reference.bit_generator.state
+            assert derived.poisson(1.08) == reference.poisson(1.08)
+            assert derived.random() == reference.random()
+
+    @pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (8, np.uint64),
+                                                (2, np.uint64), (4, np.float64)])
+    def test_seed_words_refuse_other_requests(self, n_words, dtype):
+        seed = experiment._seed_words_type()(experiment._replica_seed_words(7, 0, 0, 1)[0])
+        with pytest.raises(ValueError):
+            seed.generate_state(n_words, dtype)
+        assert seed.generate_state(4, np.uint64).dtype == np.uint64
+
 
 class TestRunEstimation:
     def test_deterministic(self):
@@ -311,6 +347,33 @@ class TestScans:
             for r, scanned in enumerate(zip(*scored[theta])):
                 one = run_estimation(theta, plan, replica_rng(plan.seed, phase_idx, r))
                 assert one == scanned
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["ideal", "noisy"])
+    def test_seed_runs_that_end_inside_a_block(self, monkeypatch, pin_workers, noisy):
+        # seed words derived 2 replicas at a time, drawn in 3-replica blocks,
+        # at a seed of two entropy words: every replica is still its replica_rng's
+        pin_workers(1)  # the calls are recorded in this process
+        regime = ConfusionModel.paper_regime() if noisy else None
+        plan = small_plan(replicas=7, seed=2**32 + 7, noise=regime, channel=regime)
+        monkeypatch.setattr(experiment, "_BLOCK_BYTES", _block_bytes(plan, rows=3))
+        monkeypatch.setattr(experiment, "_SEED_RUN", 2)
+        assert _block_rows(plan) == 3
+        scored = {}
+        aggregate = experiment._aggregate
+
+        def recorded(theta, estimator, values, dthetas):
+            scored[theta] = values, dthetas
+            return aggregate(theta, estimator, values, dthetas)
+
+        monkeypatch.setattr(experiment, "_aggregate", recorded)
+        result = scan(plan)
+        for phase_idx, theta in enumerate(plan.theta_grid):
+            runs = [run_estimation(theta, plan, replica_rng(plan.seed, phase_idx, r))
+                    for r in range(plan.replicas)]
+            assert list(zip(*scored[theta])) == runs
+            means, widths = np.array(runs).T
+            want = _aggregate(float(theta), "bayes", means, widths)
+            assert astuple(result.record(theta, "bayes")) == astuple(want)
 
     @pytest.mark.parametrize("noisy", [False, True], ids=["ideal", "noisy"])
     @pytest.mark.parametrize("replicas", [1, 3, 5], ids=["one", "one-block", "block-and-rest"])
