@@ -122,6 +122,24 @@ def ymk_mean_estimate(n_c, n_d) -> float:
     return float(np.mean(np.arccos((n_c[fired] - n_d[fired]) / total[fired])))
 
 
+def ymk_row_estimates(n_c: np.ndarray, n_d: np.ndarray) -> np.ndarray:
+    """``ymk_mean_estimate`` of each row of ``(rows, p)`` count arrays, to rounding.
+
+    Each photon-bearing shot's angle is summed along its row, the other
+    shots adding 0, and divided by the row's count of such shots. Raises
+    ``UndefinedEstimateError`` if a row has no such shot.
+    """
+    total = n_c + n_d
+    fired = total > 0
+    shots = np.count_nonzero(fired, axis=1)
+    if not np.all(shots):
+        raise UndefinedEstimateError("no photon-bearing shots in the sequence")
+    angles = np.zeros(total.shape)
+    np.divide(n_c - n_d, total, out=angles, where=fired)
+    np.arccos(angles, out=angles, where=fired)
+    return angles.sum(axis=1) / shots
+
+
 def ymk_pair_estimates(pairs: np.ndarray, n_max: int) -> np.ndarray:
     """``ymk_mean_estimate`` of each row of a ``(rows, (n_max+1)**2)`` stack of pair histograms.
 

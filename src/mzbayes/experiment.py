@@ -18,9 +18,9 @@ scored once, stacked: one misread of all its rows, each row's count sums
 (the port totals), and on a noisy plan one pair histogram per row, which
 gives the per-port histograms and YMK. Bayes scores the block's
 statistics as stacked posteriors, and the classical and fringe
-estimators invert all of its mean count differences at once. ML scores
-each row of the block's statistics on its own, and YMK on an ideal plan
-(whose counts have no bound) each row of its counts.
+estimators invert all of its mean count differences at once; YMK on an
+ideal plan (whose counts have no bound) scores all of its counts at once.
+ML scores each row of the block's statistics on its own.
 
 Each true phase is one cell of the scan, scored by ``_CellScanner`` and
 mapped by ``_pool.map_cells``, as calibration's phases are: a large scan
@@ -53,8 +53,8 @@ from mzbayes.estimators import (
     FringeParams,
     invert_fringe,
     ml_estimate,
-    ymk_mean_estimate,
     ymk_pair_estimates,
+    ymk_row_estimates,
 )
 from mzbayes.photon_model import InterferometerModel, PhaseDomainError, _check_phase
 from mzbayes.posterior import (
@@ -380,8 +380,7 @@ def _estimators(plan: ExperimentPlan) -> dict[str, Callable]:
     def ymk(block: _Block):
         # ideal counts have no bound, so an ideal replica has no fixed-width pair histogram
         if plan.noise is None:
-            rows = zip(block.n_c, block.n_d)
-            return _no_dtheta(np.array([ymk_mean_estimate(n_c, n_d) for n_c, n_d in rows]))
+            return _no_dtheta(ymk_row_estimates(block.n_c, block.n_d))
         return _no_dtheta(ymk_pair_estimates(block.pairs, plan.noise.n_max))
 
     return {

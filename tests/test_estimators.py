@@ -1,6 +1,7 @@
 """Classical, fringe-inverted, YMK, and maximum-likelihood estimators."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from mzbayes.estimators import (
     ml_estimate,
     noisy_classical_estimate,
     ymk_mean_estimate,
+    ymk_row_estimates,
 )
 from mzbayes.photon_model import InterferometerModel, Outcome
 from mzbayes.posterior import ideal_likelihood
@@ -183,6 +185,22 @@ class TestYMK:
     def test_sequence_all_empty_undefined(self):
         with pytest.raises(UndefinedEstimateError):
             ymk_mean_estimate(*pulses([Outcome(0, 0)] * 3))
+
+    def test_rows_are_each_sequence_estimate(self):
+        # ideal counts at nbar 1.08: many shots carry no photon, some several
+        rng = np.random.default_rng(5)
+        n_c, n_d = rng.poisson(0.54, size=(2, 16, 300))
+        want = [ymk_mean_estimate(c, d) for c, d in zip(n_c, n_d)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ymk_row_estimates(n_c, n_d)
+        # the angles are summed in another order: a few ulps apart
+        np.testing.assert_allclose(got, want, rtol=4e-15, atol=0)
+
+    def test_row_without_photons_undefined(self):
+        n_c = np.array([[1, 0, 2], [0, 0, 0]])
+        with pytest.raises(UndefinedEstimateError):
+            ymk_row_estimates(n_c, np.zeros_like(n_c))
 
 
 class TestGoldenSection:

@@ -4,6 +4,8 @@ import contextlib
 import json
 import math
 import multiprocessing
+import os
+import pickle
 import time
 import warnings
 from dataclasses import astuple, replace
@@ -605,7 +607,7 @@ class TestWorkers:
         calls = sorted(int(path.name) for path in tmp_path.iterdir())
         assert 0 in calls and len(calls) <= 2
 
-    def test_only_cells_after_a_failed_one_are_skipped(self, monkeypatch):
+    def test_only_cells_after_a_failed_one_are_skipped(self):
         # a worker that takes cell 1 only once cell 2 has failed on another
         # still runs it, so the first failing cell in order is re-raised
         # whatever the timing
@@ -617,11 +619,16 @@ class TestWorkers:
                 raise FloatingPointError("cell 2")
             return cell
 
-        monkeypatch.setattr(_pool, "_task", task)
-        monkeypatch.setattr(_pool, "_failed", multiprocessing.get_context("fork").Value("q", 4))
-        with pytest.raises(FloatingPointError):
-            _pool._run_cell(2)
-        assert _pool._run_cell(1) == 1 and _pool._run_cell(3) is None
+        read, write = os.pipe()
+        os.write(write, b"".join(cell.to_bytes(4, "little") for cell in (2, 1, 3)))
+        os.close(write)
+        try:
+            done = _pool._work(task, read, [4])
+        finally:
+            os.close(read)
+        outcomes = {cell: (returned, pickle.loads(sent)) for cell, returned, sent in done}
+        assert not outcomes[2][0] and isinstance(outcomes[2][1][0], FloatingPointError)
+        assert outcomes[1] == (True, 1) and 3 not in outcomes
         assert ran == [2, 1]
 
     def test_failing_pool_scan_exits_3(self, monkeypatch, on_workers, tmp_path, capsys):
